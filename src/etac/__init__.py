@@ -20,9 +20,7 @@ from .analysis import (
     boundary_alpha_baseline,
     boundary_curves,
     build_lambda_chain,
-    return_time_pmf,
     return_time_pmf_truncated,
-    return_time_pmf_upto,
 )
 from .domain import (
     BufferState,
@@ -32,6 +30,7 @@ from .domain import (
     StochasticEnv,
     make_sat_plant,
     make_scalar_plant,
+    require_valid_env,
     sat,
     validate_env,
 )
@@ -40,6 +39,7 @@ from .oracle import (
     TransitionEstimate,
     empirical_transition_matrix,
     lambda_path_from_counts,
+    lambda_transition_matrix,
     reference_anytime_step,
     simulate_lambda_chain,
     tv_distance,

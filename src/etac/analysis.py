@@ -9,13 +9,26 @@ certifies stability when gamma < 1.  For the buffered controller the relevant
 quantity is the per-cycle factor over one excursion of the effective buffer
 length away from zero,
 
-    omega = alpha * sum_j rho**(j-1) Pr{return time = j},
+    omega = alpha * sum_j rho**(j-1) Pr{return time = j}.
 
-where the return-time pmf follows from first-return analysis of the buffer
-length chain: Pr{j} = r for j = 1 and r * theta^T G**(j-2) e1 for j >= 2, with
-r = 1 - q + p0 q, theta = q (p1, ..., pL), and G the transition matrix among
-lengths 1..L (escape to 0 excluded).  Summing the geometric series gives the
-closed form omega = alpha r (1 + rho theta^T (I - rho G)^{-1} e1).
+Between resets the buffer length moves among 1..L: a step granting j >= 1
+evaluations (probability theta_j, theta = q (p1, ..., pL)) jumps to j, and any
+other step (probability r = 1 - q + p0 q) counts down by one, escaping to 0
+from length 1.  So the transition matrix is G = 1 theta^T + r S (S the
+down-shift) and theta, r fix everything.  G is never formed here; only the
+oracle builds it densely, as the reference the tests check against.  The
+return-time pmf Pr{1} = r, Pr{j} = r theta^T G**(j-2) e1 follows from the
+renewal recursion (split on the first refill, O(L) per term)
+
+    Pr{j} = r s_{j-2},  s_k = r**k theta_{k+1} + sum_{m<min(k,L)} r**m T_m s_{k-1-m},
+
+with T_m = sum_{l>m} theta_l.  Summing the geometric series and applying
+Sherman-Morrison to the rank-1 term of G gives
+
+    omega = alpha r (1 + rho theta^T (I - rho G)^{-1} e1) = alpha r (1 + rho N / (1 - rho D)),
+    N = sum_l theta_l x**(l-1),  D = sum_{m<L} T_m x**m,  x = rho r,
+
+where 1 - rho D = det(I - rho G) > 0 for every rho < 1.
 """
 
 from __future__ import annotations
@@ -26,12 +39,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import PlantSpec, StochasticEnv, validate_env
+from .domain import PlantSpec, StochasticEnv, require_valid_env
 
 __all__ = [
     "AnalysisResult",
     "LambdaChain",
-    "MAX_CAPACITY",
     "analyze",
     "anytime_contraction",
     "anytime_contraction_series",
@@ -43,39 +55,36 @@ __all__ = [
     "boundary_curves",
     "build_lambda_chain",
     "default_series_length",
-    "return_time_pmf",
     "return_time_pmf_truncated",
-    "return_time_pmf_upto",
 ]
 
-#: Largest buffer capacity the dense linear solves are sized for.
-MAX_CAPACITY = 64
+#: The truncated return-time pmf stops at the first prefix holding this much
+#: mass, and gives up after this many terms.
+PMF_MASS_TARGET = 1.0 - 1e-6
+PMF_MAX_TERMS = 100_000
 
 
 @dataclass(frozen=True, eq=False)
 class LambdaChain:
     """First-return structure of the effective-buffer-length chain.
 
-    ``g[l-1, j-1]`` is the probability of moving from length l to length j in
-    one step between resets; the escape to 0 (possible only from length 1) is
-    carried by ``return1 = 1 - q + p0 q``, and ``theta`` is the entry
-    distribution q * (p1, ..., pL) out of length 0.  Row 1 of ``g`` sums to
-    q (1 - p0); rows l >= 2 sum to 1.
+    ``theta`` = q (p1, ..., pL) is the jump distribution out of every length;
+    ``return1`` = 1 - q + p0 q is the probability of a countdown step.  The
+    transition matrix among lengths 1..L is G = 1 theta^T + return1 * S (S the
+    down-shift); the closed forms use this structure and never form G.
     """
 
-    g: np.ndarray
     theta: np.ndarray
     return1: float
 
     @property
     def capacity(self) -> int:
-        return self.g.shape[0]
+        return self.theta.size
 
     @property
-    def e1(self) -> np.ndarray:
-        v = np.zeros(self.capacity)
-        v[0] = 1.0
-        return v
+    def tails(self) -> np.ndarray:
+        """T_m = sum_{l > m} theta_l for m = 0..L-1."""
+        return np.cumsum(self.theta[::-1])[::-1]
 
 
 class SeriesResult(NamedTuple):
@@ -96,83 +105,50 @@ class AnalysisResult:
     bounds: dict[str, float]  # asymptotic tails of the two mean bounds
 
 
-def _require_valid(env: StochasticEnv) -> None:
-    errors = validate_env(env)
-    if errors:
-        raise ValueError("invalid environment: " + "; ".join(errors))
-    if env.capacity > MAX_CAPACITY:
-        raise ValueError(f"capacity {env.capacity} exceeds supported maximum {MAX_CAPACITY}")
+def _require_rho(rho) -> None:
+    if not np.all((0.0 <= rho) & (rho < 1.0)):
+        raise ValueError(f"rho={rho} outside [0, 1)")
 
 
 def build_lambda_chain(env: StochasticEnv) -> LambdaChain:
-    """Transition structure of the buffer-length chain between resets.
-
-    From length l, a step granting j >= 1 fresh evaluations jumps to j; a step
-    granting none counts down to l - 1, so that column also absorbs the
-    no-data and no-processor mass.
-    """
-    _require_valid(env)
+    """Jump distribution and countdown probability of the buffer-length chain."""
+    require_valid_env(env)
     q = env.q
     p = np.asarray(env.p, dtype=float)
-    cap = env.capacity
-    g = np.empty((cap, cap))
-    for row, length in enumerate(range(1, cap + 1)):
-        g[row] = q * p[1:]
-        if length >= 2:
-            g[row, length - 2] = 1.0 - q + (p[0] + p[length - 1]) * q
-    return LambdaChain(g=g, theta=q * p[1:], return1=1.0 - q + p[0] * q)
+    return LambdaChain(theta=q * p[1:], return1=1.0 - q + p[0] * q)
 
 
-def return_time_pmf(chain: LambdaChain, j: int) -> float:
-    """Probability that the buffer length first returns to zero after j steps."""
-    if j < 1:
-        raise ValueError("return times start at j = 1")
-    if j == 1:
-        return chain.return1
-    v = chain.e1
-    for _ in range(j - 2):
-        v = chain.g @ v
-    return chain.return1 * float(chain.theta @ v)
+def _return_time_pmf(chain: LambdaChain, n: int) -> np.ndarray:
+    """Pr{return time = j} for j = 1..n, by the renewal recursion."""
+    cap, r = chain.capacity, chain.return1
+    decay = r ** np.arange(cap)
+    refill = (decay * chain.tails)[::-1]  # r**m T_m for m = L-1 down to 0
+    direct = (decay * chain.theta)[: n - 1]  # r**k theta_{k+1}: length 1 reached without a refill
+    s = np.zeros(cap + n - 1)  # s_k sits at index L + k, after L zeros standing for k < 0
+    s[cap : cap + direct.size] = direct
+    for k in range(cap, cap + n - 1):
+        s[k] += refill @ s[k - cap : k]
+    return np.concatenate(([r], r * s[cap:]))
 
 
-def return_time_pmf_upto(chain: LambdaChain, j_max: int) -> np.ndarray:
-    """Return-time pmf values for j = 1..j_max (entry i holds j = i + 1)."""
-    if j_max < 1:
-        raise ValueError("j_max must be >= 1")
-    out = np.empty(j_max)
-    out[0] = chain.return1
-    v = chain.e1
-    for j in range(2, j_max + 1):
-        out[j - 1] = chain.return1 * float(chain.theta @ v)
-        v = chain.g @ v
-    return out
-
-
-def return_time_pmf_truncated(
-    chain: LambdaChain, mass_target: float = 1.0 - 1e-6, j_cap: int = 100_000
-) -> np.ndarray:
-    """Shortest pmf prefix whose mass reaches ``mass_target``."""
+def return_time_pmf_truncated(chain: LambdaChain) -> np.ndarray:
+    """Shortest pmf prefix whose mass reaches :data:`PMF_MASS_TARGET`."""
     if chain.return1 == 0.0:
         raise ValueError("the buffer length never returns to zero (q = 1 with p0 = 0)")
-    values = [chain.return1]
-    cum = chain.return1
-    v = chain.e1
-    j = 1
-    while cum < mass_target and j < j_cap:
-        j += 1
-        val = chain.return1 * float(chain.theta @ v)
-        values.append(val)
-        cum += val
-        v = chain.g @ v
-    if cum < mass_target:
-        raise RuntimeError(f"pmf mass {cum} still below {mass_target} after {j_cap} terms")
-    return np.array(values)
+    n = 64
+    while True:
+        pmf = _return_time_pmf(chain, n)
+        reached = np.flatnonzero(np.cumsum(pmf) >= PMF_MASS_TARGET)
+        if reached.size:
+            return pmf[: reached[0] + 1]
+        if n == PMF_MAX_TERMS:
+            raise RuntimeError(f"pmf mass still below {PMF_MASS_TARGET} after {n} terms")
+        n = min(2 * n, PMF_MAX_TERMS)
 
 
 def baseline_contraction(alpha: float, rho: float, q: float, p0: float) -> float:
     """Expected one-step Lyapunov factor (gamma) of the baseline loop."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho={rho} outside [0, 1)")
+    _require_rho(rho)
     if alpha < rho:
         raise ValueError(f"alpha={alpha} must be >= rho={rho}")
     if not 0.0 <= q <= 1.0:
@@ -182,24 +158,20 @@ def baseline_contraction(alpha: float, rho: float, q: float, p0: float) -> float
     return (1.0 - q) * alpha + q * (p0 * alpha + (1.0 - p0) * rho)
 
 
-def baseline_mean_bound(
-    plant: PlantSpec,
-    env: StochasticEnv,
-    k: int,
-    e_phi2_x0: float,
-    d_cap: float | None = None,
-) -> float:
-    """Upper bound on E[phi1(|x(k)|)] for the baseline loop; needs gamma < 1.
+def _baseline_tail(plant: PlantSpec, env: StochasticEnv, gamma: float) -> float:
+    """Asymptotic tail q (1 - p0)(alpha - rho) phi2(d) / (1 - gamma); +inf when gamma >= 1."""
+    if gamma >= 1.0:
+        return math.inf
+    q, p0 = env.q, env.p[0]
+    return q * (1.0 - p0) * (plant.alpha - plant.rho) * plant.phi2(plant.d) / (1.0 - gamma)
 
-    ``d_cap`` overrides the silent-region Lyapunov cap phi2(d).
-    """
+
+def baseline_mean_bound(plant: PlantSpec, env: StochasticEnv, k: int, e_phi2_x0: float) -> float:
+    """Upper bound on E[phi1(|x(k)|)] for the baseline loop; needs gamma < 1."""
     gamma = baseline_contraction(plant.alpha, plant.rho, env.q, env.p[0])
     if gamma >= 1.0:
         raise ValueError(f"gamma={gamma} >= 1: no finite bound")
-    cap = plant.phi2(plant.d) if d_cap is None else d_cap
-    q, p0 = env.q, env.p[0]
-    tail = q * (1.0 - p0) * (plant.alpha - plant.rho) * cap / (1.0 - gamma)
-    return gamma**k * e_phi2_x0 + tail
+    return gamma**k * e_phi2_x0 + _baseline_tail(plant, env, gamma)
 
 
 def default_series_length(alpha: float, rho: float) -> int:
@@ -222,11 +194,12 @@ def anytime_contraction_series(
     Sums alpha * rho**(j-1) * pmf(j) for j <= j_max and reports the rigorous
     tail cap alpha * rho**j_max / (1 - rho) * (remaining pmf mass).
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho={rho} outside [0, 1)")
+    _require_rho(rho)
     if j_max is None:
         j_max = default_series_length(alpha, rho)
-    pmf = return_time_pmf_upto(chain, j_max)
+    if j_max < 1:
+        raise ValueError("j_max must be >= 1")
+    pmf = _return_time_pmf(chain, j_max)
     powers = rho ** np.arange(j_max)
     value = alpha * float(pmf @ powers)
     remaining = max(0.0, 1.0 - float(pmf.sum()))
@@ -234,19 +207,24 @@ def anytime_contraction_series(
     return SeriesResult(value=value, tail_bound=tail)
 
 
-def anytime_contraction(chain: LambdaChain, alpha: float, rho: float) -> float:
-    """Closed-form omega: alpha r (1 + rho theta^T (I - rho G)^{-1} e1).
+def _resolvent_factor(chain: LambdaChain, rho):
+    """1 + rho theta^T (I - rho G)^{-1} e1 = 1 + rho N / (1 - rho D), elementwise in rho.
 
-    The resolvent is evaluated by a dense linear solve with partial pivoting
-    rather than an explicit inverse.
+    Each rho gets its own row of powers and its own row sums, so an entry of
+    an array ``rho`` gets exactly the value the same rho gets alone.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho={rho} outside [0, 1)")
-    try:
-        y = np.linalg.solve(np.eye(chain.capacity) - rho * chain.g, chain.e1)
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"singular system for (I - rho G) at rho={rho}") from exc
-    return alpha * chain.return1 * (1.0 + rho * float(chain.theta @ y))
+    x = np.multiply.outer(rho * chain.return1, np.ones(chain.capacity))
+    x[..., 0] = 1.0
+    powers = np.cumprod(x, axis=-1)  # x**m for m = 0..L-1
+    n = (powers * chain.theta).sum(axis=-1)
+    d = (powers * chain.tails).sum(axis=-1)
+    return 1.0 + rho * n / (1.0 - rho * d)
+
+
+def anytime_contraction(chain: LambdaChain, alpha: float, rho: float) -> float:
+    """Closed-form omega = alpha r (1 + rho N / (1 - rho D)); see the module docstring."""
+    _require_rho(rho)
+    return alpha * chain.return1 * float(_resolvent_factor(chain, rho))
 
 
 def anytime_mean_bound(
@@ -261,66 +239,54 @@ def anytime_mean_bound(
     """Upper bound on E[phi1(|x(k)|)] over the i-th buffer cycle; needs omega < 1."""
     if omega >= 1.0:
         raise ValueError(f"omega={omega} >= 1: no finite bound")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho={rho} outside [0, 1)")
+    _require_rho(rho)
     lead = (1.0 + alpha - rho) / (1.0 - rho)
     return lead * omega**i * e_phi2_x0 + phi2(d) / (1.0 - omega)
 
 
-def boundary_alpha_baseline(rho: float, q: float, p0: float) -> float:
-    """Largest open-loop growth keeping gamma < 1; +inf when kappa always runs."""
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho={rho} outside [0, 1)")
+def boundary_alpha_baseline(rho, q: float, p0: float):
+    """Largest open-loop growth keeping gamma < 1, elementwise in rho.
+
+    +inf when kappa always runs (q = 1 and p0 = 0).
+    """
+    _require_rho(rho)
     if not 0.0 <= q <= 1.0 or not 0.0 <= p0 <= 1.0:
         raise ValueError("q and p0 must lie in [0, 1]")
     c = q * (1.0 - p0)
-    if c >= 1.0:
-        return math.inf
-    return (1.0 - c * rho) / (1.0 - c)
+    with np.errstate(divide="ignore"):
+        return (1.0 - c * np.asarray(rho, dtype=float)) / (1.0 - c)
 
 
-def boundary_alpha_anytime(rho: float, env: StochasticEnv) -> float:
-    """Largest open-loop growth keeping omega < 1 (omega is linear in alpha)."""
+def boundary_alpha_anytime(rho, env: StochasticEnv):
+    """Largest open-loop growth keeping omega < 1, elementwise in rho.
+
+    omega is linear in alpha, so this is 1 / (r (1 + rho N / (1 - rho D)));
+    +inf when the buffer length never returns to zero (r = 0).
+    """
     chain = build_lambda_chain(env)
-    unit = anytime_contraction(chain, 1.0, rho)
-    if unit <= 0.0:
-        return math.inf
-    return 1.0 / unit
+    _require_rho(rho)
+    with np.errstate(divide="ignore"):
+        return 1.0 / (chain.return1 * _resolvent_factor(chain, np.asarray(rho, dtype=float)))
 
 
 def boundary_curves(env: StochasticEnv, rho_values: np.ndarray) -> np.ndarray:
     """Stability-boundary curves: rows (rho, alpha*_baseline, alpha*_anytime)."""
-    p0 = env.p[0]
-    out = np.empty((len(rho_values), 3))
-    for i, rho in enumerate(rho_values):
-        out[i, 0] = rho
-        out[i, 1] = boundary_alpha_baseline(float(rho), env.q, p0)
-        out[i, 2] = boundary_alpha_anytime(float(rho), env)
-    return out
+    rho = np.asarray(rho_values, dtype=float)
+    base = boundary_alpha_baseline(rho, env.q, env.p[0])
+    return np.column_stack((rho, base, boundary_alpha_anytime(rho, env)))
 
 
-def analyze(
-    plant: PlantSpec,
-    env: StochasticEnv,
-    mass_target: float = 1.0 - 1e-6,
-) -> AnalysisResult:
+def analyze(plant: PlantSpec, env: StochasticEnv) -> AnalysisResult:
     """Gamma, omega, the truncated return-time pmf and the bound tails."""
     chain = build_lambda_chain(env)
     gamma = baseline_contraction(plant.alpha, plant.rho, env.q, env.p[0])
     omega = anytime_contraction(chain, plant.alpha, plant.rho)
-    pmf = return_time_pmf_truncated(chain, mass_target)
-    d_cap = plant.phi2(plant.d)
-    q, p0 = env.q, env.p[0]
-    baseline_tail = (
-        q * (1.0 - p0) * (plant.alpha - plant.rho) * d_cap / (1.0 - gamma)
-        if gamma < 1.0
-        else math.inf
-    )
-    anytime_tail = d_cap / (1.0 - omega) if omega < 1.0 else math.inf
+    pmf = return_time_pmf_truncated(chain)
+    anytime_tail = plant.phi2(plant.d) / (1.0 - omega) if omega < 1.0 else math.inf
     return AnalysisResult(
         gamma=gamma,
         omega=omega,
         delta_pmf=pmf,
         delta_mass=float(pmf.sum()),
-        bounds={"baseline_tail": baseline_tail, "anytime_tail": anytime_tail},
+        bounds={"baseline_tail": _baseline_tail(plant, env, gamma), "anytime_tail": anytime_tail},
     )

@@ -31,6 +31,7 @@ __all__ = [
     "StochasticEnv",
     "make_sat_plant",
     "make_scalar_plant",
+    "require_valid_env",
     "sat",
     "validate_env",
 ]
@@ -150,6 +151,13 @@ def validate_env(env: StochasticEnv) -> list[str]:
     if abs(total - 1.0) > 1e-12:
         errors.append(f"pmf sums to {total}, expected 1")
     return errors
+
+
+def require_valid_env(env: StochasticEnv) -> None:
+    """Raise ValueError listing every violation :func:`validate_env` finds."""
+    errors = validate_env(env)
+    if errors:
+        raise ValueError("invalid environment: " + "; ".join(errors))
 
 
 def sat(mu: float) -> float:

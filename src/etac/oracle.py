@@ -2,11 +2,12 @@
 
 Everything here re-derives a quantity the analysis module computes in closed
 form: the first-return-time pmf of the effective buffer length by direct
-simulation of the length recursion, the transition law of that chain by
-conditional frequency counts, and the buffered controller step as a literal
-case table for differential testing.  Validation runs in the always-transmit
-regime (d = 0), where the length recursion is driven purely by the i.i.d.
-channel and processor draws.
+simulation of the length recursion, the dense transition matrix of that chain
+built row by row from its transition rule, the same law by conditional
+frequency counts, and the buffered controller step as a literal case table for
+differential testing.  Validation runs in the always-transmit regime (d = 0),
+where the length recursion is driven purely by the i.i.d. channel and
+processor draws.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BufferState, PlantSpec, StochasticEnv, validate_env
+from .domain import BufferState, PlantSpec, StochasticEnv, require_valid_env
 
 __all__ = [
     "EmpiricalPmf",
     "TransitionEstimate",
     "empirical_transition_matrix",
     "lambda_path_from_counts",
+    "lambda_transition_matrix",
     "reference_anytime_step",
     "simulate_lambda_chain",
     "tv_distance",
@@ -74,12 +76,6 @@ class TransitionEstimate:
         return 3.0 * np.sqrt(g * (1.0 - g) / self.visits[:, None])
 
 
-def _require_valid(env: StochasticEnv) -> None:
-    errors = validate_env(env)
-    if errors:
-        raise ValueError("invalid environment: " + "; ".join(errors))
-
-
 def _draw_counts(env: StochasticEnv, m: int, gen: np.random.Generator) -> np.ndarray:
     # Always-transmit regime: data goes out every step, arrives w.p. q, and a
     # received step grants j evaluations w.p. p[j]; otherwise zero evaluations.
@@ -87,6 +83,27 @@ def _draw_counts(env: StochasticEnv, m: int, gen: np.random.Generator) -> np.nda
     cum = np.cumsum(env.p)
     draws = np.minimum(np.searchsorted(cum, gen.random(m), side="right"), env.capacity)
     return np.where(received, draws, 0).astype(np.int64)
+
+
+def lambda_transition_matrix(env: StochasticEnv) -> np.ndarray:
+    """Dense transition matrix of the buffer-length chain between resets.
+
+    ``g[l-1, j-1]`` is the one-step probability of length l to length j, set
+    row by row: a step granting j >= 1 fresh evaluations jumps to j; a step
+    granting none counts down to l - 1, so that column also absorbs the
+    no-data and no-processor mass.  The escape from length 1 to 0 has no
+    column.  The tests check the analysis' closed forms against this matrix.
+    """
+    require_valid_env(env)
+    q = env.q
+    p = np.asarray(env.p, dtype=float)
+    cap = env.capacity
+    g = np.empty((cap, cap))
+    for row, length in enumerate(range(1, cap + 1)):
+        g[row] = q * p[1:]
+        if length >= 2:
+            g[row, length - 2] = 1.0 - q + (p[0] + p[length - 1]) * q
+    return g
 
 
 def lambda_path_from_counts(n_seq: np.ndarray) -> np.ndarray:
@@ -111,7 +128,7 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
     draws (no plant involved, always-transmit regime) and collects the gaps
     between successive zeros of the path until ``n_returns`` returns are seen.
     """
-    _require_valid(env)
+    require_valid_env(env)
     if n_returns < 1:
         raise ValueError("n_returns must be >= 1")
     if 1.0 - env.q + env.p[0] * env.q == 0.0:
@@ -160,7 +177,7 @@ def empirical_transition_matrix(env: StochasticEnv, n_steps: int, rng) -> Transi
     Splits the sample budget evenly over the source lengths 1..capacity and
     draws one-step transitions from each directly.
     """
-    _require_valid(env)
+    require_valid_env(env)
     gen = rng.generator()
     cap = env.capacity
     per_row = n_steps // cap

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BufferState, NoiseSpec, PlantSpec, StepRecord, StochasticEnv, validate_env
+from .domain import BufferState, NoiseSpec, PlantSpec, StepRecord, StochasticEnv, require_valid_env
 
 __all__ = [
     "DIVERGENCE_NORM",
@@ -173,9 +173,7 @@ def run_trajectory(
     effective buffer length for the anytime controller and 0 for the baseline,
     which buffers nothing.
     """
-    errors = validate_env(env)
-    if errors:
-        raise ValueError("invalid environment: " + "; ".join(errors))
+    require_valid_env(env)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if controller not in ("baseline", "anytime"):

@@ -21,7 +21,12 @@ from etac.analysis import (
 )
 from etac.cli import parse_config, run_paired_cells
 from etac.domain import BufferState, NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
-from etac.oracle import reference_anytime_step, simulate_lambda_chain, tv_distance
+from etac.oracle import (
+    lambda_transition_matrix,
+    reference_anytime_step,
+    simulate_lambda_chain,
+    tv_distance,
+)
 from etac.runtime import RngStream, anytime_step, run_trajectory, shift_buffer, update_lambda
 
 REFERENCE_ENV = StochasticEnv(q=0.75, p=(0.2,) * 5, capacity=4)
@@ -77,7 +82,7 @@ def test_criterion_2_omega_consistency():
         assert abs(closed - series.value) < 1e-9, (env, alpha, rho)
         mass = float(return_time_pmf_truncated(chain).sum())
         assert mass >= 1.0 - 1e-6, env
-        sums = chain.g.sum(axis=1)
+        sums = lambda_transition_matrix(env).sum(axis=1)
         assert abs(sums[0] - env.q * (1.0 - env.p[0])) < 1e-13, env
         assert np.all(np.abs(sums[1:] - 1.0) < 1e-13), env
     elapsed = time.time() - start

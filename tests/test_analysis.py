@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etac.analysis import (
+    _return_time_pmf,
     analyze,
     anytime_contraction,
     anytime_contraction_series,
@@ -16,11 +17,10 @@ from etac.analysis import (
     boundary_curves,
     build_lambda_chain,
     default_series_length,
-    return_time_pmf,
     return_time_pmf_truncated,
-    return_time_pmf_upto,
 )
 from etac.domain import StochasticEnv, make_scalar_plant, validate_env
+from etac.oracle import lambda_transition_matrix
 
 # worked example used throughout: capacity 2, q = 0.75, p = (0.2, 0.3, 0.5)
 WORKED_ENV = StochasticEnv(q=0.75, p=(0.2, 0.3, 0.5), capacity=2)
@@ -30,6 +30,26 @@ REFERENCE_ENV = StochasticEnv(q=0.75, p=(0.2,) * 5, capacity=4)
 # (I - 0.5 G)^{-1} e1 = (0.8125, 0.3125)/0.6625, theta = (0.225, 0.375),
 # bracket = 1 + 0.5 * 0.3/0.6625, omega = 1.2 * 0.4 * bracket
 WORKED_OMEGA = 0.48 * (1.0 + 0.5 * (0.3 / 0.6625))
+
+
+def dense_pmf(env, j_max):
+    """Pr{j} = r (j = 1), r theta^T G**(j-2) e1 (j >= 2) from the oracle's dense G."""
+    g = lambda_transition_matrix(env)
+    theta = env.q * np.asarray(env.p[1:])
+    r = 1.0 - env.q + env.p[0] * env.q
+    out = [r]
+    v = np.eye(env.capacity)[0]
+    for _ in range(2, j_max + 1):
+        out.append(r * float(theta @ v))
+        v = g @ v
+    return np.array(out)
+
+
+def dense_resolvent(env, rho):
+    """theta^T (I - rho G)^{-1} e1 by a dense solve on the oracle's G."""
+    g = lambda_transition_matrix(env)
+    e1 = np.eye(env.capacity)[0]
+    return float(env.q * np.asarray(env.p[1:]) @ np.linalg.solve(np.eye(env.capacity) - rho * g, e1))
 
 
 def random_env(rng, max_capacity=8, q_hi=0.95):
@@ -114,21 +134,22 @@ class TestBaselineMeanBound:
 
 class TestLambdaChain:
     def test_worked_matrix(self):
-        chain = build_lambda_chain(WORKED_ENV)
         expected = np.array([[0.225, 0.375], [0.625, 0.375]])
-        assert chain.g == pytest.approx(expected, rel=1e-12)
+        assert lambda_transition_matrix(WORKED_ENV) == pytest.approx(expected, rel=1e-12)
+        chain = build_lambda_chain(WORKED_ENV)
         assert chain.theta == pytest.approx(np.array([0.225, 0.375]), rel=1e-12)
         assert chain.return1 == pytest.approx(0.4, rel=1e-12)
+        assert chain.tails == pytest.approx(np.array([0.6, 0.375]), rel=1e-12)
 
     def test_no_reception_is_pure_countdown(self):
         env = StochasticEnv(q=0.0, p=(0.2, 0.3, 0.5), capacity=2)
+        assert lambda_transition_matrix(env) == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0]]))
         chain = build_lambda_chain(env)
-        assert chain.g == pytest.approx(np.array([[0.0, 0.0], [1.0, 0.0]]))
         assert chain.return1 == 1.0
+        assert np.array_equal(return_time_pmf_truncated(chain), np.array([1.0]))
 
     def test_row_sum_identities(self):
-        chain = build_lambda_chain(WORKED_ENV)
-        sums = chain.g.sum(axis=1)
+        sums = lambda_transition_matrix(WORKED_ENV).sum(axis=1)
         assert abs(sums[0] - 0.75 * (1 - 0.2)) < 1e-13
         assert abs(sums[1] - 1.0) < 1e-13
 
@@ -140,36 +161,37 @@ class TestLambdaChain:
     @settings(max_examples=60, deadline=None)
     def test_row_sums_property(self, seed):
         env = random_env(np.random.default_rng(seed))
-        chain = build_lambda_chain(env)
-        sums = chain.g.sum(axis=1)
+        g = lambda_transition_matrix(env)
+        sums = g.sum(axis=1)
         assert abs(sums[0] - env.q * (1.0 - env.p[0])) < 1e-13
         for s in sums[1:]:
             assert abs(s - 1.0) < 1e-13
-        assert np.all(chain.g >= 0.0) and np.all(chain.g <= 1.0)
+        assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
 
 class TestReturnTimePmf:
     def test_worked_values(self):
-        chain = build_lambda_chain(WORKED_ENV)
-        assert return_time_pmf(chain, 1) == pytest.approx(0.4, rel=1e-12)
-        assert return_time_pmf(chain, 2) == pytest.approx(0.09, rel=1e-12)
-        assert return_time_pmf(chain, 3) == pytest.approx(0.114, rel=1e-12)
+        pmf = return_time_pmf_truncated(build_lambda_chain(WORKED_ENV))
+        assert pmf[0] == pytest.approx(0.4, rel=1e-12)
+        assert pmf[1] == pytest.approx(0.09, rel=1e-12)
+        assert pmf[2] == pytest.approx(0.114, rel=1e-12)
 
-    def test_upto_matches_single(self):
-        chain = build_lambda_chain(WORKED_ENV)
-        pmf = return_time_pmf_upto(chain, 12)
-        for j in range(1, 13):
-            assert pmf[j - 1] == pytest.approx(return_time_pmf(chain, j), rel=1e-12)
+    def test_prefix_matches_dense_reference(self):
+        pmf = return_time_pmf_truncated(build_lambda_chain(WORKED_ENV))
+        assert len(pmf) > 12
+        reference = dense_pmf(WORKED_ENV, 12)
+        assert np.max(np.abs(pmf[:12] - reference)) < 1e-15
 
     def test_rejects_j_zero(self):
         chain = build_lambda_chain(WORKED_ENV)
         with pytest.raises(ValueError):
-            return_time_pmf(chain, 0)
+            anytime_contraction_series(chain, 1.2, 0.5, 0)
 
     def test_truncated_reaches_mass(self):
         chain = build_lambda_chain(WORKED_ENV)
         pmf = return_time_pmf_truncated(chain)
         assert pmf.sum() >= 1.0 - 1e-6
+        assert pmf[:-1].sum() < 1.0 - 1e-6  # shortest such prefix
         assert np.all(pmf >= 0.0)
 
     def test_truncated_rejects_degenerate(self):
@@ -180,16 +202,12 @@ class TestReturnTimePmf:
 
     def test_normalization_via_resolvent_at_one(self):
         # return1 * (1 + theta^T (I - G)^{-1} e1) telescopes the full mass
-        chain = build_lambda_chain(WORKED_ENV)
-        y = np.linalg.solve(np.eye(2) - chain.g, chain.e1)
-        total = chain.return1 * (1.0 + float(chain.theta @ y))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert 0.4 * (1.0 + dense_resolvent(WORKED_ENV, 1.0)) == pytest.approx(1.0, abs=1e-12)
         rng = np.random.default_rng(321)
         for _ in range(25):
             env = random_env(rng)
             chain = build_lambda_chain(env)
-            y = np.linalg.solve(np.eye(env.capacity) - chain.g, chain.e1)
-            total = chain.return1 * (1.0 + float(chain.theta @ y))
+            total = chain.return1 * (1.0 + dense_resolvent(env, 1.0))
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -248,15 +266,50 @@ class TestOmega:
             if alpha * rho * env.q * r == 0.0:
                 continue
             chain = build_lambda_chain(env)
-            lhs = float(
-                np.asarray(env.p[1:]) @ np.linalg.solve(np.eye(env.capacity) - rho * chain.g, chain.e1)
-            )
+            g = lambda_transition_matrix(env)
+            e1 = np.eye(env.capacity)[0]
+            lhs = float(np.asarray(env.p[1:]) @ np.linalg.solve(np.eye(env.capacity) - rho * g, e1))
             rhs = (1.0 - alpha + alpha * env.q * (1.0 - env.p[0])) / (alpha * rho * env.q * r)
             omega = anytime_contraction(chain, alpha, rho)
             if abs(omega - 1.0) < 1e-9:
                 continue  # skip knife-edge cases where the decisions may round apart
             assert (lhs < rhs) == (omega < 1.0)
             checked += 1
+
+
+class TestClosedFormsAgainstDenseReference:
+    def test_fuzz_against_oracle_matrix(self):
+        # capacities up to 100: the closed forms have no size limit
+        rng = np.random.default_rng(20260)
+        grid = np.array([0.0, 0.3, 0.7, 0.95, 0.999])
+        worst = {"omega": 0.0, "pmf": 0.0, "alpha_star": 0.0}
+        for _ in range(1000):
+            env = random_env(rng, max_capacity=100, q_hi=0.999)
+            chain = build_lambda_chain(env)
+            cap, r, theta = env.capacity, chain.return1, chain.theta
+            g = lambda_transition_matrix(env)
+            shift = np.eye(cap, k=-1)
+            assert np.max(np.abs(g - (np.outer(np.ones(cap), theta) + r * shift))) < 1e-15
+
+            rho = float(rng.uniform(0.0, 0.99))
+            alpha = float(rng.uniform(max(rho, 0.05), 3.0))
+            dense = alpha * r * (1.0 + rho * dense_resolvent(env, rho))
+            closed = anytime_contraction(chain, alpha, rho)
+            worst["omega"] = max(worst["omega"], abs(closed - dense) / dense)
+
+            series = anytime_contraction_series(chain, alpha, rho, 40)
+            assert series.value <= closed * (1.0 + 1e-12)
+            prefix = _return_time_pmf(chain, 40)
+            worst["pmf"] = max(worst["pmf"], float(np.max(np.abs(prefix - dense_pmf(env, 40)))))
+
+            curves = boundary_curves(env, grid)
+            for row in curves:
+                assert row[2] == boundary_alpha_anytime(float(row[0]), env)
+                dense_star = 1.0 / (r * (1.0 + row[0] * dense_resolvent(env, row[0])))
+                worst["alpha_star"] = max(worst["alpha_star"], abs(row[2] - dense_star) / dense_star)
+        assert worst["omega"] < 1e-12, worst
+        assert worst["pmf"] < 1e-15, worst
+        assert worst["alpha_star"] < 1e-12, worst
 
 
 class TestAnytimeMeanBound:
