@@ -97,14 +97,15 @@ class BufferState:
         return cls(np.zeros((capacity, input_dim)), 0)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class StepRecord:
     """One step of a closed-loop run.
 
     ``beta`` is the transmission outcome (2 silent, 1 received, 0 erased),
     ``n`` the number of control-law evaluations granted, ``lam`` the effective
     buffer length after the step, ``w`` the additive disturbance (None when
-    the run is noiseless).
+    the run is noiseless).  Not frozen: the simulator builds one per step, and
+    a frozen dataclass's ``__init__`` costs about five times as much.
     """
 
     k: int

@@ -181,11 +181,11 @@ def run_trajectory(
 
     gen = rng.generator()
     x = gen.standard_normal(plant.state_dim) if x0 is None else np.array(x0, dtype=float)
-    received = gen.random(horizon) < env.q
+    received = (gen.random(horizon) < env.q).tolist()
     cum = np.cumsum(env.p)
     n_draws = np.minimum(
         np.searchsorted(cum, gen.random(horizon), side="right"), env.capacity
-    )
+    ).tolist()
     w = (
         noise.std * gen.standard_normal((horizon, plant.state_dim))
         if noise.kind == "gaussian-iid"
@@ -199,26 +199,33 @@ def run_trajectory(
     control = plant.control_law
     zero_u = np.zeros(plant.input_dim)
     records: list[StepRecord] = []
+    append = records.append
     diverged = False
+    # The squared norm of x(k + 1), computed for the divergence test, is the
+    # trigger test of step k + 1; ndarray.dot is bitwise equal to ``x @ x``
+    # and skips the matmul ufunc dispatch.
+    nrm2 = float(x.dot(x))
 
     for k in range(horizon):
-        if float(x @ x) >= dd:
+        if nrm2 >= dd:
             beta = 1 if received[k] else 0
         else:
             beta = 2
-        n_k = int(n_draws[k]) if beta == 1 else 0
+        n_k = n_draws[k] if beta == 1 else 0
         if buffered:
             u, buf = anytime_step(x if beta == 1 else None, beta, n_k, buf, plant)
             lam = buf.lam
         else:
             u = control(x) if (beta == 1 and n_k >= 1) else zero_u
             lam = 0
-        w_k = w[k] if w is not None else None
         x_next = dynamics(x, u)
-        if w_k is not None:
+        if w is None:
+            w_k = None
+        else:
+            w_k = w[k]
             x_next = x_next + w_k
-        records.append(StepRecord(k=k, x=x, u=u, beta=beta, n=n_k, lam=lam, w=w_k))
-        nrm2 = float(x_next @ x_next)
+        append(StepRecord(k, x, u, beta, n_k, lam, w_k))
+        nrm2 = float(x_next.dot(x_next))
         if not math.isfinite(nrm2) or nrm2 > DIVERGENCE_NORM * DIVERGENCE_NORM:
             diverged = True
             break
