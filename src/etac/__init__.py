@@ -23,7 +23,6 @@ from .analysis import (
     return_time_pmf_truncated,
 )
 from .domain import (
-    BufferState,
     NoiseSpec,
     PlantSpec,
     StepRecord,
@@ -47,16 +46,10 @@ from .oracle import (
 from .runtime import (
     RngStream,
     Trace,
-    anytime_step,
-    baseline_step,
     channel_utilization,
     empirical_cost,
+    plan_inputs,
     run_trajectory,
-    sample_beta,
-    sample_n,
-    shift_buffer,
-    trigger,
-    update_lambda,
     write_trace_csv,
 )
 

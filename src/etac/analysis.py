@@ -132,7 +132,11 @@ def _return_time_pmf(chain: LambdaChain, n: int) -> np.ndarray:
 
 
 def return_time_pmf_truncated(chain: LambdaChain) -> np.ndarray:
-    """Shortest pmf prefix whose mass reaches :data:`PMF_MASS_TARGET`."""
+    """Shortest pmf prefix whose mass reaches :data:`PMF_MASS_TARGET`.
+
+    Raises ValueError when the length never returns to zero, or when the
+    target is not reached within :data:`PMF_MAX_TERMS` terms.
+    """
     if chain.return1 == 0.0:
         raise ValueError("the buffer length never returns to zero (q = 1 with p0 = 0)")
     n = 64
@@ -142,7 +146,7 @@ def return_time_pmf_truncated(chain: LambdaChain) -> np.ndarray:
         if reached.size:
             return pmf[: reached[0] + 1]
         if n == PMF_MAX_TERMS:
-            raise RuntimeError(f"pmf mass still below {PMF_MASS_TARGET} after {n} terms")
+            raise ValueError(f"pmf mass still below {PMF_MASS_TARGET} after {n} terms")
         n = min(2 * n, PMF_MAX_TERMS)
 
 

@@ -356,7 +356,10 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     """Print gamma/omega at the plant's (alpha, rho); write boundary curves CSV."""
     out = _require_out(config)
     plant = build_plant(config.plant, config.d if config.d is not None else 0.0)
-    result = analysis.analyze(plant, config.env)
+    try:
+        result = analysis.analyze(plant, config.env)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     print(f"gamma={_fmt(result.gamma)}")
     print(f"omega={_fmt(result.omega)}")
     print(f"alpha_star_baseline={_fmt(analysis.boundary_alpha_baseline(plant.rho, config.env.q, config.env.p[0]))}")
@@ -438,10 +441,11 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 # montecarlo
 
 
-def _mc_worker(args: tuple[dict, int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mc_worker(
+    args: tuple[ExperimentConfig, int, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run trials [t0, t1) for every (d, controller) cell; arrays indexed by cell."""
-    config_dict, t0, t1 = args
-    config = parse_config(config_dict)
+    config, t0, t1 = args
     plants = [build_plant(config.plant, d) for d in config.d_sweep]
     x0 = _initial_state(config, plants[0])
     n_d, n_c, n_t = len(plants), len(config.controllers), t1 - t0
@@ -476,13 +480,12 @@ def run_paired_cells(
         raise ConfigError("montecarlo requires d_sweep")
     if config.trials is None:
         config = replace(config, trials=10_000)
-    payload = emit_config(config)
     trials = config.trials
     workers = max(1, min(threads, trials))
     if workers == 1:
-        return _mc_worker((payload, 0, trials))
+        return _mc_worker((config, 0, trials))
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    chunks = [(payload, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    chunks = [(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_mc_worker, chunks))
     costs = np.concatenate([p[0] for p in parts], axis=2)

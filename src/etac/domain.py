@@ -4,7 +4,10 @@ The controlled object is a discrete-time plant x(k+1) = f(x(k), u(k)).  Its
 sensor transmits only while the state sits outside the open ball |x| < d; the
 link erases each transmitted packet independently with probability 1 - q, and
 the controller's processor grants a random number of control-law evaluations
-per step, distributed according to the pmf p = (p_0, ..., p_Lambda).
+per step, distributed according to the pmf p = (p_0, ..., p_Lambda).  The
+actuator buffer has no type here: the simulator keeps it as the plan of
+inputs computed at the last refill plus the steps since (``runtime``), and
+only the oracle models it as a matrix.
 
 Dynamics, control laws and Lyapunov functions are plain callables; the
 certified contraction/growth factors are floats whose inequalities are checked
@@ -23,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "BufferState",
     "NoiseSpec",
     "PlantSpec",
     "SAT_LIMIT",
@@ -78,23 +80,6 @@ class StochasticEnv:
     q: float
     p: tuple[float, ...]
     capacity: int
-
-
-@dataclass(eq=False)
-class BufferState:
-    """Actuator-side schedule of tentative inputs.
-
-    ``blocks[j]`` is the input planned for j steps ahead; ``lam`` counts how
-    many leading rows came from actual control-law evaluations (the rest are
-    padding zeros).  Owned by a single simulation run; never shared.
-    """
-
-    blocks: np.ndarray  # shape (capacity, input_dim)
-    lam: int
-
-    @classmethod
-    def zeros(cls, capacity: int, input_dim: int) -> "BufferState":
-        return cls(np.zeros((capacity, input_dim)), 0)
 
 
 @dataclass(eq=False, slots=True)

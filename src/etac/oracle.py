@@ -4,10 +4,12 @@ Everything here re-derives a quantity the analysis module computes in closed
 form: the first-return-time pmf of the effective buffer length by direct
 simulation of the length recursion, the dense transition matrix of that chain
 built row by row from its transition rule, the same law by conditional
-frequency counts, and the buffered controller step as a literal case table for
-differential testing.  Validation runs in the always-transmit regime (d = 0),
-where the length recursion is driven purely by the i.i.d. channel and
-processor draws.
+frequency counts, the buffered controller step as a literal case table on an
+explicit buffer matrix (:class:`BufferState`), and the scalar length recursion
+(:func:`update_lambda`) for differential testing against the simulator, which
+keeps its buffer as a plan plus an age instead.  Validation runs in the
+always-transmit regime (d = 0), where the length recursion is driven purely by
+the i.i.d. channel and processor draws.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BufferState, PlantSpec, StochasticEnv, require_valid_env
+from .domain import PlantSpec, StochasticEnv, require_valid_env
 
 __all__ = [
+    "BufferState",
     "EmpiricalPmf",
     "TransitionEstimate",
     "empirical_transition_matrix",
@@ -28,6 +31,7 @@ __all__ = [
     "reference_anytime_step",
     "simulate_lambda_chain",
     "tv_distance",
+    "update_lambda",
 ]
 
 _MAX_BLOCK = 2_000_000
@@ -74,6 +78,32 @@ class TransitionEstimate:
     def half_width(self) -> np.ndarray:
         g = self.matrix
         return 3.0 * np.sqrt(g * (1.0 - g) / self.visits[:, None])
+
+
+@dataclass(eq=False)
+class BufferState:
+    """Actuator-side schedule of tentative inputs, as a matrix.
+
+    ``blocks[j]`` is the input planned for j steps ahead; ``lam`` counts how
+    many leading rows came from actual control-law evaluations (the rest are
+    padding zeros).  The state type of :func:`reference_anytime_step`.
+    """
+
+    blocks: np.ndarray  # shape (capacity, input_dim)
+    lam: int
+
+    @classmethod
+    def zeros(cls, capacity: int, input_dim: int) -> "BufferState":
+        return cls(np.zeros((capacity, input_dim)), 0)
+
+
+def update_lambda(prev_lam: int, beta: int, n: int) -> int:
+    """Effective-buffer-length recursion (inputs consistent: n = 0 when beta != 1)."""
+    if beta == 2:
+        return 0
+    if n >= 1:
+        return n
+    return max(0, prev_lam - 1)
 
 
 def _draw_counts(env: StochasticEnv, m: int, gen: np.random.Generator) -> np.ndarray:
@@ -205,12 +235,14 @@ def reference_anytime_step(
     buf: BufferState,
     plant: PlantSpec,
 ) -> tuple[np.ndarray, BufferState]:
-    """Table-driven rewrite of the buffered controller step.
+    """Table-driven buffered controller step on an explicit buffer matrix.
 
-    Identical contract to ``runtime.anytime_step`` but written as the literal
-    operating-mode table, with no shared shift/refill helpers: per-row moves,
-    and the effective length re-derived by tagging which rows were written by
-    the control law instead of applying the length recursion.
+    The literal operating-mode table: a silent step (beta = 2) zeroes the
+    buffer, any other step shifts it one row ahead, and a step with n >= 1
+    evaluations then overwrites it with the schedule forward-simulated from
+    the received state.  The effective length is re-derived by tagging which
+    rows the control law wrote.  ``runtime.run_trajectory`` must match it on a
+    capacity-row buffer (anytime) and on a one-row buffer (baseline).
     """
     if n >= 1 and beta != 1:
         raise ValueError("n >= 1 requires beta == 1: inputs are computed only on reception")

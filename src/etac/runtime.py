@@ -5,6 +5,12 @@ trial is pre-drawn from its own stream in a fixed order (initial state,
 channel, processor, disturbances), so two runs on the same (seed, stream_id)
 share draws exactly; this is what makes paired baseline/anytime comparisons
 common-random-number comparisons.
+
+Both controllers are one rule.  A step that receives the state and is granted
+N >= 1 control-law evaluations replaces the plan with :func:`plan_inputs` of
+length min(N, depth); every later step plays the next planned input, or zero
+once the plan is used up, and a silent step discards the plan.  The anytime
+controller has depth = capacity; the memoryless baseline is depth 1.
 """
 
 from __future__ import annotations
@@ -15,22 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BufferState, NoiseSpec, PlantSpec, StepRecord, StochasticEnv, require_valid_env
+from .domain import NoiseSpec, PlantSpec, StepRecord, StochasticEnv, require_valid_env
 
 __all__ = [
     "DIVERGENCE_NORM",
     "RngStream",
     "Trace",
-    "anytime_step",
-    "baseline_step",
     "channel_utilization",
     "empirical_cost",
+    "plan_inputs",
     "run_trajectory",
-    "sample_beta",
-    "sample_n",
-    "shift_buffer",
-    "trigger",
-    "update_lambda",
     "write_trace_csv",
 ]
 
@@ -69,89 +69,22 @@ class Trace:
     diverged: bool = False
 
 
-def trigger(x: np.ndarray, d: float) -> bool:
-    """True when the sensor transmits, i.e. |x| >= d (the target ball is open)."""
-    return float(x @ x) >= d * d
+def plan_inputs(x: np.ndarray, n: int, plant: PlantSpec) -> list[np.ndarray]:
+    """The ``n`` tentative inputs computed from the received state ``x``.
 
-
-def sample_beta(x: np.ndarray, d: float, rng: np.random.Generator, q: float) -> int:
-    """Transmission outcome: 2 silent, 1 received (prob q), 0 erased."""
-    if not trigger(x, d):
-        return 2
-    return 1 if rng.random() < q else 0
-
-
-def sample_n(beta: int, env: StochasticEnv, rng: np.random.Generator) -> int:
-    """Control-law evaluations granted this step: 0 unless fresh data arrived."""
-    if beta != 1:
-        return 0
-    u = rng.random()
-    acc = 0.0
-    for j, pj in enumerate(env.p):
-        acc += pj
-        if u < acc:
-            return j
-    return env.capacity
-
-
-def baseline_step(x: np.ndarray, beta: int, n: int, plant: PlantSpec) -> np.ndarray:
-    """Memoryless policy: apply kappa only when data arrived and the processor ran."""
-    if beta == 1 and n >= 1:
-        return np.asarray(plant.control_law(x), dtype=float)
-    return np.zeros(plant.input_dim)
-
-
-def shift_buffer(blocks: np.ndarray) -> np.ndarray:
-    """Advance the schedule one step: row j takes row j + 1, last row zeroes."""
-    out = np.zeros_like(blocks)
-    out[:-1] = blocks[1:]
-    return out
-
-
-def update_lambda(prev_lam: int, beta: int, n: int) -> int:
-    """Effective-buffer-length recursion (inputs consistent: n = 0 when beta != 1)."""
-    if beta == 2:
-        return 0
-    if n >= 1:
-        return n
-    return max(0, prev_lam - 1)
-
-
-def anytime_step(
-    x: np.ndarray | None,
-    beta: int,
-    n: int,
-    buf: BufferState,
-    plant: PlantSpec,
-) -> tuple[np.ndarray, BufferState]:
-    """One step of the buffered controller.
-
-    A silent step (beta = 2) empties the buffer and applies zero; a step with
-    no fresh computation plays the next scheduled block after shifting; a step
-    with n >= 1 evaluations rebuilds the schedule by forward-simulating the
-    plant from the received state, applying the first computed input.  The
-    received state must be present exactly when beta = 1.
+    Input j is kappa at the j-th state of the plant's noise-free forward
+    simulation from ``x`` under the inputs before it; the first is kappa(x).
     """
-    if n >= 1 and beta != 1:
-        raise ValueError("n >= 1 requires beta == 1: inputs are computed only on reception")
-    if (beta == 1) != (x is not None):
-        raise ValueError("the state argument must be present exactly when beta == 1")
-    capacity = buf.blocks.shape[0]
-    if n > capacity:
-        raise ValueError(f"n={n} exceeds buffer capacity {capacity}")
-    if beta == 2:
-        return np.zeros(buf.blocks.shape[1]), BufferState(np.zeros_like(buf.blocks), 0)
-    if n == 0:
-        shifted = shift_buffer(buf.blocks)
-        return shifted[0].copy(), BufferState(shifted, max(0, buf.lam - 1))
-    blocks = np.zeros_like(buf.blocks)
-    chi = np.asarray(x, dtype=float)
-    for j in range(n):
-        u_j = np.asarray(plant.control_law(chi), dtype=float)
-        blocks[j] = u_j
-        if j + 1 < n:
-            chi = plant.dynamics(chi, u_j)
-    return blocks[0].copy(), BufferState(blocks, n)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    control = plant.control_law
+    u = control(x)
+    inputs = [u]
+    while len(inputs) < n:
+        x = plant.dynamics(x, u)
+        u = control(x)
+        inputs.append(u)
+    return inputs
 
 
 def run_trajectory(
@@ -169,9 +102,11 @@ def run_trajectory(
     when None it is drawn standard normal.  The state update is
     x(k+1) = f(x(k), u(k)) + w(k).  A state whose norm exceeds
     :data:`DIVERGENCE_NORM` (or goes non-finite) ends the run early with the
-    trace flagged diverged rather than raising.  The recorded ``lam`` is the
-    effective buffer length for the anytime controller and 0 for the baseline,
-    which buffers nothing.
+    trace flagged diverged rather than raising.  The input applied at a step
+    is ``plan[age]`` while the plan lasts and zero after (see the module
+    docstring).  The recorded ``lam`` is the effective buffer length
+    ``len(plan) - age`` floored at 0 for the anytime controller, and 0 for the
+    baseline, which buffers nothing.
     """
     require_valid_env(env)
     if horizon < 1:
@@ -193,30 +128,43 @@ def run_trajectory(
     )
 
     buffered = controller == "anytime"
-    buf = BufferState.zeros(env.capacity, plant.input_dim) if buffered else None
+    depth = env.capacity if buffered else 1
     dd = plant.d * plant.d
     dynamics = plant.dynamics
-    control = plant.control_law
     zero_u = np.zeros(plant.input_dim)
     records: list[StepRecord] = []
     append = records.append
     diverged = False
+    plan: list[np.ndarray] | tuple = ()  # inputs computed at the last refill
+    age = 0  # steps since that refill
     # The squared norm of x(k + 1), computed for the divergence test, is the
     # trigger test of step k + 1; ndarray.dot is bitwise equal to ``x @ x``
     # and skips the matmul ufunc dispatch.
     nrm2 = float(x.dot(x))
+    limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 
     for k in range(horizon):
+        n_k = 0
         if nrm2 >= dd:
-            beta = 1 if received[k] else 0
+            if received[k]:
+                beta = 1
+                n_k = n_draws[k]
+            else:
+                beta = 0
         else:
             beta = 2
-        n_k = n_draws[k] if beta == 1 else 0
-        if buffered:
-            u, buf = anytime_step(x if beta == 1 else None, beta, n_k, buf, plant)
-            lam = buf.lam
+            plan = ()
+        if n_k:
+            plan = plan_inputs(x, n_k if n_k < depth else depth, plant)
+            age = 0
         else:
-            u = control(x) if (beta == 1 and n_k >= 1) else zero_u
+            age += 1
+        left = len(plan) - age
+        if left > 0:
+            u = plan[age]
+            lam = left if buffered else 0
+        else:
+            u = zero_u
             lam = 0
         x_next = dynamics(x, u)
         if w is None:
@@ -226,7 +174,7 @@ def run_trajectory(
             x_next = x_next + w_k
         append(StepRecord(k, x, u, beta, n_k, lam, w_k))
         nrm2 = float(x_next.dot(x_next))
-        if not math.isfinite(nrm2) or nrm2 > DIVERGENCE_NORM * DIVERGENCE_NORM:
+        if not nrm2 <= limit2:  # also true for nan and inf
             diverged = True
             break
         x = x_next

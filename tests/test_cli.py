@@ -39,6 +39,12 @@ def boundary_config(out=None, q=0.75):
     }
 
 
+#: Returns to zero so rarely (r = 1 - q + p0 q ~ 2e-3) that the pmf prefix
+#: misses its mass target within PMF_MAX_TERMS terms.
+SLOW_RETURN_ENV = {"q": 0.999, "p": [0.001] + [0.999 / 50] * 50, "capacity": 50}
+NO_RETURN_ENV = {"q": 1.0, "p": [0.0, 1.0], "capacity": 1}
+
+
 def decay_config(out=None):
     return {
         "plant": {"kind": "scalar", "a": 2.0, "gain": 1.5},
@@ -192,6 +198,13 @@ class TestAnalyze:
             assert float(r["alpha_star_anytime"]) == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("env", [SLOW_RETURN_ENV, NO_RETURN_ENV], ids=["slow", "never"])
+    def test_degenerate_env_is_config_error(self, tmp_path, capsys, env):
+        data = {"plant": {"kind": "saturated"}, "env": env, "out": str(tmp_path / "curves.csv")}
+        assert main(["analyze", "--config", write_config(tmp_path, data)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
 class TestDeltaDist:
     def test_worked_example_rows(self, tmp_path, capsys):
         out = str(tmp_path / "delta.csv")
@@ -259,6 +272,16 @@ class TestDeltaDist:
             "out": out,
         }
         assert main(["delta-dist", "--config", write_config(tmp_path, data)]) == 2
+
+    def test_slow_return_env_is_config_error(self, tmp_path, capsys):
+        data = {
+            "plant": {"kind": "saturated"},
+            "env": SLOW_RETURN_ENV,
+            "trials": 100,
+            "out": str(tmp_path / "delta.csv"),
+        }
+        assert main(["delta-dist", "--config", write_config(tmp_path, data)]) == 2
+        assert "config error:" in capsys.readouterr().err
 
 
 class TestSimulate:

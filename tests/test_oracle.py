@@ -6,18 +6,32 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from etac.analysis import build_lambda_chain, return_time_pmf_truncated
-from etac.domain import BufferState, StochasticEnv, make_sat_plant, make_scalar_plant
+from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
 from etac.oracle import (
+    BufferState,
     empirical_transition_matrix,
     lambda_path_from_counts,
     lambda_transition_matrix,
     reference_anytime_step,
     simulate_lambda_chain,
     tv_distance,
+    update_lambda,
 )
-from etac.runtime import RngStream, anytime_step, baseline_step, update_lambda
+from etac.runtime import RngStream, run_trajectory
 
 WORKED_ENV = StochasticEnv(q=0.75, p=(0.2, 0.3, 0.5), capacity=2)
+
+
+def replay(trace, plant, rows):
+    """Feed a trace's step inputs to the reference step on a ``rows``-row buffer.
+
+    Yields each record with the reference's input and buffer after that step.
+    """
+    buf = BufferState.zeros(rows, plant.input_dim)
+    for r in trace.records:
+        x = r.x if r.beta == 1 else None
+        u, buf = reference_anytime_step(x, r.beta, min(r.n, rows), buf, plant)
+        yield r, u, buf
 
 
 class TestLambdaPath:
@@ -140,31 +154,23 @@ class TestEmpiricalTransitionMatrix:
 
 
 class TestReferenceAnytimeStep:
-    def _random_inputs(self, rng, capacity):
-        beta = int(rng.choice([0, 1, 2], p=[0.3, 0.5, 0.2]))
-        if beta == 1:
-            n = int(rng.integers(0, capacity + 1))
-            x = rng.normal(size=2) * 3.0
-        else:
-            n, x = 0, None
-        return x, beta, n
-
     def test_differential_equality(self):
         plant = make_sat_plant(1.0)
-        rng = np.random.default_rng(74)
-        buf_runtime = BufferState.zeros(4, 2)
-        buf_reference = BufferState.zeros(4, 2)
-        for step in range(10_000):
-            x, beta, n = self._random_inputs(rng, 4)
-            u_r, buf_runtime = anytime_step(x, beta, n, buf_runtime, plant)
-            u_o, buf_reference = reference_anytime_step(x, beta, n, buf_reference, plant)
-            assert np.array_equal(u_r, u_o)
-            assert np.array_equal(buf_runtime.blocks, buf_reference.blocks)
-            assert buf_runtime.lam == buf_reference.lam
-            # rows past the effective length are always padding zeros
-            assert np.all(buf_runtime.blocks[buf_runtime.lam :] == 0.0)
-            if buf_runtime.lam == 0:
-                assert np.all(buf_runtime.blocks == 0.0)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        env = StochasticEnv(q=0.6, p=(0.2,) * 5, capacity=4)
+        steps, betas, ns = 0, set(), set()
+        for trial in range(170):
+            trace = run_trajectory(plant, env, noise, "anytime", 60, RngStream(74, trial))
+            for r, u, buf in replay(trace, plant, env.capacity):
+                assert np.array_equal(r.u, u)
+                assert r.lam == buf.lam
+                # rows past the effective length are always padding zeros
+                assert np.all(buf.blocks[buf.lam :] == 0.0)
+                steps += 1
+                betas.add(r.beta)
+                ns.add(r.n)
+        assert steps >= 10_000
+        assert betas == {0, 1, 2} and ns == set(range(env.capacity + 1))
 
     def test_silent_step_empties(self):
         plant = make_sat_plant(1.0)
@@ -175,16 +181,15 @@ class TestReferenceAnytimeStep:
         assert out.lam == 0
 
     def test_single_slot_matches_baseline(self):
-        plant = make_scalar_plant(2.0, 1.5, 0.0)
-        rng = np.random.default_rng(75)
-        buf = BufferState.zeros(1, 1)
-        for _ in range(2000):
-            beta = int(rng.choice([0, 1, 2], p=[0.3, 0.5, 0.2]))
-            n = int(rng.integers(0, 2)) if beta == 1 else 0
-            x = rng.normal(size=1) * 4.0 if beta == 1 else None
-            u, buf = reference_anytime_step(x, beta, n, buf, plant)
-            expected = baseline_step(x if x is not None else np.zeros(1), beta, n, plant)
-            assert np.array_equal(u, expected)
+        plant = make_scalar_plant(2.0, 1.5, 0.5)
+        env = StochasticEnv(q=0.6, p=(0.3, 0.3, 0.4), capacity=2)
+        steps = 0
+        for trial in range(40):
+            trace = run_trajectory(plant, env, NoiseSpec(), "baseline", 50, RngStream(75, trial))
+            for r, u, _ in replay(trace, plant, 1):
+                assert np.array_equal(r.u, u)
+                steps += 1
+        assert steps >= 1000
 
     def test_contract_violations(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)

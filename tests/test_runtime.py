@@ -1,27 +1,25 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from etac.domain import BufferState, NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
+from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
+from etac.oracle import BufferState, reference_anytime_step, update_lambda
 from etac.runtime import (
     RngStream,
-    anytime_step,
-    baseline_step,
     channel_utilization,
     empirical_cost,
+    plan_inputs,
     run_trajectory,
-    sample_beta,
-    sample_n,
-    shift_buffer,
-    trigger,
-    update_lambda,
     write_trace_csv,
 )
 
 UNIFORM_ENV = StochasticEnv(q=0.75, p=(0.2, 0.2, 0.2, 0.2, 0.2), capacity=4)
 NOISELESS = NoiseSpec()
+# Open-loop stable, so long always-transmitting runs (d = 0) never diverge.
+STABLE_SCALAR = make_scalar_plant(0.5, 0.2, 0.0)
 
 
 def assert_traces_equal(a, b, check_lam=True):
@@ -35,68 +33,122 @@ def assert_traces_equal(a, b, check_lam=True):
         assert np.array_equal(ra.u, rb.u)
 
 
+def first_record(plant, env, x0, controller="anytime", stream=0):
+    """The record of a one-step run from ``x0``."""
+    trace = run_trajectory(
+        plant, env, NOISELESS, controller, 1, RngStream(30, stream), x0=np.array(x0)
+    )
+    return trace.records[0]
+
+
+def assert_plays_plan(trace, plant, depth):
+    """After a refill of N at step k, step k + m plays plan_inputs(...)[m], then zero."""
+    plan, refill_k = [], 0
+    for r in trace.records:
+        if r.beta == 2:
+            plan = []
+        if r.n >= 1:
+            plan, refill_k = plan_inputs(r.x, min(r.n, depth), plant), r.k
+        m = r.k - refill_k
+        expected = plan[m] if m < len(plan) else np.zeros(plant.input_dim)
+        assert np.array_equal(r.u, expected)
+
+
+def traces_digest(traces) -> str:
+    """SHA-256 over every record field of every trace, in order."""
+    h = hashlib.sha256()
+    for trace in traces:
+        h.update(repr((trace.horizon, trace.diverged, len(trace.records))).encode())
+        for r in trace.records:
+            h.update(repr((r.k, r.beta, r.n, r.lam)).encode())
+            h.update(r.x.tobytes())
+            h.update(r.u.tobytes())
+            h.update(b"-" if r.w is None else r.w.tobytes())
+    return h.hexdigest()
+
+
 class TestTrigger:
+    ALWAYS = StochasticEnv(q=1.0, p=(0.0, 1.0), capacity=1)
+
     def test_origin_inside_open_ball(self):
-        assert trigger(np.zeros(2), 1.0) is False
+        assert first_record(make_sat_plant(1.0), self.ALWAYS, [0.0, 0.0]).beta == 2
 
     def test_boundary_transmits(self):
-        assert trigger(np.array([1.0, 0.0]), 1.0) is True
+        assert first_record(make_sat_plant(1.0), self.ALWAYS, [1.0, 0.0]).beta == 1
 
     def test_d_zero_always_transmits(self):
-        assert trigger(np.zeros(3), 0.0) is True
-        assert trigger(np.array([5.0]), 0.0) is True
+        assert first_record(make_sat_plant(0.0), self.ALWAYS, [0.0, 0.0]).beta == 1
+        assert first_record(make_scalar_plant(2.0, 1.5, 0.0), self.ALWAYS, [5.0]).beta == 1
 
 
 class TestSampleBeta:
     def test_silent_inside_ball(self):
-        gen = RngStream(1, 0).generator()
-        for _ in range(100):
-            assert sample_beta(np.array([0.5]), 1.0, gen, 0.5) == 2
+        env = StochasticEnv(q=0.5, p=(0.5, 0.5), capacity=1)
+        plant = make_scalar_plant(2.0, 1.5, 1.0)
+        for stream in range(100):
+            assert first_record(plant, env, [0.5], stream=stream).beta == 2
 
     def test_lossless_channel(self):
-        gen = RngStream(2, 0).generator()
-        for _ in range(100):
-            assert sample_beta(np.array([2.0]), 1.0, gen, 1.0) == 1
+        env = StochasticEnv(q=1.0, p=(0.5, 0.5), capacity=1)
+        trace = run_trajectory(STABLE_SCALAR, env, NOISELESS, "baseline", 100, RngStream(2, 0))
+        assert [r.beta for r in trace.records] == [1] * 100
 
     def test_success_frequency(self):
-        gen = RngStream(3, 0).generator()
+        env = StochasticEnv(q=0.75, p=(1.0, 0.0), capacity=1)
         n = 1_000_000
-        x = np.array([2.0])
-        hits = sum(sample_beta(x, 1.0, gen, 0.75) == 1 for _ in range(n))
+        hits = 0
+        for trial in range(n // 1000):
+            trace = run_trajectory(STABLE_SCALAR, env, NOISELESS, "baseline", 1000, RngStream(3, trial))
+            hits += sum(1 for r in trace.records if r.beta == 1)
         half_width = 3.0 * math.sqrt(0.75 * 0.25 / n)
         assert abs(hits / n - 0.75) < half_width
 
 
 class TestSampleN:
     def test_zero_without_reception(self):
-        gen = RngStream(4, 0).generator()
-        for beta in (0, 2):
-            for _ in range(100):
-                assert sample_n(beta, UNIFORM_ENV, gen) == 0
+        plant = make_sat_plant(d=1.0)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        seen = set()
+        for trial in range(20):
+            trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 60, RngStream(4, trial))
+            for r in trace.records:
+                if r.beta != 1:
+                    seen.add(r.beta)
+                    assert r.n == 0
+        assert seen == {0, 2}
 
     def test_conditional_frequencies(self):
-        gen = RngStream(5, 0).generator()
+        env = StochasticEnv(q=1.0, p=UNIFORM_ENV.p, capacity=UNIFORM_ENV.capacity)
         n = 1_000_000
         counts = np.zeros(5, dtype=int)
-        for _ in range(n):
-            counts[sample_n(1, UNIFORM_ENV, gen)] += 1
+        for trial in range(n // 1000):
+            trace = run_trajectory(STABLE_SCALAR, env, NOISELESS, "baseline", 1000, RngStream(5, trial))
+            for r in trace.records:
+                counts[r.n] += 1
         half_width = 3.0 * math.sqrt(0.2 * 0.8 / n)
         assert np.all(np.abs(counts / n - 0.2) < half_width)
 
 
 class TestBaselineStep:
+    PLANT = make_scalar_plant(2.0, 1.5, 0.0)
+
     def test_applies_control_when_ready(self):
-        plant = make_scalar_plant(2.0, 1.5, 0.0)
-        x = np.array([4.0])
-        assert baseline_step(x, 1, 2, plant)[0] == -6.0
+        env = StochasticEnv(q=1.0, p=(0.0, 0.0, 1.0), capacity=2)
+        r = first_record(self.PLANT, env, [4.0], "baseline")
+        assert (r.beta, r.n, r.lam) == (1, 2, 0)
+        assert r.u[0] == -6.0
 
     def test_zero_without_processor(self):
-        plant = make_scalar_plant(2.0, 1.5, 0.0)
-        assert baseline_step(np.array([4.0]), 1, 0, plant)[0] == 0.0
+        env = StochasticEnv(q=1.0, p=(1.0, 0.0), capacity=1)
+        r = first_record(self.PLANT, env, [4.0], "baseline")
+        assert (r.beta, r.n) == (1, 0)
+        assert r.u[0] == 0.0
 
     def test_zero_on_erasure(self):
-        plant = make_scalar_plant(2.0, 1.5, 0.0)
-        assert baseline_step(np.array([4.0]), 0, 0, plant)[0] == 0.0
+        env = StochasticEnv(q=0.0, p=(0.0, 1.0), capacity=1)
+        r = first_record(self.PLANT, env, [4.0], "baseline")
+        assert (r.beta, r.n) == (0, 0)
+        assert r.u[0] == 0.0
 
 
 class TestUpdateLambda:
@@ -128,57 +180,70 @@ class TestUpdateLambda:
 
 class TestShiftBuffer:
     def test_rows_move_down(self):
-        blocks = np.array([[1.0], [2.0], [3.0]])
-        shifted = shift_buffer(blocks)
-        assert np.array_equal(shifted, np.array([[2.0], [3.0], [0.0]]))
+        plant = make_sat_plant(d=1.0)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        for controller, depth in (("anytime", UNIFORM_ENV.capacity), ("baseline", 1)):
+            for trial in range(20):
+                trace = run_trajectory(plant, UNIFORM_ENV, noise, controller, 60, RngStream(15, trial))
+                assert_plays_plan(trace, plant, depth)
 
-    @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6))
-    def test_capacity_shifts_annihilate(self, values):
-        blocks = np.array(values).reshape(-1, 1)
-        for _ in range(blocks.shape[0]):
-            blocks = shift_buffer(blocks)
-        assert np.array_equal(blocks, np.zeros_like(blocks))
+    @given(
+        capacity=st.integers(min_value=1, max_value=6),
+        q=st.floats(min_value=0.05, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_capacity_shifts_annihilate(self, capacity, q, seed):
+        # capacity steps after a refill the plan is used up: the input is zero
+        plant = make_scalar_plant(2.0, 1.5, 0.0)
+        env = StochasticEnv(q=q, p=(0.5,) + (0.5 / capacity,) * capacity, capacity=capacity)
+        trace = run_trajectory(plant, env, NOISELESS, "anytime", 60, RngStream(seed, 0))
+        since = capacity
+        for r in trace.records:
+            since = 0 if r.n >= 1 else since + 1
+            if since >= capacity:
+                assert np.array_equal(r.u, np.zeros(1)) and r.lam == 0
 
 
 class TestAnytimeStep:
     def test_fill_shift_silent_sequence(self):
-        # fill two blocks from x = 4, then play the schedule, then go silent
+        # fill two inputs from x = 4, then play the plan, then go silent
         plant = make_scalar_plant(2.0, 1.5, 0.0)
+        plan = plan_inputs(np.array([4.0]), 2, plant)
+        assert [float(u[0]) for u in plan] == [-6.0, -3.0]  # kappa(f(4, -6)) = kappa(2)
+        with pytest.raises(ValueError):
+            plan_inputs(np.array([4.0]), 0, plant)
         buf = BufferState.zeros(2, 1)
-        x = np.array([4.0])
-        u, buf = anytime_step(x, 1, 2, buf, plant)
-        assert u[0] == -6.0  # kappa(4)
-        assert np.array_equal(buf.blocks, np.array([[-6.0], [-3.0]]))  # kappa(f(4, -6)) = kappa(2)
-        assert buf.lam == 2
-        u, buf = anytime_step(None, 0, 0, buf, plant)
-        assert u[0] == -3.0
-        assert buf.lam == 1
-        u, buf = anytime_step(None, 2, 0, buf, plant)
-        assert u[0] == 0.0
+        u, buf = reference_anytime_step(np.array([4.0]), 1, 2, buf, plant)
+        assert u[0] == -6.0 and buf.lam == 2
+        assert np.array_equal(buf.blocks, np.array([[-6.0], [-3.0]]))
+        u, buf = reference_anytime_step(None, 0, 0, buf, plant)
+        assert u[0] == -3.0 and buf.lam == 1
+        u, buf = reference_anytime_step(None, 2, 0, buf, plant)
+        assert u[0] == 0.0 and buf.lam == 0
         assert np.array_equal(buf.blocks, np.zeros((2, 1)))
-        assert buf.lam == 0
 
     def test_erasure_with_empty_buffer_applies_zero(self):
-        plant = make_scalar_plant(2.0, 1.5, 0.0)
-        u, buf = anytime_step(None, 0, 0, BufferState.zeros(3, 1), plant)
-        assert u[0] == 0.0 and buf.lam == 0
+        env = StochasticEnv(q=0.0, p=(0.0, 0.0, 0.0, 1.0), capacity=3)
+        r = first_record(make_scalar_plant(2.0, 1.5, 0.0), env, [4.0])
+        assert r.beta == 0 and r.u[0] == 0.0 and r.lam == 0
 
     def test_rejects_computation_without_reception(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
         with pytest.raises(ValueError):
-            anytime_step(np.array([1.0]), 0, 1, BufferState.zeros(2, 1), plant)
+            reference_anytime_step(np.array([1.0]), 0, 1, BufferState.zeros(2, 1), plant)
 
     def test_requires_state_exactly_on_reception(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
         with pytest.raises(ValueError):
-            anytime_step(None, 1, 1, BufferState.zeros(2, 1), plant)
+            reference_anytime_step(None, 1, 1, BufferState.zeros(2, 1), plant)
         with pytest.raises(ValueError):
-            anytime_step(np.array([1.0]), 0, 0, BufferState.zeros(2, 1), plant)
+            reference_anytime_step(np.array([1.0]), 0, 0, BufferState.zeros(2, 1), plant)
 
     def test_rejects_overfull_schedule(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
         with pytest.raises(ValueError):
-            anytime_step(np.array([1.0]), 1, 3, BufferState.zeros(2, 1), plant)
+            reference_anytime_step(np.array([1.0]), 1, 3, BufferState.zeros(2, 1), plant)
 
 
 class TestRunTrajectory:
@@ -241,6 +306,29 @@ class TestRunTrajectory:
             run_trajectory(plant, good, NOISELESS, "baseline", 0, RngStream(1, 0))
 
 
+    def test_records_match_recorded_digest(self):
+        # Recorded before the controllers became one plan-and-age rule; every
+        # record field of these runs must stay byte for byte the same.
+        traces = []
+        for plant in (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0)):
+            for env in (StochasticEnv(q=0.6, p=(0.3, 0.7), capacity=1), UNIFORM_ENV):
+                for noise in (NOISELESS, NoiseSpec("gaussian-iid", 1.0)):
+                    for controller in ("baseline", "anytime"):
+                        for trial in range(3):
+                            traces.append(
+                                run_trajectory(plant, env, noise, controller, 50, RngStream(23, trial))
+                            )
+        unstable = run_trajectory(
+            make_scalar_plant(3.0, 2.5, 0.0),
+            StochasticEnv(q=0.5, p=(0.3, 0.2, 0.2, 0.3), capacity=3),
+            NOISELESS, "baseline", 200, RngStream(23, 0), x0=np.array([5.0]),
+        )
+        assert unstable.diverged
+        traces.append(unstable)
+        assert traces_digest(traces) == (
+            "160b1a6cae3925cbc554c25a0290cb816fd3c66574d374fcc29ab00b0edfb5fb"
+        )
+
 class TestTraceMetrics:
     @staticmethod
     def _trace_from_xs(xs, horizon, beta=None):
@@ -287,6 +375,35 @@ class TestClosedLoopInvariants:
             b = run_trajectory(plant, env, noise, "anytime", 60, RngStream(16, trial))
             assert_traces_equal(a, b, check_lam=False)
 
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=6),
+        q=st.floats(min_value=0.0, max_value=1.0),
+        weights=st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=7, max_size=7),
+        plant_kind=st.sampled_from(["scalar", "unstable", "saturated"]),
+        d=st.floats(min_value=0.0, max_value=3.0),
+        noisy=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_baseline_is_depth_one_buffer(self, capacity, q, weights, plant_kind, d, noisy, seed):
+        # the baseline on E is the anytime controller on E folded to capacity 1
+        w = np.array(weights[: capacity + 1])
+        p = tuple(float(v) for v in w / w.sum())
+        env = StochasticEnv(q=q, p=p, capacity=capacity)
+        folded = StochasticEnv(q=q, p=(p[0], 1.0 - p[0]), capacity=1)
+        plant = {
+            "scalar": lambda: make_scalar_plant(2.0, 1.5, d),
+            "unstable": lambda: make_scalar_plant(3.0, 2.5, d),
+            "saturated": lambda: make_sat_plant(d),
+        }[plant_kind]()
+        noise = NoiseSpec("gaussian-iid", 1.0) if noisy else NOISELESS
+        a = run_trajectory(plant, env, noise, "baseline", 60, RngStream(seed, 0))
+        b = run_trajectory(plant, folded, noise, "anytime", 60, RngStream(seed, 0))
+        assert a.diverged == b.diverged and len(a.records) == len(b.records)
+        for ra, rb in zip(a.records, b.records):
+            assert ra.beta == rb.beta
+            assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.u, rb.u)
     def test_empty_schedule_means_zero_input(self):
         plant = make_sat_plant(d=1.0)
         noise = NoiseSpec("gaussian-iid", 1.0)
@@ -325,7 +442,8 @@ class TestClosedLoopInvariants:
         for trial in range(10):
             trace = run_trajectory(plant, UNIFORM_ENV, noise, "baseline", 60, RngStream(20, trial))
             for r in trace.records:
-                assert np.array_equal(r.u, baseline_step(r.x, r.beta, r.n, plant))
+                expected = plant.control_law(r.x) if (r.beta == 1 and r.n >= 1) else np.zeros(2)
+                assert np.array_equal(r.u, expected)
 
     def test_processor_pmf_conditional_on_reception(self):
         plant = make_sat_plant(d=0.5)
