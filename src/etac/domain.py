@@ -11,7 +11,12 @@ only the oracle models it as a matrix.
 
 Dynamics, control laws and Lyapunov functions are plain callables; the
 certified contraction/growth factors are floats whose inequalities are checked
-on dense grids by the test suite.  The physical sampling interval and the
+on dense grids by the test suite.  The plant maps take and return float64
+vectors but unpack them with ``tolist()`` and do their arithmetic (and
+:func:`sat`) on Python floats: these are the same IEEE double operations as
+on numpy scalars, so the results are bitwise equal, and they skip numpy's
+per-scalar indexing and dispatch, which cost more than the arithmetic in the
+simulator's per-step calls.  The physical sampling interval and the
 intra-period processing deadline are background only: nothing computed here
 depends on them.
 """
@@ -156,11 +161,14 @@ def sat(mu: float) -> float:
 
 
 def _sat_dynamics(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.array([x[1] + u[0], -sat(x[0] + x[1]) + u[1]])
+    x1, x2 = x.tolist()
+    u1, u2 = u.tolist()
+    return np.array([x2 + u1, -sat(x1 + x2) + u2])
 
 
 def _sat_control(x: np.ndarray) -> np.ndarray:
-    return np.array([-x[1], 0.505 * sat(x[0] + x[1])])
+    x1, x2 = x.tolist()
+    return np.array([-x2, 0.505 * sat(x1 + x2)])
 
 
 def _sat_lyapunov(x: np.ndarray) -> float:
@@ -214,11 +222,14 @@ def make_sat_plant(d: float = 0.0) -> PlantSpec:
 
 
 def _linear_dynamics(a: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return a * x + u
+    (x1,) = x.tolist()
+    (u1,) = u.tolist()
+    return np.array([a * x1 + u1])
 
 
 def _linear_control(gain: float, x: np.ndarray) -> np.ndarray:
-    return -gain * x
+    (x1,) = x.tolist()
+    return np.array([-gain * x1])
 
 
 def _norm_lyapunov(x: np.ndarray) -> float:

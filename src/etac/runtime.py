@@ -11,13 +11,18 @@ N >= 1 control-law evaluations replaces the plan with :func:`plan_inputs` of
 length min(N, depth); every later step plays the next planned input, or zero
 once the plan is used up, and a silent step discards the plan.  The anytime
 controller has depth = capacity; the memoryless baseline is depth 1.
+
+Besides its step records, a trace keeps the squared state norm of every
+recorded step, which the loop computes anyway for its trigger and divergence
+tests; :func:`empirical_cost` sums that column.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,12 +66,16 @@ class Trace:
 
     ``records`` has exactly ``horizon`` entries unless the run diverged, in
     which case it is truncated at the step where the state norm blew past
-    :data:`DIVERGENCE_NORM` (or went non-finite).
+    :data:`DIVERGENCE_NORM` (or went non-finite).  ``sq_norms[k]`` is
+    ``float(x.dot(x))`` of ``records[k].x``, the squared norm the loop
+    computes anyway for its trigger and divergence tests; it is kept as a
+    compact column so that :func:`empirical_cost` need not revisit the records.
     """
 
     records: list[StepRecord]
     horizon: int
     diverged: bool = False
+    sq_norms: array = field(kw_only=True)
 
 
 def plan_inputs(x: np.ndarray, n: int, plant: PlantSpec) -> list[np.ndarray]:
@@ -98,15 +107,15 @@ def run_trajectory(
 ) -> Trace:
     """Simulate one closed-loop run of ``horizon`` steps.
 
-    ``controller`` is "baseline" or "anytime".  ``x0`` fixes the initial state;
-    when None it is drawn standard normal.  The state update is
-    x(k+1) = f(x(k), u(k)) + w(k).  A state whose norm exceeds
-    :data:`DIVERGENCE_NORM` (or goes non-finite) ends the run early with the
-    trace flagged diverged rather than raising.  The input applied at a step
-    is ``plan[age]`` while the plan lasts and zero after (see the module
-    docstring).  The recorded ``lam`` is the effective buffer length
-    ``len(plan) - age`` floored at 0 for the anytime controller, and 0 for the
-    baseline, which buffers nothing.
+    ``controller`` is "baseline" or "anytime".  ``x0`` fixes the initial state
+    and must have shape ``(plant.state_dim,)``; when None it is drawn standard
+    normal.  The state update is x(k+1) = f(x(k), u(k)) + w(k).  A state whose
+    norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite) ends the run
+    early with the trace flagged diverged rather than raising.  The input
+    applied at a step is ``plan[age]`` while the plan lasts and zero after
+    (see the module docstring).  The recorded ``lam`` is the effective buffer
+    length ``len(plan) - age`` floored at 0 for the anytime controller, and 0
+    for the baseline, which buffers nothing.
     """
     require_valid_env(env)
     if horizon < 1:
@@ -114,8 +123,15 @@ def run_trajectory(
     if controller not in ("baseline", "anytime"):
         raise ValueError(f"unknown controller {controller!r}")
 
+    if x0 is not None:
+        x0 = np.array(x0, dtype=float)
+        if x0.shape != (plant.state_dim,):
+            raise ValueError(
+                f"x0 has shape {x0.shape}, expected ({plant.state_dim},) for plant {plant.name!r}"
+            )
+
     gen = rng.generator()
-    x = gen.standard_normal(plant.state_dim) if x0 is None else np.array(x0, dtype=float)
+    x = gen.standard_normal(plant.state_dim) if x0 is None else x0
     received = (gen.random(horizon) < env.q).tolist()
     cum = np.cumsum(env.p)
     n_draws = np.minimum(
@@ -134,6 +150,8 @@ def run_trajectory(
     zero_u = np.zeros(plant.input_dim)
     records: list[StepRecord] = []
     append = records.append
+    sq_norms = array("d")
+    append_sq_norm = sq_norms.append
     diverged = False
     plan: list[np.ndarray] | tuple = ()  # inputs computed at the last refill
     age = 0  # steps since that refill
@@ -173,18 +191,25 @@ def run_trajectory(
             w_k = w[k]
             x_next = x_next + w_k
         append(StepRecord(k, x, u, beta, n_k, lam, w_k))
+        append_sq_norm(nrm2)
         nrm2 = float(x_next.dot(x_next))
         if not nrm2 <= limit2:  # also true for nan and inf
             diverged = True
             break
         x = x_next
 
-    return Trace(records=records, horizon=horizon, diverged=diverged)
+    return Trace(records=records, horizon=horizon, diverged=diverged, sq_norms=sq_norms)
 
 
 def empirical_cost(trace: Trace) -> float:
-    """Average squared state norm over the horizon."""
-    return math.fsum(float(r.x @ r.x) for r in trace.records) / trace.horizon
+    """Average squared state norm over the horizon.
+
+    The terms are ``trace.sq_norms``: ``ndarray.dot`` of each recorded state
+    with itself, bitwise equal to ``x @ x``.  Other sums of squares (einsum,
+    ``(X * X).sum(1)``) may fuse the multiply and add and differ in the last
+    ulp, so the column is the only source.
+    """
+    return math.fsum(trace.sq_norms) / trace.horizon
 
 
 def channel_utilization(trace: Trace) -> float:
@@ -192,10 +217,22 @@ def channel_utilization(trace: Trace) -> float:
     return 100.0 * sum(1 for r in trace.records if r.beta != 2) / trace.horizon
 
 
+#: Records per block in :func:`write_trace_csv`: large enough to amortise the
+#: per-block numpy calls, small enough that the stacked block stays a small
+#: fraction of the trace's own memory.
+_CSV_BLOCK = 1024
+
+
 def write_trace_csv(trace: Trace, path) -> None:
-    """Write a trace as CSV with columns k, x1..xn, u1..up, beta, N, lambda."""
-    first = trace.records[0]
-    n, p = len(first.x), len(first.u)
+    """Write a trace as CSV with columns k, x1..xn, u1..up, beta, N, lambda.
+
+    Rows are written a block of :data:`_CSV_BLOCK` records at a time: the
+    block's states and inputs are stacked and turned into columns of Python
+    floats, which ``csv`` formats with ``repr`` exactly as it would the
+    scalars one by one.
+    """
+    records = trace.records
+    n, p = len(records[0].x), len(records[0].u)
     header = (
         ["k"]
         + [f"x{i + 1}" for i in range(n)]
@@ -205,7 +242,17 @@ def write_trace_csv(trace: Trace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in trace.records:
-            writer.writerow(
-                [r.k, *(float(v) for v in r.x), *(float(v) for v in r.u), r.beta, r.n, r.lam]
+        for start in range(0, len(records), _CSV_BLOCK):
+            block = records[start : start + _CSV_BLOCK]
+            x_cols = np.array([r.x for r in block], dtype=float).T.tolist()
+            u_cols = np.array([r.u for r in block], dtype=float).T.tolist()
+            writer.writerows(
+                zip(
+                    [r.k for r in block],
+                    *x_cols,
+                    *u_cols,
+                    [r.beta for r in block],
+                    [r.n for r in block],
+                    [r.lam for r in block],
+                )
             )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from etac.domain import (
     NoiseSpec,
@@ -14,6 +14,34 @@ from etac.domain import (
 )
 
 REFERENCE_ENV = StochasticEnv(q=0.75, p=(0.2, 0.2, 0.2, 0.2, 0.2), capacity=4)
+
+# Magnitudes up to 1e6, with signed zeros and the saturation limits drawn often.
+COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 10.0, -10.0, 1e6, -1e6]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+# The ndarray expressions the plant maps used before they moved to Python floats.
+def reference_sat_dynamics(x, u):
+    return np.array([x[1] + u[0], -sat(x[0] + x[1]) + u[1]])
+
+
+def reference_sat_control(x):
+    return np.array([-x[1], 0.505 * sat(x[0] + x[1])])
+
+
+def reference_linear_dynamics(a, x, u):
+    return a * x + u
+
+
+def reference_linear_control(gain, x):
+    return -gain * x
+
+
+def assert_bitwise(out, ref):
+    assert out.dtype == np.float64 and out.shape == ref.shape
+    assert out.tobytes() == ref.tobytes()
 
 
 class TestValidateEnv:
@@ -88,6 +116,36 @@ class TestSatPlant:
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):
             make_sat_plant(-1.0)
+
+
+class TestPlantMapsMatchReference:
+    @given(x1=COORD, x2=COORD, u1=COORD, u2=COORD)
+    @example(x1=20.0, x2=0.0, u1=0.0, u2=0.0)
+    @example(x1=-6.0, x2=-4.5, u1=-0.0, u2=0.0)
+    @example(x1=1e6, x2=-1e6, u1=-0.0, u2=-0.0)
+    @example(x1=-0.0, x2=-0.0, u1=-0.0, u2=-0.0)
+    @settings(max_examples=500)
+    def test_saturated_plant(self, x1, x2, u1, u2):
+        plant = make_sat_plant()
+        x, u = np.array([x1, x2]), np.array([u1, u2])
+        assert_bitwise(plant.dynamics(x, u), reference_sat_dynamics(x, u))
+        assert_bitwise(plant.control_law(x), reference_sat_control(x))
+
+    @given(
+        a=st.floats(min_value=-3.0, max_value=3.0),
+        offset=st.floats(min_value=-0.999, max_value=0.999),
+        x1=COORD,
+        u1=COORD,
+    )
+    @example(a=2.0, offset=0.5, x1=-0.0, u1=0.0)
+    @example(a=-0.0, offset=0.0, x1=1e6, u1=-0.0)
+    @settings(max_examples=500)
+    def test_scalar_plant(self, a, offset, x1, u1):
+        gain = a - offset
+        plant = make_scalar_plant(a, gain, 0.0)
+        x, u = np.array([x1]), np.array([u1])
+        assert_bitwise(plant.dynamics(x, u), reference_linear_dynamics(float(a), x, u))
+        assert_bitwise(plant.control_law(x), reference_linear_control(float(gain), x))
 
 
 class TestScalarPlant:

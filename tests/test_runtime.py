@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
 from etac.oracle import BufferState, reference_anytime_step, update_lambda
 from etac.runtime import (
+    _CSV_BLOCK,
     RngStream,
     channel_utilization,
     empirical_cost,
@@ -52,6 +55,49 @@ def assert_plays_plan(trace, plant, depth):
         m = r.k - refill_k
         expected = plan[m] if m < len(plan) else np.zeros(plant.input_dim)
         assert np.array_equal(r.u, expected)
+
+
+def sample_traces(horizon, trials=2):
+    """Runs of both plants, both controllers, noise off and on, and one diverged run."""
+    traces = []
+    for plant in (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0)):
+        for noise in (NOISELESS, NoiseSpec("gaussian-iid", 1.0)):
+            for controller in ("baseline", "anytime"):
+                for trial in range(trials):
+                    traces.append(
+                        run_trajectory(plant, UNIFORM_ENV, noise, controller, horizon, RngStream(24, trial))
+                    )
+    traces.append(diverged_trace())
+    return traces
+
+
+def diverged_trace():
+    trace = run_trajectory(
+        make_scalar_plant(3.0, 2.5, 0.0),
+        StochasticEnv(q=0.5, p=(0.3, 0.2, 0.2, 0.3), capacity=3),
+        NOISELESS, "baseline", 200, RngStream(23, 0), x0=np.array([5.0]),
+    )
+    assert trace.diverged
+    return trace
+
+
+def reference_trace_csv(trace, path) -> None:
+    """The per-row writer that the block-columnar ``write_trace_csv`` replaced."""
+    first = trace.records[0]
+    n, p = len(first.x), len(first.u)
+    header = (
+        ["k"]
+        + [f"x{i + 1}" for i in range(n)]
+        + [f"u{i + 1}" for i in range(p)]
+        + ["beta", "N", "lambda"]
+    )
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r in trace.records:
+            writer.writerow(
+                [r.k, *(float(v) for v in r.x), *(float(v) for v in r.u), r.beta, r.n, r.lam]
+            )
 
 
 def traces_digest(traces) -> str:
@@ -305,6 +351,21 @@ class TestRunTrajectory:
         with pytest.raises(ValueError):
             run_trajectory(plant, good, NOISELESS, "baseline", 0, RngStream(1, 0))
 
+    def test_rejects_x0_of_wrong_shape(self):
+        env = StochasticEnv(q=0.5, p=(0.5, 0.5), capacity=1)
+        cases = (
+            (make_scalar_plant(2.0, 1.5, 0.0), [1.0, 2.0]),
+            (make_scalar_plant(2.0, 1.5, 0.0), 4.0),
+            (make_sat_plant(1.0), [1.0, 2.0, 3.0]),
+            (make_sat_plant(1.0), [[1.0, 2.0]]),
+        )
+        for plant, x0 in cases:
+            with pytest.raises(ValueError, match="x0 has shape"):
+                run_trajectory(plant, env, NOISELESS, "anytime", 10, RngStream(1, 0), x0=x0)
+        # a list of the right length is accepted
+        trace = run_trajectory(make_sat_plant(1.0), env, NOISELESS, "anytime", 3, RngStream(1, 0), x0=[1, 2])
+        assert trace.records[0].x.dtype == np.float64
+
 
     def test_records_match_recorded_digest(self):
         # Recorded before the controllers became one plan-and-age rule; every
@@ -339,7 +400,8 @@ class TestTraceMetrics:
             StepRecord(k=k, x=np.array([x]), u=np.zeros(1), beta=(beta[k] if beta else 2), n=0, lam=0)
             for k, x in enumerate(xs)
         ]
-        return Trace(records=records, horizon=horizon)
+        sq_norms = array("d", (float(r.x.dot(r.x)) for r in records))
+        return Trace(records=records, horizon=horizon, sq_norms=sq_norms)
 
     def test_cost_all_zero(self):
         trace = self._trace_from_xs([0.0] * 50, 50)
@@ -353,6 +415,12 @@ class TestTraceMetrics:
     def test_cost_constant_norm(self):
         trace = self._trace_from_xs([1.0] * 50, 50)
         assert empirical_cost(trace) == pytest.approx(1.0)
+
+    def test_cost_matches_per_record_reference(self):
+        for trace in sample_traces(300):
+            terms = [float(r.x @ r.x) for r in trace.records]
+            assert trace.sq_norms.tolist() == terms
+            assert empirical_cost(trace) == math.fsum(terms) / trace.horizon
 
     def test_utilization_extremes_and_fraction(self):
         trace = self._trace_from_xs([0.0] * 50, 50, beta=[2] * 50)
@@ -472,3 +540,16 @@ class TestTraceCsv:
         assert lines[0] == "k,x1,x2,u1,u2,beta,N,lambda"
         assert len(lines) == 26
         assert lines[1].startswith("0,")
+
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        lengths = (1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2500)
+        traces = [
+            run_trajectory(plant, UNIFORM_ENV, NoiseSpec("gaussian-iid", 1.0), "anytime", horizon, RngStream(25, horizon))
+            for plant in (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0))
+            for horizon in lengths
+        ]
+        traces.append(diverged_trace())
+        for trace in traces:
+            write_trace_csv(trace, tmp_path / "block.csv")
+            reference_trace_csv(trace, tmp_path / "row.csv")
+            assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
