@@ -57,20 +57,6 @@ def assert_plays_plan(trace, plant, depth):
         assert np.array_equal(r.u, expected)
 
 
-def sample_traces(horizon, trials=2):
-    """Runs of both plants, both controllers, noise off and on, and one diverged run."""
-    traces = []
-    for plant in (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0)):
-        for noise in (NOISELESS, NoiseSpec("gaussian-iid", 1.0)):
-            for controller in ("baseline", "anytime"):
-                for trial in range(trials):
-                    traces.append(
-                        run_trajectory(plant, UNIFORM_ENV, noise, controller, horizon, RngStream(24, trial))
-                    )
-    traces.append(diverged_trace())
-    return traces
-
-
 def diverged_trace():
     trace = run_trajectory(
         make_scalar_plant(3.0, 2.5, 0.0),
@@ -379,13 +365,7 @@ class TestRunTrajectory:
                             traces.append(
                                 run_trajectory(plant, env, noise, controller, 50, RngStream(23, trial))
                             )
-        unstable = run_trajectory(
-            make_scalar_plant(3.0, 2.5, 0.0),
-            StochasticEnv(q=0.5, p=(0.3, 0.2, 0.2, 0.3), capacity=3),
-            NOISELESS, "baseline", 200, RngStream(23, 0), x0=np.array([5.0]),
-        )
-        assert unstable.diverged
-        traces.append(unstable)
+        traces.append(diverged_trace())
         assert traces_digest(traces) == (
             "160b1a6cae3925cbc554c25a0290cb816fd3c66574d374fcc29ab00b0edfb5fb"
         )
@@ -417,7 +397,15 @@ class TestTraceMetrics:
         assert empirical_cost(trace) == pytest.approx(1.0)
 
     def test_cost_matches_per_record_reference(self):
-        for trace in sample_traces(300):
+        traces = [
+            run_trajectory(plant, UNIFORM_ENV, noise, controller, 300, RngStream(24, trial))
+            for plant in (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0))
+            for noise in (NOISELESS, NoiseSpec("gaussian-iid", 1.0))
+            for controller in ("baseline", "anytime")
+            for trial in range(2)
+        ]
+        traces.append(diverged_trace())
+        for trace in traces:
             terms = [float(r.x @ r.x) for r in trace.records]
             assert trace.sq_norms.tolist() == terms
             assert empirical_cost(trace) == math.fsum(terms) / trace.horizon
