@@ -6,8 +6,12 @@ trajectory to CSV), ``montecarlo`` (cost/utilization sweep over trigger radii
 with paired draws for the two controllers).  Experiments are described by a
 single strict JSON document so a recorded config reproduces a run exactly.
 
+Every config number, each entry of ``env.p``, ``d_sweep`` and ``x0.value``
+included, is a finite int or float and never a boolean.
+
 Exit codes: 0 success, 2 config error, 3 accuracy-threshold failure in
-``delta-dist``.
+``delta-dist``.  Exit 2 covers the parser's rejections and the library's input
+checks (a ``ValueError``), in this process or in a ``montecarlo`` worker.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -95,34 +99,54 @@ class ExperimentConfig:
     rho_grid: RhoGrid = RhoGrid()
 
 
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _check_object(data, spec: type, where: str) -> None:
+    """Refuse anything but a JSON object whose keys are fields of ``spec``."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(data) - {f.name for f in fields(spec)})
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _as_number(value, where: str, integer: bool = False) -> float | int:
+    """The config number rule: a finite int or float that is not a bool.
+
+    Integer fields refuse floats too.  Number fields return a float, so an int
+    too large for one is refused like NaN and inf.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int if integer else (int, float))
+        or not (integer or abs(value) <= sys.float_info.max)
+    ):
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _number(mapping: dict, key: str, where: str, default=None) -> float | None:
-    if key not in mapping or mapping[key] is None:
+    if mapping.get(key) is None:
         return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return _as_number(mapping[key], f"{where}.{key}")
 
 
 def _integer(mapping: dict, key: str, where: str, default=None) -> int | None:
-    if key not in mapping or mapping[key] is None:
+    if mapping.get(key) is None:
         return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-    return value
+    return _as_number(mapping[key], f"{where}.{key}", integer=True)
+
+
+def _numbers(mapping: dict, key: str, where: str) -> tuple[float, ...] | None:
+    """A nonempty list of numbers, each entry under :func:`_as_number`'s rule."""
+    values = mapping.get(key)
+    if values is None:
+        return None
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"{where}.{key} must be a nonempty list of numbers")
+    return tuple(_as_number(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
 
 
 def _parse_plant(data: dict) -> PlantSelector:
-    if not isinstance(data, dict):
-        raise ConfigError("plant must be an object")
-    _check_keys(data, {"kind", "a", "gain"}, "plant")
+    _check_object(data, PlantSelector, "plant")
     kind = data.get("kind")
     if kind not in ("saturated", "scalar"):
         raise ConfigError(f"plant.kind must be 'saturated' or 'scalar', got {kind!r}")
@@ -137,19 +161,13 @@ def _parse_plant(data: dict) -> PlantSelector:
 
 
 def _parse_env(data: dict) -> StochasticEnv:
-    if not isinstance(data, dict):
-        raise ConfigError("env must be an object")
-    _check_keys(data, {"q", "p", "capacity"}, "env")
+    _check_object(data, StochasticEnv, "env")
     q = _number(data, "q", "env")
     capacity = _integer(data, "capacity", "env")
-    p = data.get("p")
-    if q is None or capacity is None or not isinstance(p, list):
+    p = _numbers(data, "p", "env")
+    if q is None or capacity is None or p is None:
         raise ConfigError("env requires q (number), p (list) and capacity (integer)")
-    try:
-        p_tuple = tuple(float(v) for v in p)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"env.p entries must be numbers: {exc}") from exc
-    env = StochasticEnv(q=q, p=p_tuple, capacity=capacity)
+    env = StochasticEnv(q=q, p=p, capacity=capacity)
     errors = validate_env(env)
     if errors:
         raise ConfigError("env: " + "; ".join(errors))
@@ -159,9 +177,7 @@ def _parse_env(data: dict) -> StochasticEnv:
 def _parse_noise(data: dict | None) -> NoiseSpec:
     if data is None:
         return NoiseSpec()
-    if not isinstance(data, dict):
-        raise ConfigError("noise must be an object")
-    _check_keys(data, {"kind", "std"}, "noise")
+    _check_object(data, NoiseSpec, "noise")
     kind = data.get("kind", "none")
     std = _number(data, "std", "noise", default=0.0)
     try:
@@ -173,28 +189,22 @@ def _parse_noise(data: dict | None) -> NoiseSpec:
 def _parse_x0(data: dict | None) -> InitSpec:
     if data is None:
         return InitSpec()
-    if not isinstance(data, dict):
-        raise ConfigError("x0 must be an object")
-    _check_keys(data, {"kind", "value"}, "x0")
+    _check_object(data, InitSpec, "x0")
     kind = data.get("kind", "gaussian")
     if kind not in ("gaussian", "fixed"):
         raise ConfigError(f"x0.kind must be 'gaussian' or 'fixed', got {kind!r}")
-    value = data.get("value")
-    if kind == "fixed":
-        if not isinstance(value, list) or not value:
-            raise ConfigError("x0.value (nonempty list) is required for kind 'fixed'")
-        return InitSpec(kind=kind, value=tuple(float(v) for v in value))
-    if value is not None:
+    value = _numbers(data, "value", "x0")
+    if kind == "fixed" and value is None:
+        raise ConfigError("x0.value (nonempty list) is required for kind 'fixed'")
+    if kind == "gaussian" and value is not None:
         raise ConfigError("x0.value only applies to kind 'fixed'")
-    return InitSpec(kind=kind)
+    return InitSpec(kind=kind, value=value)
 
 
 def _parse_rho_grid(data: dict | None) -> RhoGrid:
     if data is None:
         return RhoGrid()
-    if not isinstance(data, dict):
-        raise ConfigError("rho_grid must be an object")
-    _check_keys(data, {"lo", "hi", "points"}, "rho_grid")
+    _check_object(data, RhoGrid, "rho_grid")
     grid = RhoGrid(
         lo=_number(data, "lo", "rho_grid", default=RhoGrid.lo),
         hi=_number(data, "hi", "rho_grid", default=RhoGrid.hi),
@@ -209,13 +219,7 @@ def _parse_rho_grid(data: dict | None) -> RhoGrid:
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Build a validated config from a JSON-shaped dict; unknown keys are errors."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    allowed = {
-        "plant", "env", "controllers", "d", "d_sweep", "horizon",
-        "trials", "seed", "noise", "x0", "out", "rho_grid",
-    }
-    _check_keys(data, allowed, "config")
+    _check_object(data, ExperimentConfig, "config")
     if "plant" not in data or "env" not in data:
         raise ConfigError("config requires 'plant' and 'env'")
 
@@ -231,15 +235,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     d = _number(data, "d", "config")
     if d is not None and d < 0.0:
         raise ConfigError("d must be nonnegative")
-    d_sweep = None
-    if data.get("d_sweep") is not None:
-        raw = data["d_sweep"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("d_sweep must be a nonempty list")
-        try:
-            d_sweep = tuple(float(v) for v in raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"d_sweep entries must be numbers: {exc}") from exc
+    d_sweep = _numbers(data, "d_sweep", "config")
+    if d_sweep is not None:
         if any(v < 0.0 for v in d_sweep):
             raise ConfigError("d_sweep values must be nonnegative")
         if any(b <= a for a, b in zip(d_sweep, d_sweep[1:])):
@@ -275,34 +272,17 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
+def _json_object(items: list[tuple[str, object]]) -> dict:
+    return {key: list(value) if isinstance(value, tuple) else value for key, value in items}
+
+
 def emit_config(config: ExperimentConfig) -> dict:
-    """JSON-shaped dict such that ``parse_config(emit_config(c)) == c``."""
-    plant: dict = {"kind": config.plant.kind}
-    if config.plant.a is not None:
-        plant["a"] = config.plant.a
-    if config.plant.gain is not None:
-        plant["gain"] = config.plant.gain
-    x0: dict = {"kind": config.x0.kind}
-    if config.x0.value is not None:
-        x0["value"] = list(config.x0.value)
-    return {
-        "plant": plant,
-        "env": {"q": config.env.q, "p": list(config.env.p), "capacity": config.env.capacity},
-        "controllers": list(config.controllers),
-        "d": config.d,
-        "d_sweep": list(config.d_sweep) if config.d_sweep is not None else None,
-        "horizon": config.horizon,
-        "trials": config.trials,
-        "seed": config.seed,
-        "noise": {"kind": config.noise.kind, "std": config.noise.std},
-        "x0": x0,
-        "out": config.out,
-        "rho_grid": {
-            "lo": config.rho_grid.lo,
-            "hi": config.rho_grid.hi,
-            "points": config.rho_grid.points,
-        },
-    }
+    """JSON-shaped dict such that ``parse_config(emit_config(c)) == c``.
+
+    Every field is emitted, unset ones (``d``, ``plant.a``, ``x0.value``, ...)
+    as null, and tuples as lists.
+    """
+    return asdict(config, dict_factory=_json_object)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -321,21 +301,7 @@ def build_plant(selector: PlantSelector, d: float) -> PlantSpec:
     """Instantiate the selected plant with trigger radius d."""
     if selector.kind == "saturated":
         return make_sat_plant(d)
-    try:
-        return make_scalar_plant(selector.a, selector.gain, d)
-    except ValueError as exc:
-        raise ConfigError(f"plant: {exc}") from exc
-
-
-def _initial_state(config: ExperimentConfig, plant: PlantSpec) -> np.ndarray | None:
-    if config.x0.kind == "gaussian":
-        return None
-    value = np.asarray(config.x0.value, dtype=float)
-    if value.shape != (plant.state_dim,):
-        raise ConfigError(
-            f"x0.value has {value.size} entries, plant state dimension is {plant.state_dim}"
-        )
-    return value
+    return make_scalar_plant(selector.a, selector.gain, d)
 
 
 def _require_out(config: ExperimentConfig) -> str:
@@ -356,10 +322,7 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     """Print gamma/omega at the plant's (alpha, rho); write boundary curves CSV."""
     out = _require_out(config)
     plant = build_plant(config.plant, config.d if config.d is not None else 0.0)
-    try:
-        result = analysis.analyze(plant, config.env)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = analysis.analyze(plant, config.env)
     print(f"gamma={_fmt(result.gamma)}")
     print(f"omega={_fmt(result.omega)}")
     print(f"alpha_star_baseline={_fmt(analysis.boundary_alpha_baseline(plant.rho, config.env.q, config.env.p[0]))}")
@@ -384,10 +347,7 @@ def cmd_delta(config: ExperimentConfig) -> int:
     """Analytic vs simulated return-time pmf; exit 3 when TV >= threshold."""
     out = _require_out(config)
     chain = analysis.build_lambda_chain(config.env)
-    try:
-        analytic = analysis.return_time_pmf_truncated(chain)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    analytic = analysis.return_time_pmf_truncated(chain)
     samples = config.trials if config.trials is not None else 1_000_000
     empirical = oracle.simulate_lambda_chain(config.env, samples, RngStream(config.seed, 0))
     tv = oracle.tv_distance(analytic, empirical)
@@ -425,10 +385,9 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     if len(config.controllers) != 1:
         raise ConfigError("simulate requires exactly one controller")
     plant = build_plant(config.plant, config.d)
-    x0 = _initial_state(config, plant)
     trace = run_trajectory(
         plant, config.env, config.noise, config.controllers[0],
-        config.horizon, RngStream(config.seed, 0), x0=x0,
+        config.horizon, RngStream(config.seed, 0), x0=config.x0.value,
     )
     write_trace_csv(trace, out)
     print(f"J={_fmt(empirical_cost(trace))}")
@@ -447,7 +406,6 @@ def _mc_worker(
     """Run trials [t0, t1) for every (d, controller) cell; arrays indexed by cell."""
     config, t0, t1 = args
     plants = [build_plant(config.plant, d) for d in config.d_sweep]
-    x0 = _initial_state(config, plants[0])
     n_d, n_c, n_t = len(plants), len(config.controllers), t1 - t0
     costs = np.empty((n_d, n_c, n_t))
     utils = np.empty((n_d, n_c, n_t))
@@ -458,7 +416,7 @@ def _mc_worker(
             for ci, controller in enumerate(config.controllers):
                 trace = run_trajectory(
                     plant, config.env, config.noise, controller,
-                    config.horizon, stream, x0=x0,
+                    config.horizon, stream, x0=config.x0.value,
                 )
                 costs[di, ci, ti] = empirical_cost(trace)
                 utils[di, ci, ti] = channel_utilization(trace)
@@ -503,8 +461,6 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 def cmd_montecarlo(config: ExperimentConfig, threads: int = 1) -> int:
     """Paired cost-vs-utilization sweep over trigger radii; one CSV row per cell."""
     out = _require_out(config)
-    if config.d_sweep is None:
-        raise ConfigError("montecarlo requires d_sweep")
     if set(config.controllers) != set(CONTROLLERS):
         raise ConfigError("montecarlo requires both controllers (baseline and anytime)")
     costs, utils, diverged = run_paired_cells(config, threads)
@@ -583,7 +539,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(config)
         return cmd_montecarlo(config, threads=args.threads)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and every library input check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import etac
 from etac.cli import (
     ConfigError,
     ExperimentConfig,
@@ -73,6 +75,34 @@ def montecarlo_config(out=None, trials=200, d_sweep=(0.0, 1.0, 1000.0)):
     }
 
 
+NAN = float("nan")
+SIMULATE = ["simulate"]
+POOL = ["montecarlo", "--threads", "2"]
+
+#: Inputs that must leave through main's single exit: code 2, a config error, no
+#: traceback.  The first nine break the number rule (json reads ``NaN``, and an
+#: int literal too large for a float); the last three are library checks, two
+#: of them raised in a pool worker.
+REJECTED_INPUTS = {
+    "x0-string-entry": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": ["a"]}}),
+    "x0-nested-list": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": [[1.0, 2.0]]}}),
+    "p-booleans": (SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [True, False], "capacity": 1}}),
+    "p-strings": (SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": ["0.5", "0.5"], "capacity": 1}}),
+    "d-nan": (SIMULATE, {**decay_config(), "d": NAN}),
+    "d-sweep-nan": (SIMULATE, {**decay_config(), "d_sweep": [0.0, NAN]}),
+    "noise-std-nan": (SIMULATE, {**decay_config(), "noise": {"kind": "gaussian-iid", "std": NAN}}),
+    "gain-nan": (SIMULATE, {**decay_config(), "plant": {"kind": "scalar", "a": 2.0, "gain": NAN}}),
+    "d-int-beyond-float": (SIMULATE, {**decay_config(), "d": 10**400}),
+    "x0-wrong-length": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": [1.0, 2.0]}}),
+    "unstable-plant-in-worker": (
+        POOL, {**montecarlo_config(trials=4), "plant": {"kind": "scalar", "a": 2.0, "gain": 0.5}}
+    ),
+    "x0-wrong-length-in-worker": (
+        POOL, {**montecarlo_config(trials=4), "x0": {"kind": "fixed", "value": [1.0]}}
+    ),
+}
+
+
 class TestConfigParsing:
     def test_round_trip(self):
         config = ExperimentConfig(
@@ -89,11 +119,19 @@ class TestConfigParsing:
             out="results.csv",
             rho_grid=RhoGrid(0.05, 0.9, 18),
         )
-        assert parse_config(emit_config(config)) == config
+        emitted = emit_config(config)
+        assert parse_config(emitted) == config
+        assert parse_config(json.loads(json.dumps(emitted, allow_nan=False))) == config
 
     def test_round_trip_defaults(self):
-        config = parse_config(boundary_config())
-        assert parse_config(emit_config(config)) == config
+        for data in (boundary_config(), decay_config()):
+            config = parse_config(data)
+            emitted = emit_config(config)
+            assert parse_config(emitted) == config
+            assert parse_config(json.loads(json.dumps(emitted, allow_nan=False))) == config
+        assert emit_config(parse_config(boundary_config()))["plant"] == {
+            "kind": "saturated", "a": None, "gain": None,
+        }
 
     def test_unknown_root_key(self):
         data = boundary_config()
@@ -169,6 +207,14 @@ class TestExitCodes:
         path = write_config(tmp_path, boundary_config())
         assert main(["analyze", "--config", path]) == 2
         assert "output path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, data", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
+    def test_rejected_input_leaves_through_config_error(self, tmp_path, capfd, command, data):
+        path = write_config(tmp_path, data)
+        assert main([*command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 2
+        err = capfd.readouterr().err  # fd-level, so worker processes' stderr is seen too
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
 
 class TestAnalyze:
@@ -411,10 +457,15 @@ class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
         out = str(tmp_path / "curves.csv")
         path = write_config(tmp_path, boundary_config(out=out))
+        # The child imports etac from where this process did, which may be only
+        # on sys.path (pytest's ``pythonpath`` setting), not on PYTHONPATH.
+        src = os.path.dirname(os.path.dirname(etac.__file__))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "etac", "analyze", "--config", path],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
         assert "gamma=" in proc.stdout
