@@ -10,7 +10,8 @@ Every config number, each entry of ``env.p``, ``d_sweep`` and ``x0.value``
 included, is a finite int or float and never a boolean.
 
 Exit codes: 0 success, 2 config error, 3 accuracy-threshold failure in
-``delta-dist``.  Exit 2 covers the parser's rejections and the library's input
+``delta-dist``.  Exit 2 covers the parser's rejections, an output path whose
+directory does not exist (refused before any work), and the library's input
 checks (a ``ValueError``), in this process or in a ``montecarlo`` worker.
 """
 
@@ -20,6 +21,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -305,8 +307,12 @@ def build_plant(selector: PlantSelector, d: float) -> PlantSpec:
 
 
 def _require_out(config: ExperimentConfig) -> str:
+    """The output path, refused before any work when it or its directory is missing."""
     if config.out is None:
         raise ConfigError("an output path is required (config 'out' or --out)")
+    directory = os.path.dirname(config.out) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory!r} does not exist")
     return config.out
 
 

@@ -10,6 +10,10 @@ explicit buffer matrix (:class:`BufferState`), and the scalar length recursion
 keeps its buffer as a plan plus an age instead.  Validation runs in the
 always-transmit regime (d = 0), where the length recursion is driven purely by
 the i.i.d. channel and processor draws.
+
+The return-time simulation is an integer kernel: per-step evaluation counts
+are int32, drawn by one comparison pass per pmf entry, and the length path is
+unrolled in int32 with in-place ufuncs; only the returned counts are int64.
 """
 
 from __future__ import annotations
@@ -106,13 +110,26 @@ def update_lambda(prev_lam: int, beta: int, n: int) -> int:
     return max(0, prev_lam - 1)
 
 
-def _draw_counts(env: StochasticEnv, m: int, gen: np.random.Generator) -> np.ndarray:
-    # Always-transmit regime: data goes out every step, arrives w.p. q, and a
-    # received step grants j evaluations w.p. p[j]; otherwise zero evaluations.
-    received = gen.random(m) < env.q
-    cum = np.cumsum(env.p)
-    draws = np.minimum(np.searchsorted(cum, gen.random(m), side="right"), env.capacity)
-    return np.where(received, draws, 0).astype(np.int64)
+def _draw_counts(env: StochasticEnv, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the int32 array ``out`` with one evaluation count per step, and return it.
+
+    Always-transmit regime: data goes out every step, arrives w.p. q, and a
+    received step grants j evaluations w.p. p[j]; otherwise zero evaluations.
+    The reception draws come first, then the processor draws.  The count is
+    the number of cumulative-pmf entries cum[0..L-1] at or below the uniform
+    draw, one pass per entry: for the nondecreasing ``cum`` this is
+    ``searchsorted(cum, u, side="right")`` clamped to the capacity L, the clamp
+    standing for the case cum[L] < 1 by rounding.
+    """
+    received = gen.random(out.size) < env.q
+    u = gen.random(out.size)
+    hit = np.empty(out.size, dtype=bool)
+    out[:] = 0
+    for c in np.cumsum(env.p)[:-1]:
+        np.greater_equal(u, c, out=hit)
+        out += hit
+    out *= received
+    return out
 
 
 def lambda_transition_matrix(env: StochasticEnv) -> np.ndarray:
@@ -141,14 +158,21 @@ def lambda_path_from_counts(n_seq: np.ndarray) -> np.ndarray:
 
     Vectorized unroll of the length recursion for steps without a silent
     trigger: a step with n >= 1 sets the length to n, afterwards it counts
-    down by one per step, floored at zero.
+    down by one per step, floored at zero.  Works in int32 and returns an
+    int32 array, so ``n_seq`` may hold at most 2**31 - 1 steps.
     """
-    n_seq = np.asarray(n_seq, dtype=np.int64)
-    pos = np.arange(1, n_seq.size + 1, dtype=np.int64)
-    refill = np.where(n_seq >= 1, pos, 0)
-    last = np.maximum.accumulate(refill)
-    filled = np.where(last > 0, n_seq[last - 1], 0)
-    return np.maximum(filled - (pos - last), 0)
+    n_seq = np.asarray(n_seq, dtype=np.int32)
+    if n_seq.size >= 2**31:
+        raise ValueError("n_seq is too long for int32 step positions")
+    pos = np.arange(n_seq.size, dtype=np.int32)
+    last = np.where(n_seq >= 1, pos, -1)
+    np.maximum.accumulate(last, out=last)  # position of the latest refill, -1 before the first
+    path = n_seq[last]
+    pos -= last  # steps since that refill
+    path -= pos
+    np.maximum(path, 0, out=path)
+    path[: last.searchsorted(np.int32(-1), side="right")] = 0  # no refill yet
+    return path
 
 
 def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalPmf:
@@ -175,8 +199,10 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
         else:
             mean_gap = steps_done / total
             block = min(int(1.25 * mean_gap * (n_returns - total)) + 4096, _MAX_BLOCK)
-        seq = np.concatenate(([prev_lam], _draw_counts(env, block, gen)))
-        path = lambda_path_from_counts(seq)[1:]  # drop the synthetic carry step
+        seq = np.empty(block + 1, dtype=np.int32)
+        seq[0] = prev_lam  # a synthetic step carrying the length across blocks
+        _draw_counts(env, gen, seq[1:])
+        path = lambda_path_from_counts(seq)[1:]
         steps_done += block
         zero_pos = np.nonzero(path == 0)[0] + 1
         if zero_pos.size == 0:
@@ -220,7 +246,7 @@ def empirical_transition_matrix(env: StochasticEnv, n_steps: int, rng) -> Transi
         )
     counts = np.zeros((cap, cap + 1), dtype=np.int64)
     for length in range(1, cap + 1):
-        n_seq = _draw_counts(env, per_row, gen)
+        n_seq = _draw_counts(env, gen, np.empty(per_row, dtype=np.int32))
         nxt = np.where(n_seq >= 1, n_seq, length - 1)
         counts[length - 1] = np.bincount(nxt, minlength=cap + 1)
     visits = counts.sum(axis=1)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -209,6 +210,101 @@ class TestReturnTimePmf:
             chain = build_lambda_chain(env)
             total = chain.return1 * (1.0 + dense_resolvent(env, 1.0))
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def fresh_pmf(chain, n):
+    """The renewal recursion run from scratch on every call, as before the chain kept its prefix."""
+    cap, r = chain.capacity, chain.return1
+    decay = r ** np.arange(cap)
+    refill = (decay * chain.tails)[::-1]
+    direct = (decay * chain.theta)[: n - 1]
+    s = np.zeros(cap + n - 1)
+    s[cap : cap + direct.size] = direct
+    for k in range(cap, cap + n - 1):
+        s[k] += refill @ s[k - cap : k]
+    return np.concatenate(([r], r * s[cap:]))
+
+
+@st.composite
+def chain_envs(draw):
+    """Envs with capacity 1..40, q anywhere in [0, 1] (0 and 1 included) and zero pmf entries."""
+    capacity = draw(st.integers(min_value=1, max_value=40))
+    q = draw(st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0, max_value=1.0))
+    weights = draw(
+        st.lists(st.sampled_from([0.0]) | st.floats(min_value=0.01, max_value=1.0),
+                 min_size=capacity + 1, max_size=capacity + 1)
+    )
+    if sum(weights) == 0.0:
+        weights[draw(st.integers(min_value=0, max_value=capacity))] = 1.0
+    total = math.fsum(weights)
+    return StochasticEnv(q=q, p=tuple(w / total for w in weights), capacity=capacity)
+
+
+PMF_CALLS = st.one_of(
+    st.tuples(st.just("pmf"), st.integers(min_value=1, max_value=600)),
+    st.tuples(st.just("truncated")),
+    st.tuples(st.just("series"), st.floats(min_value=0.95, max_value=3.0),
+              st.floats(min_value=0.0, max_value=0.95), st.sampled_from([None, 1, 500])),
+)
+
+
+def call_bytes(chain, call):
+    """The bytes one pmf-side call returns on ``chain``, or the truncated pmf's refusal.
+
+    A call is ("pmf", n), ("truncated",) or ("series", alpha, rho, j_max).
+    """
+    if call[0] == "pmf":
+        return _return_time_pmf(chain, call[1]).tobytes()
+    if call[0] == "series":
+        return np.array(anytime_contraction_series(chain, *call[1:])).tobytes()
+    try:
+        return return_time_pmf_truncated(chain).tobytes()
+    except ValueError as exc:  # never or too slowly returning chains
+        return str(exc)
+
+
+def assert_calls_match_fresh_runs(env, calls):
+    """Each call on one chain returns what it returns on a new chain with the from-scratch loop."""
+    chain = build_lambda_chain(env)
+    for call in calls:
+        with mock.patch("etac.analysis._return_time_pmf", fresh_pmf):
+            expected = call_bytes(build_lambda_chain(env), call)
+        assert call_bytes(chain, call) == expected
+
+
+class TestMemoisedRenewalPrefix:
+    # Small enough that slow-returning chains fail fast, and not a power of two,
+    # so the truncated pmf's last doubling is clamped.
+    MAX_TERMS = 3000
+
+    @given(env=chain_envs(), calls=st.lists(PMF_CALLS, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_prefix_is_a_pure_function_of_the_chain(self, env, calls):
+        with mock.patch("etac.analysis.PMF_MAX_TERMS", self.MAX_TERMS):
+            assert_calls_match_fresh_runs(env, calls)
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [("pmf", 500), ("pmf", 3)],
+            [("series", 1.2, 0.5, 500), ("truncated",)],
+            [("truncated",), ("series", 1.2, 0.5, 500)],
+        ],
+        ids=["long-then-short", "series-then-truncated", "truncated-then-series"],
+    )
+    def test_call_orders(self, calls):
+        for env in (WORKED_ENV, REFERENCE_ENV, StochasticEnv(q=1.0, p=(0.3, 0.0, 0.7), capacity=2)):
+            assert_calls_match_fresh_runs(env, calls)
+
+    def test_chains_from_one_env_share_no_state(self):
+        a, b = build_lambda_chain(REFERENCE_ENV), build_lambda_chain(REFERENCE_ENV)
+        untouched = b._s.copy()
+        anytime_contraction_series(a, 1.2, 0.5, 500)
+        return_time_pmf_truncated(a)
+        assert not np.shares_memory(a._s, b._s)
+        assert np.array_equal(b._s, untouched)
+        assert _return_time_pmf(b, 40).tobytes() == fresh_pmf(b, 40).tobytes()
+        assert "_s" not in repr(a)
 
 
 class TestOmega:

@@ -208,6 +208,36 @@ class TestExitCodes:
         assert main(["analyze", "--config", path]) == 2
         assert "output path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            (["analyze"], boundary_config()),
+            (["delta-dist"], {**boundary_config(), "trials": 1000}),
+            (SIMULATE, decay_config()),
+            (POOL, montecarlo_config(trials=4)),
+        ],
+        ids=["analyze", "delta-dist", "simulate", "montecarlo"],
+    )
+    def test_missing_out_directory_is_config_error_before_work(
+        self, tmp_path, capfd, monkeypatch, command, data
+    ):
+        def work_started(*args, **kwargs):
+            raise RuntimeError("work started before the output path was checked")
+
+        import etac.analysis
+        import etac.cli
+
+        for module, name in [(etac.cli, "build_plant"), (etac.cli, "run_trajectory"),
+                             (etac.cli, "run_paired_cells"), (etac.analysis, "build_lambda_chain")]:
+            monkeypatch.setattr(module, name, work_started)
+        out = tmp_path / "missing" / "out.csv"
+        assert main([*command, "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.startswith("config error: output directory")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("command, data", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
     def test_rejected_input_leaves_through_config_error(self, tmp_path, capfd, command, data):
         path = write_config(tmp_path, data)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from etac.analysis import build_lambda_chain, return_time_pmf_truncated
 from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
 from etac.oracle import (
     BufferState,
+    _draw_counts,
     empirical_transition_matrix,
     lambda_path_from_counts,
     lambda_transition_matrix,
@@ -58,6 +60,156 @@ class TestLambdaPath:
         for i, n in enumerate(counts):
             lam = update_lambda(lam, 1 if n >= 1 else 0, n)
             assert path[i] == lam
+
+
+def searchsorted_counts(env, received_u, u):
+    """Per-step evaluation counts by ``searchsorted``, as before the integer kernel."""
+    received = received_u < env.q
+    cum = np.cumsum(env.p)
+    draws = np.minimum(np.searchsorted(cum, u, side="right"), env.capacity)
+    return np.where(received, draws, 0).astype(np.int64)
+
+
+def int64_path(n_seq):
+    """The length-path unroll in int64 with 1-based positions, as before the integer kernel."""
+    n_seq = np.asarray(n_seq, dtype=np.int64)
+    pos = np.arange(1, n_seq.size + 1, dtype=np.int64)
+    refill = np.where(n_seq >= 1, pos, 0)
+    last = np.maximum.accumulate(refill)
+    filled = np.where(last > 0, n_seq[last - 1], 0)
+    return np.maximum(filled - (pos - last), 0)
+
+
+class FixedDraws:
+    """Stands in for a generator: ``random`` hands out the given arrays in order."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, m):
+        out = self.arrays.pop(0)
+        assert out.size == m
+        return out
+
+
+def crafted_uniforms(env):
+    """Uniforms on, just below and just above every cumulative-pmf entry, plus 0 and 1-."""
+    cum = np.cumsum(env.p)
+    u = np.concatenate((cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [0.0, np.nextafter(1.0, 0.0)]))
+    return np.clip(u, 0.0, np.nextafter(1.0, 0.0))
+
+
+class TestIntegerKernel:
+    ENVS = [
+        WORKED_ENV,
+        StochasticEnv(q=0.6, p=(0.1,) * 10, capacity=9),  # cum[-1] = 1 - 2**-53 by rounding
+        StochasticEnv(q=0.5, p=(0.0, 0.4, 0.0, 0.0, 0.6), capacity=4),  # repeated cum values
+        StochasticEnv(q=0.0, p=(0.2, 0.3, 0.5), capacity=2),
+        StochasticEnv(q=1.0, p=(0.3, 0.7), capacity=1),
+        StochasticEnv(q=1.0, p=(0.0, 0.0, 1.0), capacity=2),
+    ]
+
+    @pytest.mark.parametrize("env", ENVS, ids=["worked", "rounded", "repeated", "q0", "q1", "deterministic"])
+    def test_counts_equal_searchsorted_on_boundaries(self, env):
+        u = crafted_uniforms(env)
+        received_u = np.resize(np.array([0.0, 0.3, 0.75, np.nextafter(1.0, 0.0)]), u.size)
+        out = np.empty(u.size, dtype=np.int32)
+        got = _draw_counts(env, FixedDraws(received_u, u), out)
+        assert got is out
+        assert np.array_equal(got, searchsorted_counts(env, received_u, u))
+
+    def test_clamp_when_cum_ends_below_one(self):
+        env = self.ENVS[1]
+        assert np.cumsum(env.p)[-1] < 1.0
+        u = np.full(3, np.nextafter(1.0, 0.0))
+        got = _draw_counts(env, FixedDraws(np.zeros(3), u), np.empty(3, dtype=np.int32))
+        assert np.array_equal(got, [env.capacity] * 3)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), env_index=st.integers(0, len(ENVS) - 1),
+           m=st.integers(min_value=1, max_value=5000))
+    @settings(max_examples=100, deadline=None)
+    def test_counts_equal_searchsorted_on_a_stream(self, seed, env_index, m):
+        env = self.ENVS[env_index]
+        gen = np.random.default_rng(seed)
+        got = _draw_counts(env, np.random.default_rng(seed), np.empty(m, dtype=np.int32))
+        received_u = gen.random(m)
+        assert np.array_equal(got, searchsorted_counts(env, received_u, gen.random(m)))
+
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=300),
+           st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2000))
+    @settings(max_examples=200, deadline=None)
+    def test_path_equals_int64_formula(self, counts, leading_zeros, refill_free_run):
+        n_seq = np.array([0] * leading_zeros + counts + [0] * refill_free_run)
+        path = lambda_path_from_counts(n_seq)
+        assert path.dtype == np.int32
+        assert np.array_equal(path, int64_path(n_seq))
+
+    def test_path_edge_sequences(self):
+        for n_seq in ([0], [3], [0, 0, 0], [0, 0, 0, 4], [5, 0, 0, 0, 0, 0, 0, 0], [0, 0, 2] + [0] * 10_000, [1] * 7):
+            assert np.array_equal(lambda_path_from_counts(np.array(n_seq)), int64_path(np.array(n_seq)))
+
+
+#: (env, returns, stream seed) runs of ``simulate_lambda_chain`` and the SHA-256 of
+#: their counts, recorded before the integer kernel.  They cover one large block
+#: plus a short one (worked), six blocks (long gaps), whole blocks with no return
+#: (slow: the carry across blocks), cum[-1] < 1 by rounding, q = 0 and q = 1.
+SIMULATION_DIGESTS = [
+    (WORKED_ENV, 200_000, 70, "0b8f5e05007c207cc23c21af33e51c8fea11c9ee2146f39a81eab333e626db51"),
+    (StochasticEnv(q=0.9, p=(0.05, 0.05, 0.1, 0.1, 0.2, 0.2, 0.3), capacity=6), 100_000, 71,
+     "0d3bb5e4ed2a69ba888bf92567d1a4ad9e4900bea5108a779d58dff5b6105c72"),
+    (StochasticEnv(q=0.995, p=(0.01, 0.0, 0.99), capacity=2), 3, 72,
+     "861dc6eac9b2721cdc7f84c86995c8715403361bc8b9ac39460a790a069f72f6"),
+    (StochasticEnv(q=0.6, p=(0.1,) * 10, capacity=9), 50_000, 73,
+     "2b532e3a8ddbdee57a310479fe23a71d558f2e4d9fcdb994bf8c1744debcc982"),
+    (StochasticEnv(q=0.0, p=(0.2, 0.3, 0.5), capacity=2), 1000, 74,
+     "921ac7f259f864606624eb7fc29124712ff65b425e9500a35dd32b71ddb9332c"),
+    (StochasticEnv(q=1.0, p=(0.3, 0.7), capacity=1), 20_000, 75,
+     "33efce75861e4aca654c4ab03d2566390f2db6115142f9c9fab52868574a909f"),
+]
+
+#: (env, stream seed) runs of ``empirical_transition_matrix`` with 20000 draws per
+#: row, and the SHA-256 of their matrix and visits, recorded before the integer kernel.
+TRANSITION_DIGESTS = [
+    (WORKED_ENV, 80, "4deae5eb3de9646398d2ec3c4851801cc06d2fd432a1374806fffe59fc02d5bf",
+     "08b7a44a9cc191d2a66282cf3203094cd82db2454e5ade86b609b76097a4ca61"),
+    (StochasticEnv(q=0.6, p=(0.1,) * 10, capacity=9), 81,
+     "8b9cc252b0bb3d2152e6fde6471186d00bd8e9b1199c527ea3bd05a08e42b5db",
+     "f7c4d0e6e45a76aab1b953e52c5a2c2218429e4cd73e89ca22107778a78ce7cd"),
+    (StochasticEnv(q=1.0, p=(0.3, 0.7), capacity=1), 82,
+     "6242f2312fd42ea2e43eacdbc0658477b788152cc19de74bbe3ea60e8de99ceb",
+     "ae9475d31b535bec000c9bfc7abc79b6a07db9eea2dd0e5066adddfb349bb53b"),
+    (StochasticEnv(q=0.0, p=(0.2, 0.3, 0.5), capacity=2), 83,
+     "ee282b9a2a908de59370144927dbde8229713e5d8873d82b72a649cb2e6c621a",
+     "08b7a44a9cc191d2a66282cf3203094cd82db2454e5ade86b609b76097a4ca61"),
+]
+
+
+def sha256(array, dtype):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("env, returns, seed, digest", SIMULATION_DIGESTS,
+                             ids=["worked", "long", "slow", "rounded", "q0", "q1"])
+    def test_simulation_counts(self, env, returns, seed, digest):
+        pmf = simulate_lambda_chain(env, returns, RngStream(seed, 0))
+        assert pmf.counts.dtype == np.int64
+        assert pmf.total == returns
+        assert sha256(pmf.counts, "<i8") == digest
+
+    def test_simulation_counts_with_tiny_blocks(self, monkeypatch):
+        import etac.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_MAX_BLOCK", 17)
+        pmf = simulate_lambda_chain(WORKED_ENV, 3000, RngStream(66, 0))
+        assert sha256(pmf.counts, "<i8") == "12ded44d639123b4ae6db36c65c7a022dbe03c16661e481319eb4c04f899660c"
+
+    @pytest.mark.parametrize("env, seed, matrix_digest, visits_digest", TRANSITION_DIGESTS,
+                             ids=["worked", "rounded", "q1", "q0"])
+    def test_transition_estimate(self, env, seed, matrix_digest, visits_digest):
+        est = empirical_transition_matrix(env, 20_000 * env.capacity, RngStream(seed, 0))
+        assert sha256(est.matrix, "<f8") == matrix_digest
+        assert sha256(est.visits, "<i8") == visits_digest
 
 
 class TestSimulateLambdaChain:
