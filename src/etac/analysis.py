@@ -22,11 +22,10 @@ renewal recursion (split on the first refill, O(L) per term)
 
     Pr{j} = r s_{j-2},  s_k = r**k theta_{k+1} + sum_{m<min(k,L)} r**m T_m s_{k-1-m},
 
-with T_m = sum_{l>m} theta_l.  Each :class:`LambdaChain` keeps the s_k it has
-computed and extends them on demand, so the recursion runs once per chain
-however many pmf lengths, series and truncations are asked of it; s_k does not
-depend on the requested length, so every prefix is bitwise what a fresh run
-gives.  Summing the geometric series and applying
+with T_m = sum_{l>m} theta_l.  Each :class:`LambdaChain` keeps the longest pmf
+computed for it and serves shorter requests from it; s_k does not depend on
+the requested length, so a prefix is bitwise what a shorter run gives.
+Summing the geometric series and applying
 Sherman-Morrison to the rank-1 term of G gives
 
     omega = alpha r (1 + rho theta^T (I - rho G)^{-1} e1) = alpha r (1 + rho N / (1 - rho D)),
@@ -77,22 +76,18 @@ class LambdaChain:
     transition matrix among lengths 1..L is G = 1 theta^T + return1 * S (S the
     down-shift); the closed forms use this structure and never form G.
 
-    The chain also keeps the prefix of the renewal sequence s_k it has
-    computed so far (see the module docstring), and extends it on demand, so
-    the return-time pmf is computed once per chain whatever lengths are asked
-    for.  s_k depends only on theta, return1 and s_0..s_{k-1}, never on how
-    many terms are requested, so every prefix is bitwise what a fresh run of
-    the recursion gives.  The prefix is private state of this object: two
+    The chain also keeps the longest return-time pmf computed for it, and
+    the recursion reruns only for a longer request, so repeated series and
+    truncations of one chain cost one run.  The renewal terms s_k (see the
+    module docstring) depend only on theta, return1 and s_0..s_{k-1}, never on
+    how many terms are requested, so a prefix of the kept pmf is bitwise what
+    a shorter run gives.  The kept pmf is private state of this object: two
     chains built from one environment share nothing.
     """
 
     theta: np.ndarray
     return1: float
-    # L zeros standing for s_k, k < 0, then s_0, s_1, ...; grown by _renewal.
-    _s: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_s", np.zeros(self.theta.size))
+    _pmf: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
 
     @property
     def capacity(self) -> int:
@@ -102,22 +97,6 @@ class LambdaChain:
     def tails(self) -> np.ndarray:
         """T_m = sum_{l > m} theta_l for m = 0..L-1."""
         return np.cumsum(self.theta[::-1])[::-1]
-
-    def _renewal(self, count: int) -> np.ndarray:
-        """s_0..s_{count-1}, extending the kept prefix when it is shorter."""
-        cap, r = self.capacity, self.return1
-        done = self._s.size - cap
-        if count > done:
-            decay = r ** np.arange(cap)
-            refill = (decay * self.tails)[::-1]  # r**m T_m for m = L-1 down to 0
-            direct = decay * self.theta  # r**k theta_{k+1}: length 1 reached without a refill
-            s = np.zeros(cap + count)
-            s[: self._s.size] = self._s
-            s[cap + done : cap + min(cap, count)] = direct[done:count]
-            for k in range(cap + done, cap + count):
-                s[k] += refill @ s[k - cap : k]
-            object.__setattr__(self, "_s", s)
-        return self._s[cap : cap + count]
 
 
 class SeriesResult(NamedTuple):
@@ -152,8 +131,21 @@ def build_lambda_chain(env: StochasticEnv) -> LambdaChain:
 
 
 def _return_time_pmf(chain: LambdaChain, n: int) -> np.ndarray:
-    """Pr{return time = j} for j = 1..n, by the chain's memoised renewal recursion."""
-    return np.concatenate(([chain.return1], chain.return1 * chain._renewal(n - 1)))
+    """Pr{return time = j} for j = 1..n, by the renewal recursion.
+
+    A request no longer than the chain's kept pmf is a copy of its prefix.
+    """
+    if chain._pmf.size < n:
+        cap, r = chain.capacity, chain.return1
+        decay = r ** np.arange(cap)
+        refill = (decay * chain.tails)[::-1]  # r**m T_m for m = L-1 down to 0
+        direct = (decay * chain.theta)[: n - 1]  # r**k theta_{k+1}: length 1 reached without a refill
+        s = np.zeros(cap + n - 1)  # s_k sits at index L + k, after L zeros standing for k < 0
+        s[cap : cap + direct.size] = direct
+        for k in range(cap, cap + n - 1):
+            s[k] += refill @ s[k - cap : k]
+        object.__setattr__(chain, "_pmf", np.concatenate(([r], r * s[cap:])))
+    return chain._pmf[:n].copy()
 
 
 def return_time_pmf_truncated(chain: LambdaChain) -> np.ndarray:

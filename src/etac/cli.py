@@ -307,7 +307,7 @@ def build_plant(selector: PlantSelector, d: float) -> PlantSpec:
 
 
 def _require_out(config: ExperimentConfig) -> str:
-    """The output path, refused before any work when it or its directory is missing."""
+    """The output path, refused before any work when its directory does not exist."""
     if config.out is None:
         raise ConfigError("an output path is required (config 'out' or --out)")
     directory = os.path.dirname(config.out) or "."

@@ -12,8 +12,8 @@ always-transmit regime (d = 0), where the length recursion is driven purely by
 the i.i.d. channel and processor draws.
 
 The return-time simulation is an integer kernel: per-step evaluation counts
-are int32, drawn by one comparison pass per pmf entry, and the length path is
-unrolled in int32 with in-place ufuncs; only the returned counts are int64.
+are drawn straight into an int32 buffer, and the length path is unrolled in
+int32 with in-place ufuncs; only the returned counts are int64.
 """
 
 from __future__ import annotations
@@ -116,18 +116,12 @@ def _draw_counts(env: StochasticEnv, gen: np.random.Generator, out: np.ndarray) 
     Always-transmit regime: data goes out every step, arrives w.p. q, and a
     received step grants j evaluations w.p. p[j]; otherwise zero evaluations.
     The reception draws come first, then the processor draws.  The count is
-    the number of cumulative-pmf entries cum[0..L-1] at or below the uniform
-    draw, one pass per entry: for the nondecreasing ``cum`` this is
-    ``searchsorted(cum, u, side="right")`` clamped to the capacity L, the clamp
-    standing for the case cum[L] < 1 by rounding.
+    ``searchsorted(cum, u, side="right")`` on the cumulative pmf, clamped to
+    the capacity L for the case cum[L] < 1 by rounding.
     """
     received = gen.random(out.size) < env.q
-    u = gen.random(out.size)
-    hit = np.empty(out.size, dtype=bool)
-    out[:] = 0
-    for c in np.cumsum(env.p)[:-1]:
-        np.greater_equal(u, c, out=hit)
-        out += hit
+    cum = np.cumsum(env.p)
+    np.minimum(np.searchsorted(cum, gen.random(out.size), side="right"), env.capacity, out=out)
     out *= received
     return out
 

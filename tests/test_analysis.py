@@ -213,7 +213,7 @@ class TestReturnTimePmf:
 
 
 def fresh_pmf(chain, n):
-    """The renewal recursion run from scratch on every call, as before the chain kept its prefix."""
+    """The renewal recursion run from scratch on every call, as before the chain kept its pmf."""
     cap, r = chain.capacity, chain.return1
     decay = r ** np.arange(cap)
     refill = (decay * chain.tails)[::-1]
@@ -272,14 +272,14 @@ def assert_calls_match_fresh_runs(env, calls):
         assert call_bytes(chain, call) == expected
 
 
-class TestMemoisedRenewalPrefix:
+class TestMemoisedPmf:
     # Small enough that slow-returning chains fail fast, and not a power of two,
     # so the truncated pmf's last doubling is clamped.
     MAX_TERMS = 3000
 
     @given(env=chain_envs(), calls=st.lists(PMF_CALLS, min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
-    def test_prefix_is_a_pure_function_of_the_chain(self, env, calls):
+    def test_pmf_is_a_pure_function_of_the_chain(self, env, calls):
         with mock.patch("etac.analysis.PMF_MAX_TERMS", self.MAX_TERMS):
             assert_calls_match_fresh_runs(env, calls)
 
@@ -298,13 +298,18 @@ class TestMemoisedRenewalPrefix:
 
     def test_chains_from_one_env_share_no_state(self):
         a, b = build_lambda_chain(REFERENCE_ENV), build_lambda_chain(REFERENCE_ENV)
-        untouched = b._s.copy()
         anytime_contraction_series(a, 1.2, 0.5, 500)
         return_time_pmf_truncated(a)
-        assert not np.shares_memory(a._s, b._s)
-        assert np.array_equal(b._s, untouched)
+        assert b._pmf.size == 0
         assert _return_time_pmf(b, 40).tobytes() == fresh_pmf(b, 40).tobytes()
-        assert "_s" not in repr(a)
+        assert not np.shares_memory(a._pmf, b._pmf)
+        assert "_pmf" not in repr(a)
+
+    def test_a_returned_pmf_is_the_callers_own(self):
+        chain = build_lambda_chain(REFERENCE_ENV)
+        _return_time_pmf(chain, 100)[:] = 0.0
+        return_time_pmf_truncated(chain)[:] = 0.0
+        assert _return_time_pmf(chain, 100).tobytes() == fresh_pmf(chain, 100).tobytes()
 
 
 class TestOmega:
