@@ -29,7 +29,6 @@ from .domain import (
     StochasticEnv,
     make_sat_plant,
     make_scalar_plant,
-    require_valid_env,
     sat,
     validate_env,
 )

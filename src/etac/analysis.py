@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .domain import PlantSpec, StochasticEnv, require_valid_env
+from .domain import PlantSpec, StochasticEnv
 
 __all__ = [
     "AnalysisResult",
@@ -124,7 +124,6 @@ def _require_rho(rho) -> None:
 
 def build_lambda_chain(env: StochasticEnv) -> LambdaChain:
     """Jump distribution and countdown probability of the buffer-length chain."""
-    require_valid_env(env)
     q = env.q
     p = np.asarray(env.p, dtype=float)
     return LambdaChain(theta=q * p[1:], return1=1.0 - q + p[0] * q)
@@ -199,9 +198,12 @@ def default_series_length(alpha: float, rho: float) -> int:
     """Smallest truncation with rigorous tail bound below 1e-12.
 
     Uses the coarse cap alpha * rho**J / (1 - rho) valid because the pmf mass
-    never exceeds 1 (all row sums of G are <= 1).
+    never exceeds 1 (all row sums of G are <= 1).  At alpha = 0 or rho = 0
+    every term after the first vanishes, so one term suffices.
     """
-    if rho == 0.0:
+    if alpha < 0.0:
+        raise ValueError(f"alpha={alpha} must be nonnegative")
+    if alpha == 0.0 or rho == 0.0:
         return 1
     j = math.log(1e-12 * (1.0 - rho) / alpha) / math.log(rho)
     return max(1, math.ceil(j))

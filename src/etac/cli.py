@@ -6,13 +6,17 @@ trajectory to CSV), ``montecarlo`` (cost/utilization sweep over trigger radii
 with paired draws for the two controllers).  Experiments are described by a
 single strict JSON document so a recorded config reproduces a run exactly.
 
-Every config number, each entry of ``env.p``, ``d_sweep`` and ``x0.value``
-included, is a finite int or float and never a boolean.
+Each config type checks its own invariants when it is built, so a config
+built in Python or by ``dataclasses.replace`` gets the same checks as one read
+from JSON; :func:`parse_config` only decodes, taking each field's rule from its
+type.  Every config number, each entry of ``env.p``, ``d_sweep`` and
+``x0.value`` included, is a finite int or float and never a boolean.
 
 Exit codes: 0 success, 2 config error, 3 accuracy-threshold failure in
-``delta-dist``.  Exit 2 covers the parser's rejections, an output path whose
-directory does not exist (refused before any work), and the library's input
-checks (a ``ValueError``), in this process or in a ``montecarlo`` worker.
+``delta-dist``.  Exit 2 covers what the decoder and the types refuse, a
+``--threads`` below 1, an output path whose directory does not exist (refused
+before any work), and the library's input checks (a ``ValueError``), in this
+process or in a ``montecarlo`` worker.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
+from types import NoneType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import analysis, oracle
-from .domain import NoiseSpec, PlantSpec, StochasticEnv, make_sat_plant, make_scalar_plant, validate_env
+from .domain import NoiseSpec, PlantSpec, StochasticEnv, make_sat_plant, make_scalar_plant
 from .runtime import RngStream, channel_utilization, empirical_cost, run_trajectory, write_trace_csv
 
 __all__ = [
@@ -68,11 +74,26 @@ class PlantSelector:
     a: float | None = None
     gain: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("saturated", "scalar"):
+            raise ValueError(f"kind must be 'saturated' or 'scalar', got {self.kind!r}")
+        if self.kind == "scalar":
+            if self.a is None or self.gain is None:
+                raise ValueError("the scalar plant requires plant.a and plant.gain")
+        elif self.a is not None or self.gain is not None:
+            raise ValueError("plant.a and plant.gain only apply to the scalar plant")
+
 
 @dataclass(frozen=True)
 class InitSpec:
     kind: str = "gaussian"  # standard normal draw, or "fixed" with a value
     value: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("gaussian", "fixed"):
+            raise ValueError(f"kind must be 'gaussian' or 'fixed', got {self.kind!r}")
+        if (self.kind == "fixed") != (self.value is not None):
+            raise ValueError("value is required for kind 'fixed' and only applies to it")
 
 
 @dataclass(frozen=True)
@@ -80,6 +101,12 @@ class RhoGrid:
     lo: float = 0.01
     hi: float = 0.99
     points: int = 181
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.lo <= self.hi < 1.0:
+            raise ValueError(f"0 <= lo <= hi < 1 must hold, got lo={self.lo}, hi={self.hi}")
+        if self.points < 2:
+            raise ValueError(f"points must be >= 2, got {self.points}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)
@@ -100,14 +127,25 @@ class ExperimentConfig:
     out: str | None = None
     rho_grid: RhoGrid = RhoGrid()
 
-
-def _check_object(data, spec: type, where: str) -> None:
-    """Refuse anything but a JSON object whose keys are fields of ``spec``."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = sorted(set(data) - {f.name for f in fields(spec)})
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}")
+    def __post_init__(self) -> None:
+        for name in self.controllers:
+            if name not in CONTROLLERS:
+                raise ValueError(f"unknown controller {name!r}")
+        if not self.controllers or len(set(self.controllers)) != len(self.controllers):
+            raise ValueError("controllers must be nonempty and must not repeat")
+        if self.d is not None and self.d < 0.0:
+            raise ValueError("d must be nonnegative")
+        if self.d_sweep is not None:
+            if not self.d_sweep or any(v < 0.0 for v in self.d_sweep):
+                raise ValueError("d_sweep must be nonempty and its values nonnegative")
+            if any(b <= a for a, b in zip(self.d_sweep, self.d_sweep[1:])):
+                raise ValueError("d_sweep values must be strictly increasing")
+        if self.horizon < 1:
+            raise ValueError("horizon must be >= 1")
+        if self.trials is not None and self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
 
 
 def _as_number(value, where: str, integer: bool = False) -> float | int:
@@ -125,153 +163,63 @@ def _as_number(value, where: str, integer: bool = False) -> float | int:
     return value if integer else float(value)
 
 
-def _number(mapping: dict, key: str, where: str, default=None) -> float | None:
-    if mapping.get(key) is None:
-        return default
-    return _as_number(mapping[key], f"{where}.{key}")
+#: Fields of these types refuse null instead of defaulting: a string must be one.
+_TEXT = (str, tuple[str, ...])
 
 
-def _integer(mapping: dict, key: str, where: str, default=None) -> int | None:
-    if mapping.get(key) is None:
-        return default
-    return _as_number(mapping[key], f"{where}.{key}", integer=True)
+def _decode_value(kind, value, where: str):
+    """One JSON value under the rule of its field type ``kind``."""
+    if NoneType in get_args(kind):  # ``X | None``: null never reaches here
+        kind = get_args(kind)[0]
+    if is_dataclass(kind):
+        return _decode(kind, value, where)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{where} must be a nonempty list")
+        item = get_args(kind)[0]
+        return tuple(_decode_value(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    return _as_number(value, where, integer=kind is int)
 
 
-def _numbers(mapping: dict, key: str, where: str) -> tuple[float, ...] | None:
-    """A nonempty list of numbers, each entry under :func:`_as_number`'s rule."""
-    values = mapping.get(key)
-    if values is None:
-        return None
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"{where}.{key} must be a nonempty list of numbers")
-    return tuple(_as_number(v, f"{where}.{key}[{i}]") for i, v in enumerate(values))
+def _decode(spec: type, data, where: str):
+    """Build the dataclass ``spec`` from a JSON object whose keys are its fields.
 
-
-def _parse_plant(data: dict) -> PlantSelector:
-    _check_object(data, PlantSelector, "plant")
-    kind = data.get("kind")
-    if kind not in ("saturated", "scalar"):
-        raise ConfigError(f"plant.kind must be 'saturated' or 'scalar', got {kind!r}")
-    a = _number(data, "a", "plant")
-    gain = _number(data, "gain", "plant")
-    if kind == "scalar":
-        if a is None or gain is None:
-            raise ConfigError("plant.a and plant.gain are required for the scalar plant")
-    elif a is not None or gain is not None:
-        raise ConfigError("plant.a/plant.gain only apply to the scalar plant")
-    return PlantSelector(kind=kind, a=a, gain=gain)
-
-
-def _parse_env(data: dict) -> StochasticEnv:
-    _check_object(data, StochasticEnv, "env")
-    q = _number(data, "q", "env")
-    capacity = _integer(data, "capacity", "env")
-    p = _numbers(data, "p", "env")
-    if q is None or capacity is None or p is None:
-        raise ConfigError("env requires q (number), p (list) and capacity (integer)")
-    env = StochasticEnv(q=q, p=p, capacity=capacity)
-    errors = validate_env(env)
-    if errors:
-        raise ConfigError("env: " + "; ".join(errors))
-    return env
-
-
-def _parse_noise(data: dict | None) -> NoiseSpec:
-    if data is None:
-        return NoiseSpec()
-    _check_object(data, NoiseSpec, "noise")
-    kind = data.get("kind", "none")
-    std = _number(data, "std", "noise", default=0.0)
+    Each field takes the rule of its type: numbers :func:`_as_number`, strings
+    a string, ``tuple[X, ...]`` a nonempty list under X's rule, a dataclass a
+    nested object.  An absent or null field takes its default (except a null
+    string, see :data:`_TEXT`), and a field without one is required.  The
+    constructor checks the invariants; its ValueError becomes a ConfigError
+    naming the section.
+    """
+    section = where or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section} must be an object")
+    unknown = sorted(set(data) - {f.name for f in fields(spec)})
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {section}")
+    types = get_type_hints(spec)
+    kwargs = {}
+    for f in fields(spec):
+        path = f"{where}.{f.name}" if where else f.name
+        value = data.get(f.name)
+        if value is None and not (f.name in data and types[f.name] in _TEXT):
+            if f.default is MISSING:
+                raise ConfigError(f"{path} is required")
+            continue
+        kwargs[f.name] = _decode_value(types[f.name], value, path)
     try:
-        return NoiseSpec(kind=kind, std=std)
+        return spec(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-
-
-def _parse_x0(data: dict | None) -> InitSpec:
-    if data is None:
-        return InitSpec()
-    _check_object(data, InitSpec, "x0")
-    kind = data.get("kind", "gaussian")
-    if kind not in ("gaussian", "fixed"):
-        raise ConfigError(f"x0.kind must be 'gaussian' or 'fixed', got {kind!r}")
-    value = _numbers(data, "value", "x0")
-    if kind == "fixed" and value is None:
-        raise ConfigError("x0.value (nonempty list) is required for kind 'fixed'")
-    if kind == "gaussian" and value is not None:
-        raise ConfigError("x0.value only applies to kind 'fixed'")
-    return InitSpec(kind=kind, value=value)
-
-
-def _parse_rho_grid(data: dict | None) -> RhoGrid:
-    if data is None:
-        return RhoGrid()
-    _check_object(data, RhoGrid, "rho_grid")
-    grid = RhoGrid(
-        lo=_number(data, "lo", "rho_grid", default=RhoGrid.lo),
-        hi=_number(data, "hi", "rho_grid", default=RhoGrid.hi),
-        points=_integer(data, "points", "rho_grid", default=RhoGrid.points),
-    )
-    if not (0.0 <= grid.lo <= grid.hi < 1.0):
-        raise ConfigError(f"rho_grid must satisfy 0 <= lo <= hi < 1, got {grid}")
-    if grid.points < 2:
-        raise ConfigError("rho_grid.points must be >= 2")
-    return grid
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Build a validated config from a JSON-shaped dict; unknown keys are errors."""
-    _check_object(data, ExperimentConfig, "config")
-    if "plant" not in data or "env" not in data:
-        raise ConfigError("config requires 'plant' and 'env'")
-
-    controllers_raw = data.get("controllers", list(CONTROLLERS))
-    if not isinstance(controllers_raw, list) or not controllers_raw:
-        raise ConfigError("controllers must be a nonempty list")
-    for name in controllers_raw:
-        if name not in CONTROLLERS:
-            raise ConfigError(f"unknown controller {name!r}")
-    if len(set(controllers_raw)) != len(controllers_raw):
-        raise ConfigError("controllers must not repeat")
-
-    d = _number(data, "d", "config")
-    if d is not None and d < 0.0:
-        raise ConfigError("d must be nonnegative")
-    d_sweep = _numbers(data, "d_sweep", "config")
-    if d_sweep is not None:
-        if any(v < 0.0 for v in d_sweep):
-            raise ConfigError("d_sweep values must be nonnegative")
-        if any(b <= a for a, b in zip(d_sweep, d_sweep[1:])):
-            raise ConfigError("d_sweep values must be strictly increasing")
-
-    horizon = _integer(data, "horizon", "config", default=50)
-    trials = _integer(data, "trials", "config")
-    seed = _integer(data, "seed", "config", default=0)
-    if horizon < 1:
-        raise ConfigError("horizon must be >= 1")
-    if trials is not None and trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out must be a string path")
-
-    return ExperimentConfig(
-        plant=_parse_plant(data["plant"]),
-        env=_parse_env(data["env"]),
-        controllers=tuple(controllers_raw),
-        d=d,
-        d_sweep=d_sweep,
-        horizon=horizon,
-        trials=trials,
-        seed=seed,
-        noise=_parse_noise(data.get("noise")),
-        x0=_parse_x0(data.get("x0")),
-        out=out,
-        rho_grid=_parse_rho_grid(data.get("rho_grid")),
-    )
+    return _decode(ExperimentConfig, data, "")
 
 
 def _json_object(items: list[tuple[str, object]]) -> dict:
@@ -527,17 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be nonnegative")
-            config = replace(config, seed=args.seed)
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError("--trials must be >= 1")
-            config = replace(config, trials=args.trials)
-        if args.out is not None:
-            config = replace(config, out=args.out)
+        overrides = {"seed": args.seed, "trials": args.trials, "out": args.out}
+        config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         if args.command == "analyze":
             return cmd_analyze(config)
         if args.command == "delta-dist":

@@ -7,7 +7,9 @@ the controller's processor grants a random number of control-law evaluations
 per step, distributed according to the pmf p = (p_0, ..., p_Lambda).  The
 actuator buffer has no type here: the simulator keeps it as the plan of
 inputs computed at the last refill plus the steps since (``runtime``), and
-only the oracle models it as a matrix.
+only the oracle models it as a matrix.  :class:`StochasticEnv` and
+:class:`NoiseSpec` check their invariants when built, so one that exists is
+valid and the functions that take one do not check it again.
 
 Dynamics, control laws and Lyapunov functions are plain callables; the
 certified contraction/growth factors are floats whose inequalities are checked
@@ -38,7 +40,6 @@ __all__ = [
     "StochasticEnv",
     "make_sat_plant",
     "make_scalar_plant",
-    "require_valid_env",
     "sat",
     "validate_env",
 ]
@@ -80,11 +81,17 @@ class StochasticEnv:
     ``p[j]`` is the probability that the processor completes exactly j
     control-law evaluations in a step that received fresh data; ``capacity``
     is the actuator-buffer size, so ``p`` must have ``capacity + 1`` entries.
+    Construction refuses an environment that :func:`validate_env` faults.
     """
 
     q: float
     p: tuple[float, ...]
     capacity: int
+
+    def __post_init__(self) -> None:
+        errors = validate_env(self)
+        if errors:
+            raise ValueError("; ".join(errors))
 
 
 @dataclass(eq=False, slots=True)
@@ -138,17 +145,11 @@ def validate_env(env: StochasticEnv) -> list[str]:
         # Closed interval: degenerate pmfs (a deterministic processor) are legal.
         if not 0.0 <= pj <= 1.0:
             errors.append(f"p[{j}]={pj} outside [0, 1]")
-    total = math.fsum(env.p)
-    if abs(total - 1.0) > 1e-12:
-        errors.append(f"pmf sums to {total}, expected 1")
+    if all(0.0 <= pj <= 1.0 for pj in env.p):  # fsum can overflow on entries refused above
+        total = math.fsum(env.p)
+        if abs(total - 1.0) > 1e-12:
+            errors.append(f"pmf sums to {total}, expected 1")
     return errors
-
-
-def require_valid_env(env: StochasticEnv) -> None:
-    """Raise ValueError listing every violation :func:`validate_env` finds."""
-    errors = validate_env(env)
-    if errors:
-        raise ValueError("invalid environment: " + "; ".join(errors))
 
 
 def sat(mu: float) -> float:

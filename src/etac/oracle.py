@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PlantSpec, StochasticEnv, require_valid_env
+from .domain import PlantSpec, StochasticEnv
 
 __all__ = [
     "BufferState",
@@ -135,7 +135,6 @@ def lambda_transition_matrix(env: StochasticEnv) -> np.ndarray:
     no-data and no-processor mass.  The escape from length 1 to 0 has no
     column.  The tests check the analysis' closed forms against this matrix.
     """
-    require_valid_env(env)
     q = env.q
     p = np.asarray(env.p, dtype=float)
     cap = env.capacity
@@ -176,7 +175,6 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
     draws (no plant involved, always-transmit regime) and collects the gaps
     between successive zeros of the path until ``n_returns`` returns are seen.
     """
-    require_valid_env(env)
     if n_returns < 1:
         raise ValueError("n_returns must be >= 1")
     if 1.0 - env.q + env.p[0] * env.q == 0.0:
@@ -227,7 +225,6 @@ def empirical_transition_matrix(env: StochasticEnv, n_steps: int, rng) -> Transi
     Splits the sample budget evenly over the source lengths 1..capacity and
     draws one-step transitions from each directly.
     """
-    require_valid_env(env)
     gen = rng.generator()
     cap = env.capacity
     per_row = n_steps // cap

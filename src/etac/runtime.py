@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import NoiseSpec, PlantSpec, StepRecord, StochasticEnv, require_valid_env
+from .domain import NoiseSpec, PlantSpec, StepRecord, StochasticEnv
 
 __all__ = [
     "DIVERGENCE_NORM",
@@ -117,7 +117,6 @@ def run_trajectory(
     length ``len(plan) - age`` floored at 0 for the anytime controller, and 0
     for the baseline, which buffers nothing.
     """
-    require_valid_env(env)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if controller not in ("baseline", "anytime"):

@@ -328,6 +328,13 @@ class TestOmega:
         series = anytime_contraction_series(chain, 1.2, 0.5, 200)
         assert series.value == pytest.approx(anytime_contraction(chain, 1.2, 0.5), abs=1e-9)
         assert series.value == pytest.approx(0.5887, abs=1e-4)
+        for rho in (0.0, 0.5, 0.99):
+            series = anytime_contraction_series(chain, 0.0, rho)
+            assert series.value == anytime_contraction(chain, 0.0, rho) == 0.0
+            assert series.tail_bound == 0.0
+        assert default_series_length(0.0, 0.5) == 1
+        with pytest.raises(ValueError, match=r"alpha=-0\.1"):
+            anytime_contraction_series(chain, -0.1, 0.5)
 
     def test_single_term_is_lower_bound(self):
         chain = build_lambda_chain(WORKED_ENV)

@@ -3,9 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import etac
 from etac.cli import (
@@ -81,8 +83,9 @@ POOL = ["montecarlo", "--threads", "2"]
 
 #: Inputs that must leave through main's single exit: code 2, a config error, no
 #: traceback.  The first nine break the number rule (json reads ``NaN``, and an
-#: int literal too large for a float); the last three are library checks, two
-#: of them raised in a pool worker.
+#: int literal too large for a float); the next three are library checks, two
+#: of them raised in a pool worker; then three command-line overrides out of
+#: range, and pmf entries whose sum overflows a float.
 REJECTED_INPUTS = {
     "x0-string-entry": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": ["a"]}}),
     "x0-nested-list": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": [[1.0, 2.0]]}}),
@@ -100,7 +103,75 @@ REJECTED_INPUTS = {
     "x0-wrong-length-in-worker": (
         POOL, {**montecarlo_config(trials=4), "x0": {"kind": "fixed", "value": [1.0]}}
     ),
+    "seed-override-negative": ([*SIMULATE, "--seed", "-1"], decay_config()),
+    "trials-override-zero": ([*SIMULATE, "--trials", "0"], decay_config()),
+    "threads-zero": (["montecarlo", "--threads", "0"], montecarlo_config(trials=4)),
+    "p-sum-overflows": (SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [1e308, 1e308], "capacity": 1}}),
 }
+
+VALID_CONFIG = ExperimentConfig(
+    plant=PlantSelector("saturated"), env=StochasticEnv(q=0.5, p=(0.5, 0.5), capacity=1)
+)
+
+#: (a valid value, a change that makes it invalid, a fragment of the message).
+INVALID_CHANGES = {
+    "horizon-zero": (VALID_CONFIG, {"horizon": 0}, "horizon"),
+    "seed-negative": (VALID_CONFIG, {"seed": -1}, "seed"),
+    "trials-zero": (VALID_CONFIG, {"trials": 0}, "trials"),
+    "controller-repeated": (VALID_CONFIG, {"controllers": ("anytime", "anytime")}, "repeat"),
+    "controller-unknown": (VALID_CONFIG, {"controllers": ("mpc",)}, "mpc"),
+    "d-negative": (VALID_CONFIG, {"d": -1.0}, "nonnegative"),
+    "d-sweep-decreasing": (VALID_CONFIG, {"d_sweep": (2.0, 1.0)}, "increasing"),
+    "d-sweep-empty": (VALID_CONFIG, {"d_sweep": ()}, "nonempty"),
+    "controllers-empty": (VALID_CONFIG, {"controllers": ()}, "nonempty"),
+    "rho-grid-lo-above-hi": (RhoGrid(), {"lo": 0.5, "hi": 0.2, "points": 10}, "lo <= hi"),
+    "rho-grid-one-point": (RhoGrid(), {"points": 1}, "points"),
+    "scalar-plant-without-parameters": (PlantSelector("saturated"), {"kind": "scalar"}, "plant.a"),
+    "saturated-plant-with-gain": (PlantSelector("scalar", 2.0, 1.5), {"kind": "saturated"}, "only apply"),
+    "fixed-x0-without-value": (InitSpec(), {"kind": "fixed"}, "value"),
+    "env-q-above-one": (VALID_CONFIG.env, {"q": 1.2}, r"q=1\.2"),
+}
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def pmfs(draw):
+    weights = draw(st.lists(st.integers(0, 1000), min_size=2, max_size=8).filter(any))
+    return tuple(w / sum(weights) for w in weights)
+
+
+def envs_from(p):
+    return st.builds(StochasticEnv, q=st.floats(0.0, 1.0), p=st.just(p), capacity=st.just(len(p) - 1))
+
+
+VALID_CONFIGS = st.builds(
+    ExperimentConfig,
+    plant=st.one_of(
+        st.builds(PlantSelector, kind=st.just("saturated")),
+        st.builds(PlantSelector, kind=st.just("scalar"), a=FINITE, gain=FINITE),
+    ),
+    env=pmfs().flatmap(envs_from),
+    controllers=st.sampled_from(
+        [("baseline",), ("anytime",), ("baseline", "anytime"), ("anytime", "baseline")]
+    ),
+    d=st.none() | NONNEGATIVE,
+    d_sweep=st.none() | st.lists(NONNEGATIVE, min_size=1, unique=True).map(lambda v: tuple(sorted(v))),
+    horizon=st.integers(1, 10**6),
+    trials=st.none() | st.integers(1, 10**7),
+    seed=st.integers(0, 2**64 - 1),
+    noise=st.just(NoiseSpec()) | st.builds(NoiseSpec, kind=st.just("gaussian-iid"), std=NONNEGATIVE),
+    x0=st.just(InitSpec()) | st.builds(
+        InitSpec, kind=st.just("fixed"), value=st.lists(FINITE, min_size=1, max_size=3).map(tuple)
+    ),
+    out=st.none() | st.text(),
+    rho_grid=st.builds(
+        lambda ends, points: RhoGrid(*sorted(ends), points),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
+        st.integers(2, 1000),
+    ),
+)
 
 
 class TestConfigParsing:
@@ -178,6 +249,35 @@ class TestConfigParsing:
         data["horizon"] = 0
         with pytest.raises(ConfigError, match="horizon"):
             parse_config(data)
+
+    @given(VALID_CONFIGS)
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_property(self, config):
+        # every field type through the decoder: sections, strings, integers,
+        # numbers, lists of both, and nulls
+        assert parse_config(json.loads(json.dumps(emit_config(config)))) == config
+
+    @pytest.mark.parametrize("valid, change, match", INVALID_CHANGES.values(), ids=INVALID_CHANGES.keys())
+    def test_types_refuse_invalid_values(self, valid, change, match):
+        current = {f.name: getattr(valid, f.name) for f in fields(valid)}
+        with pytest.raises(ValueError, match=match):
+            type(valid)(**{**current, **change})
+        with pytest.raises(ValueError, match=match):
+            replace(valid, **change)
+
+    def test_null_takes_the_default_except_for_strings(self):
+        # a null number or section takes its default; a null string is refused
+        nulls = {**boundary_config(), "horizon": None, "noise": None}
+        assert parse_config(nulls) == parse_config(boundary_config())
+        for data in (
+            {**boundary_config(), "controllers": None},
+            {**boundary_config(), "x0": {"kind": None}},
+            {**boundary_config(), "noise": {"kind": None}},
+            {**boundary_config(), "plant": {"kind": None}},
+            {**boundary_config(), "env": None},
+        ):
+            with pytest.raises(ConfigError):
+                parse_config(data)
 
     def test_unknown_controller(self):
         data = boundary_config()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,31 +49,33 @@ class TestValidateEnv:
     def test_reference_values_ok(self):
         assert validate_env(REFERENCE_ENV) == []
 
+    # An invalid environment cannot be built: construction raises what
+    # validate_env finds.
     def test_q_out_of_range(self):
-        env = StochasticEnv(q=1.2, p=(1.0,), capacity=1)
-        errors = validate_env(env)
-        assert any("q=1.2" in e for e in errors)
+        with pytest.raises(ValueError, match=r"q=1\.2"):
+            StochasticEnv(q=1.2, p=(1.0,), capacity=1)
 
     def test_pmf_not_normalized(self):
-        env = StochasticEnv(q=0.4, p=(0.5, 0.5, 0.1), capacity=2)
-        errors = validate_env(env)
-        assert any("sums to 1.1" in e for e in errors)
+        with pytest.raises(ValueError, match=r"sums to 1\.1"):
+            StochasticEnv(q=0.4, p=(0.5, 0.5, 0.1), capacity=2)
 
     def test_capacity_and_length(self):
-        errors = validate_env(StochasticEnv(q=0.5, p=(1.0,), capacity=0))
-        assert any("capacity" in e for e in errors)
-        errors = validate_env(StochasticEnv(q=0.5, p=(0.5, 0.5), capacity=2))
-        assert any("entries" in e for e in errors)
+        with pytest.raises(ValueError, match="capacity"):
+            StochasticEnv(q=0.5, p=(1.0,), capacity=0)
+        with pytest.raises(ValueError, match="entries"):
+            StochasticEnv(q=0.5, p=(0.5, 0.5), capacity=2)
 
     def test_negative_entry(self):
-        errors = validate_env(StochasticEnv(q=0.5, p=(-0.1, 0.6, 0.5), capacity=2))
-        assert any("p[0]" in e for e in errors)
+        with pytest.raises(ValueError, match=r"p\[0\]"):
+            StochasticEnv(q=0.5, p=(-0.1, 0.6, 0.5), capacity=2)
 
     @given(st.floats(min_value=-2.0, max_value=3.0, allow_nan=False))
     def test_q_range_property(self, q):
-        env = StochasticEnv(q=q, p=(0.5, 0.5), capacity=1)
-        errors = validate_env(env)
-        assert (errors == []) == (0.0 <= q <= 1.0)
+        if 0.0 <= q <= 1.0:
+            assert validate_env(StochasticEnv(q=q, p=(0.5, 0.5), capacity=1)) == []
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"q={q}")):
+                StochasticEnv(q=q, p=(0.5, 0.5), capacity=1)
 
 
 class TestSat:

@@ -328,9 +328,9 @@ class TestRunTrajectory:
 
     def test_rejects_bad_inputs(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
-        env = StochasticEnv(q=1.2, p=(0.0, 1.0), capacity=1)
-        with pytest.raises(ValueError):
-            run_trajectory(plant, env, NOISELESS, "baseline", 10, RngStream(1, 0))
+        with pytest.raises(ValueError, match=r"q=1\.2"):
+            bad = StochasticEnv(q=1.2, p=(0.0, 1.0), capacity=1)
+            run_trajectory(plant, bad, NOISELESS, "baseline", 10, RngStream(1, 0))
         good = StochasticEnv(q=0.5, p=(0.5, 0.5), capacity=1)
         with pytest.raises(ValueError):
             run_trajectory(plant, good, NOISELESS, "fancy", 10, RngStream(1, 0))
