@@ -122,6 +122,11 @@ def _require_rho(rho) -> None:
         raise ValueError(f"rho={rho} outside [0, 1)")
 
 
+def _require_alpha(alpha: float) -> None:
+    if not alpha >= 0.0:
+        raise ValueError(f"alpha={alpha} must be nonnegative")
+
+
 def build_lambda_chain(env: StochasticEnv) -> LambdaChain:
     """Jump distribution and countdown probability of the buffer-length chain."""
     q = env.q
@@ -201,8 +206,7 @@ def default_series_length(alpha: float, rho: float) -> int:
     never exceeds 1 (all row sums of G are <= 1).  At alpha = 0 or rho = 0
     every term after the first vanishes, so one term suffices.
     """
-    if alpha < 0.0:
-        raise ValueError(f"alpha={alpha} must be nonnegative")
+    _require_alpha(alpha)
     if alpha == 0.0 or rho == 0.0:
         return 1
     j = math.log(1e-12 * (1.0 - rho) / alpha) / math.log(rho)
@@ -217,6 +221,7 @@ def anytime_contraction_series(
     Sums alpha * rho**(j-1) * pmf(j) for j <= j_max and reports the rigorous
     tail cap alpha * rho**j_max / (1 - rho) * (remaining pmf mass).
     """
+    _require_alpha(alpha)
     _require_rho(rho)
     if j_max is None:
         j_max = default_series_length(alpha, rho)
@@ -246,6 +251,7 @@ def _resolvent_factor(chain: LambdaChain, rho):
 
 def anytime_contraction(chain: LambdaChain, alpha: float, rho: float) -> float:
     """Closed-form omega = alpha r (1 + rho N / (1 - rho D)); see the module docstring."""
+    _require_alpha(alpha)
     _require_rho(rho)
     return alpha * chain.return1 * float(_resolvent_factor(chain, rho))
 

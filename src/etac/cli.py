@@ -357,7 +357,11 @@ def cmd_simulate(config: ExperimentConfig) -> int:
 def _mc_worker(
     args: tuple[ExperimentConfig, int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run trials [t0, t1) for every (d, controller) cell; arrays indexed by cell."""
+    """Run trials [t0, t1) for every (d, controller) cell; arrays indexed by cell.
+
+    Every cell of trial t runs on one ``RngStream(seed, t)`` object, so the
+    trial's draws are made once, by its first cell, and reused by the rest.
+    """
     config, t0, t1 = args
     plants = [build_plant(config.plant, d) for d in config.d_sweep]
     n_d, n_c, n_t = len(plants), len(config.controllers), t1 - t0
@@ -384,9 +388,10 @@ def run_paired_cells(
     """Per-trial cost/utilization/divergence arrays, shape (n_d, n_ctrl, trials).
 
     Trial t uses stream (seed, t) for every cell, so the controllers (and the
-    sweep points) share identical channel/processor/disturbance draws; the
-    trial axis is assembled in a fixed order, making the result independent of
-    the worker count.
+    sweep points) share identical channel/processor/disturbance draws, made
+    once per trial on one stream object and reused by every cell; the trial
+    axis is assembled in a fixed order, making the result independent of the
+    worker count.
     """
     if config.d_sweep is None:
         raise ConfigError("montecarlo requires d_sweep")

@@ -4,7 +4,10 @@ One call to :func:`run_trajectory` produces one trial.  All randomness for a
 trial is pre-drawn from its own stream in a fixed order (initial state,
 channel, processor, disturbances), so two runs on the same (seed, stream_id)
 share draws exactly; this is what makes paired baseline/anytime comparisons
-common-random-number comparisons.
+common-random-number comparisons.  The pre-draw is made once per
+:class:`RngStream` object and reused by every run on it that needs the same
+draws, so the (d, controller) cells of a Monte Carlo trial, which share one
+stream object, draw once between them.
 
 Both controllers are one rule.  A step that receives the state and is granted
 N >= 1 control-law evaluations replaces the plan with :func:`plan_inputs` of
@@ -50,14 +53,62 @@ class RngStream:
     The same (seed, stream_id) always yields the same draw sequence; distinct
     stream_ids yield statistically independent streams.  Seeds are unsigned
     64-bit integers.
+
+    The object keeps the last pre-draw of :meth:`trial_draws`, so the trial's
+    draws are made once per stream object and every run on it with the same
+    draw inputs reuses them.  The kept draws are private state of this
+    object: they are not part of its ``repr``, equality or hash, and two
+    objects for one (seed, stream_id) share nothing.
     """
 
     seed: int
     stream_id: int = 0
+    _draws: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of the stream."""
         return np.random.default_rng([self.seed, self.stream_id])
+
+    def trial_draws(
+        self, env: StochasticEnv, noise: NoiseSpec, horizon: int, state_dim: int, draw_x0: bool
+    ) -> tuple[np.ndarray | None, tuple[bool, ...], tuple[int, ...], np.ndarray | None]:
+        """The trial's pre-drawn ``(x0, received, n_draws, w)``, in draw order.
+
+        ``x0`` is a standard normal state when ``draw_x0``, else None (a given
+        initial state draws nothing, so the rest of the stream starts one
+        draw earlier).  ``received[k]`` is the channel outcome and
+        ``n_draws[k]`` the processor's evaluation count at step k; ``w[k]`` is
+        the disturbance, or ``w`` is None without noise.  A repeated request
+        returns the kept draws, which every run on this stream shares: the
+        outcomes are tuples and the arrays read-only.  The key holds every input
+        the draws depend on; the noise std enters by its bits, since -0.0 ==
+        0.0 but the two scale the disturbances to zeros of opposite sign.
+        """
+        key = (env, noise.kind, float(noise.std).hex(), horizon, state_dim, draw_x0)
+        kept = self._draws
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        gen = self.generator()
+        x0 = gen.standard_normal(state_dim) if draw_x0 else None
+        received = tuple((gen.random(horizon) < env.q).tolist())
+        cum = np.cumsum(env.p)
+        n_draws = tuple(
+            np.minimum(
+                np.searchsorted(cum, gen.random(horizon), side="right"), env.capacity
+            ).tolist()
+        )
+        w = (
+            noise.std * gen.standard_normal((horizon, state_dim))
+            if noise.kind == "gaussian-iid"
+            else None
+        )
+        if x0 is not None:
+            x0.setflags(write=False)
+        if w is not None:
+            w.setflags(write=False)
+        draws = (x0, received, n_draws, w)
+        object.__setattr__(self, "_draws", (key, draws))
+        return draws
 
 
 @dataclass
@@ -109,13 +160,15 @@ def run_trajectory(
 
     ``controller`` is "baseline" or "anytime".  ``x0`` fixes the initial state
     and must have shape ``(plant.state_dim,)``; when None it is drawn standard
-    normal.  The state update is x(k+1) = f(x(k), u(k)) + w(k).  A state whose
-    norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite) ends the run
-    early with the trace flagged diverged rather than raising.  The input
-    applied at a step is ``plan[age]`` while the plan lasts and zero after
-    (see the module docstring).  The recorded ``lam`` is the effective buffer
-    length ``len(plan) - age`` floored at 0 for the anytime controller, and 0
-    for the baseline, which buffers nothing.
+    normal.  The draws come from ``rng.trial_draws``, so runs on one stream
+    object share them, and a drawn ``x0`` and the disturbances are read-only
+    arrays in the records.  The state update is x(k+1) = f(x(k), u(k)) + w(k).
+    A state whose norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite)
+    ends the run early with the trace flagged diverged rather than raising.
+    The input applied at a step is ``plan[age]`` while the plan lasts and zero
+    after (see the module docstring).  The recorded ``lam`` is the effective
+    buffer length ``len(plan) - age`` floored at 0 for the anytime controller,
+    and 0 for the baseline, which buffers nothing.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -129,18 +182,10 @@ def run_trajectory(
                 f"x0 has shape {x0.shape}, expected ({plant.state_dim},) for plant {plant.name!r}"
             )
 
-    gen = rng.generator()
-    x = gen.standard_normal(plant.state_dim) if x0 is None else x0
-    received = (gen.random(horizon) < env.q).tolist()
-    cum = np.cumsum(env.p)
-    n_draws = np.minimum(
-        np.searchsorted(cum, gen.random(horizon), side="right"), env.capacity
-    ).tolist()
-    w = (
-        noise.std * gen.standard_normal((horizon, plant.state_dim))
-        if noise.kind == "gaussian-iid"
-        else None
+    drawn_x0, received, n_draws, w = rng.trial_draws(
+        env, noise, horizon, plant.state_dim, x0 is None
     )
+    x = drawn_x0 if x0 is None else x0
 
     buffered = controller == "anytime"
     depth = env.capacity if buffered else 1

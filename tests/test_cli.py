@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -75,6 +76,55 @@ def montecarlo_config(out=None, trials=200, d_sweep=(0.0, 1.0, 1000.0)):
         "noise": {"kind": "gaussian-iid", "std": 1.0},
         "out": out,
     }
+
+
+#: Small montecarlo sweeps pinned by digest, recorded before the cells of a
+#: trial shared one pre-draw: a noisy saturated sweep from a drawn x0, the
+#: noise-free scalar plant from a fixed x0, and an unstable scalar plant
+#: (a = 3, gain = 2.5) on which the baseline diverges in some trials.
+PINNED_SWEEPS = {
+    "noisy-saturated-drawn-x0": (
+        {
+            "plant": {"kind": "saturated"},
+            "env": {"q": 0.4, "p": [0.2, 0.2, 0.2, 0.2, 0.2], "capacity": 4},
+            "d_sweep": [0.0, 1.0, 3.0],
+            "horizon": 30, "trials": 16, "seed": 7,
+            "noise": {"kind": "gaussian-iid", "std": 0.5},
+        },
+        "96a5af5d35a5a477d2ad83c8d3c901c4345f2c64948def798ae7b4d0f7c3871a",
+    ),
+    "noise-free-scalar-fixed-x0": (
+        {
+            "plant": {"kind": "scalar", "a": 1.2, "gain": 0.8},
+            "env": {"q": 0.6, "p": [0.3, 0.3, 0.4], "capacity": 2},
+            "d_sweep": [0.0, 0.5, 2.0],
+            "horizon": 40, "trials": 16, "seed": 8,
+            "x0": {"kind": "fixed", "value": [4.0]},
+        },
+        "f5ebcba0cf10840d8cfdaee0615ede722e2752fa48e92fa12dfcbd7d226fa9fc",
+    ),
+    "diverging-scalar": (
+        {
+            "plant": {"kind": "scalar", "a": 3.0, "gain": 2.5},
+            "env": {"q": 0.5, "p": [0.3, 0.2, 0.2, 0.3], "capacity": 3},
+            "d_sweep": [0.0, 1.0],
+            "horizon": 60, "trials": 16, "seed": 9,
+        },
+        "cd2002c83464de4bc79e06415b66df86efdd82fd2b8f2b7b2edb51e8ac634949",
+    ),
+}
+
+
+def sweep_digest(tmp_path, data, threads):
+    """SHA-256 of the montecarlo CSV and of the per-trial cost, utilization and divergence arrays."""
+    out = str(tmp_path / f"mc-{threads}.csv")
+    path = write_config(tmp_path, data)
+    assert main(["montecarlo", "--config", path, "--out", out, "--threads", str(threads)]) == 0
+    with open(out, "rb") as fh:
+        h = hashlib.sha256(fh.read())
+    for array in run_paired_cells(parse_config(data), threads):
+        h.update(array.tobytes())
+    return h.hexdigest()
 
 
 NAN = float("nan")
@@ -541,6 +591,12 @@ class TestMonteCarlo:
         bytes_a = open(out_a, "rb").read()
         assert bytes_a == open(out_b, "rb").read()
         assert bytes_a == open(out_c, "rb").read()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
+    def test_output_matches_recorded_digest(self, tmp_path, capsys, name, threads):
+        data, digest = PINNED_SWEEPS[name]
+        assert sweep_digest(tmp_path, data, threads) == digest
 
     def test_requires_sweep_and_both_controllers(self, tmp_path):
         data = montecarlo_config(out=str(tmp_path / "m.csv"))

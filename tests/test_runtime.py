@@ -370,6 +370,114 @@ class TestRunTrajectory:
             "160b1a6cae3925cbc554c25a0290cb816fd3c66574d374fcc29ab00b0edfb5fb"
         )
 
+#: Inputs a run's draws depend on, a few values each; every pair of values of
+#: one input needs different draws, except where noted.
+SHARED_DRAW_ENVS = (
+    StochasticEnv(q=0.6, p=(0.3, 0.7), capacity=1),
+    UNIFORM_ENV,
+    StochasticEnv(q=0.4, p=UNIFORM_ENV.p, capacity=4),  # q differs from UNIFORM_ENV only
+    StochasticEnv(q=0.75, p=(0.1, 0.3, 0.2, 0.2, 0.2), capacity=4),  # p differs only
+)
+SHARED_DRAW_NOISES = (
+    NOISELESS,
+    NoiseSpec("gaussian-iid", 0.0),  # kind differs from NOISELESS only
+    NoiseSpec("gaussian-iid", -0.0),  # equal to 0.0, but zeros of the other sign
+    NoiseSpec("gaussian-iid", 0.5),
+    NoiseSpec("gaussian-iid", 2.0),
+)
+SHARED_DRAW_PLANTS = (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0))
+
+
+def shared_draw_run(
+    stream, env=1, noise=3, horizon=30, plant=1, fixed_x0=False, controller="anytime"
+):
+    """One run on ``stream``; the first five arguments index the tables above."""
+    plant_spec = SHARED_DRAW_PLANTS[plant]
+    x0 = np.linspace(1.5, -0.5, plant_spec.state_dim) if fixed_x0 else None
+    return run_trajectory(
+        plant_spec, SHARED_DRAW_ENVS[env], SHARED_DRAW_NOISES[noise], controller,
+        horizon, stream, x0=x0,
+    )
+
+
+def assert_runs_bitwise_equal(a, b):
+    """Every record field, the squared-norm column and the divergence flag, bit for bit."""
+    assert traces_digest([a]) == traces_digest([b])
+    assert a.sq_norms.tobytes() == b.sq_norms.tobytes()
+    assert a.diverged == b.diverged
+
+
+class TestSharedDraws:
+    """Runs on one stream object reuse its pre-draw only when the draws would match."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        runs=st.lists(
+            st.fixed_dictionaries({
+                "env": st.integers(0, len(SHARED_DRAW_ENVS) - 1),
+                "noise": st.integers(0, len(SHARED_DRAW_NOISES) - 1),
+                "horizon": st.sampled_from([20, 35]),
+                "plant": st.integers(0, len(SHARED_DRAW_PLANTS) - 1),
+                "fixed_x0": st.booleans(),
+                "controller": st.sampled_from(["baseline", "anytime"]),
+            }),
+            min_size=2,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reused_stream_matches_fresh_streams(self, seed, runs):
+        shared = RngStream(seed, 3)
+        for run in runs:
+            fresh = shared_draw_run(RngStream(seed, 3), **run)
+            assert_runs_bitwise_equal(shared_draw_run(shared, **run), fresh)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"env": 1}, {"env": 2}),
+            ({"env": 1}, {"env": 3}),
+            ({"noise": 0}, {"noise": 1}),
+            ({"noise": 1}, {"noise": 2}),
+            ({"noise": 3}, {"noise": 4}),
+            ({"horizon": 20}, {"horizon": 35}),
+            ({"plant": 0}, {"plant": 1}),
+            ({"fixed_x0": False}, {"fixed_x0": True}),
+        ],
+        ids=["q", "p", "noise-kind", "noise-std-sign", "noise-std", "horizon", "state-dim", "x0-drawn"],
+    )
+    def test_each_draw_input_is_in_the_key(self, first, second):
+        # the two runs differ in one draw input only; either may come first
+        for a, b in ((first, second), (second, first)):
+            shared = RngStream(41, 0)
+            shared_draw_run(shared, **a)
+            fresh = shared_draw_run(RngStream(41, 0), **b)
+            assert_runs_bitwise_equal(shared_draw_run(shared, **b), fresh)
+
+    def test_cells_of_a_trial_share_one_read_only_draw(self):
+        stream = RngStream(42, 5)
+        a = shared_draw_run(stream, controller="baseline")
+        b = shared_draw_run(stream, controller="anytime")
+        # one pre-draw: the drawn x0 and the disturbances are the same arrays
+        assert a.records[0].x is b.records[0].x
+        assert a.records[4].w.base is b.records[4].w.base
+        with pytest.raises(ValueError, match="read-only"):
+            a.records[0].x[0] = 1.0
+        for record in (a.records[0], b.records[4]):
+            with pytest.raises(ValueError, match="read-only"):
+                record.w[0] = 1.0
+        draws = stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2, True)
+        assert draws is stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2, True)
+        _, received, n_draws, _ = draws
+        assert isinstance(received, tuple) and isinstance(n_draws, tuple)
+
+    def test_kept_draws_are_not_part_of_the_stream_value(self):
+        used, fresh = RngStream(43, 2), RngStream(43, 2)
+        shared_draw_run(used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == repr(fresh) == "RngStream(seed=43, stream_id=2)"
+
+
 class TestTraceMetrics:
     @staticmethod
     def _trace_from_xs(xs, horizon, beta=None):
