@@ -335,8 +335,7 @@ class TestOmega:
         assert default_series_length(0.0, 0.5) == 1
         with pytest.raises(ValueError, match=r"alpha=-0\.1"):
             anytime_contraction_series(chain, -0.1, 0.5)
-        # A negative alpha is refused by every form, not only by the default
-        # truncation length (the closed form gave omega = -0.4906 at alpha = -1).
+        # every form refuses a negative alpha, not only the default truncation length
         for alpha in (-1.0, -1e-300, float("nan")):
             pattern = rf"alpha={alpha}"
             with pytest.raises(ValueError, match=pattern):

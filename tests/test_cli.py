@@ -594,7 +594,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
-    def test_output_matches_recorded_digest(self, tmp_path, capsys, name, threads):
+    def test_output_matches_recorded_digest(self, tmp_path, name, threads):
         data, digest = PINNED_SWEEPS[name]
         assert sweep_digest(tmp_path, data, threads) == digest
 
