@@ -11,13 +11,20 @@ keeps its buffer as a plan plus an age instead.  Validation runs in the
 always-transmit regime (d = 0), where the length recursion is driven purely by
 the i.i.d. channel and processor draws.
 
-The return-time simulation is an integer kernel: per-step evaluation counts
-are drawn straight into an int32 buffer, and the length path is unrolled in
-int32 with in-place ufuncs; only the returned counts are int64.
+The return-time simulation is an integer kernel.  It draws the stream in
+blocks, each laid out as all of its reception uniforms, then all of its
+processor uniforms, and walks a block in chunks of ``_CHUNK`` steps: the
+reception draws come from the stream's generator, the processor draws from a
+copy of it advanced by the block length.  Per chunk, the evaluation counts are
+made by in-place comparisons against the cumulative pmf into an int32 buffer,
+and the length path is unrolled in int32; only the returned counts are int64.
+The walk stops at the requested return, so its working memory is a few
+chunk-sized buffers whatever the block or sample count.
 """
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 
@@ -39,6 +46,7 @@ __all__ = [
 ]
 
 _MAX_BLOCK = 2_000_000
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,20 +118,30 @@ def update_lambda(prev_lam: int, beta: int, n: int) -> int:
     return max(0, prev_lam - 1)
 
 
-def _draw_counts(env: StochasticEnv, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+def _evaluation_counts(
+    cum: np.ndarray, q: float, received_u: np.ndarray, u: np.ndarray, out: np.ndarray
+) -> np.ndarray:
     """Fill the int32 array ``out`` with one evaluation count per step, and return it.
 
-    Always-transmit regime: data goes out every step, arrives w.p. q, and a
-    received step grants j evaluations w.p. p[j]; otherwise zero evaluations.
-    The reception draws come first, then the processor draws.  The count is
-    ``searchsorted(cum, u, side="right")`` on the cumulative pmf, clamped to
-    the capacity L for the case cum[L] < 1 by rounding.
+    Always-transmit regime: data goes out every step and arrives when its
+    reception uniform is below q; a received step grants j evaluations w.p.
+    p[j], and any other step none.  ``cum`` is the cumulative pmf, so the
+    capacity is L = len(cum) - 1.  The count is the number of j < L with
+    cum[j] <= u, made by L in-place comparisons: exactly
+    ``min(searchsorted(cum, u, side="right"), L)``, also when cum[L] < 1 by
+    rounding.
     """
-    received = gen.random(out.size) < env.q
-    cum = np.cumsum(env.p)
-    np.minimum(np.searchsorted(cum, gen.random(out.size), side="right"), env.capacity, out=out)
-    out *= received
+    np.greater_equal(u, cum[0], out=out, casting="unsafe")
+    for c in cum[1:-1]:
+        out += u >= c
+    out *= received_u < q
     return out
+
+
+def _draw_counts(env: StochasticEnv, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """:func:`_evaluation_counts` on ``out.size`` reception draws, then as many processor draws."""
+    received_u = gen.random(out.size)
+    return _evaluation_counts(np.cumsum(env.p), env.q, received_u, gen.random(out.size), out)
 
 
 def lambda_transition_matrix(env: StochasticEnv) -> np.ndarray:
@@ -158,13 +176,14 @@ def lambda_path_from_counts(n_seq: np.ndarray) -> np.ndarray:
     if n_seq.size >= 2**31:
         raise ValueError("n_seq is too long for int32 step positions")
     pos = np.arange(n_seq.size, dtype=np.int32)
-    last = np.where(n_seq >= 1, pos, -1)
-    np.maximum.accumulate(last, out=last)  # position of the latest refill, -1 before the first
-    path = n_seq[last]
+    # Position of the latest refill.  Before the first one it reads 0, which is
+    # harmless: without a refill at step 0 the formula below is <= 0 there.
+    last = pos * (n_seq >= 1)
+    np.maximum.accumulate(last, out=last)
+    path = n_seq.take(last)
     pos -= last  # steps since that refill
     path -= pos
     np.maximum(path, 0, out=path)
-    path[: last.searchsorted(np.int32(-1), side="right")] = 0  # no refill yet
     return path
 
 
@@ -174,16 +193,30 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
     Simulates the length recursion directly from i.i.d. channel/processor
     draws (no plant involved, always-transmit regime) and collects the gaps
     between successive zeros of the path until ``n_returns`` returns are seen.
+
+    The stream is consumed in blocks whose sizes follow from the returns seen
+    so far.  Block b lays out its draws as all of its reception uniforms, then
+    all of its processor uniforms.  The block is walked in chunks of
+    ``_CHUNK`` steps: the reception uniforms come from the stream's generator
+    and the processor uniforms from a copy of it advanced by the block length
+    (one 64-bit output per double), which also starts the next block.  The
+    walk stops at the n-th return, and apart from the counts its memory is a
+    few chunk-sized buffers, whatever the block length.
     """
     if n_returns < 1:
         raise ValueError("n_returns must be >= 1")
     if 1.0 - env.q + env.p[0] * env.q == 0.0:
         raise ValueError("the buffer length never returns to zero (q = 1 with p0 = 0)")
-    gen = rng.generator()
+    cum = np.cumsum(env.p)
+    chunk = _CHUNK
+    received_u = np.empty(chunk)
+    u = np.empty(chunk)
+    seq = np.empty(chunk + 1, dtype=np.int32)
+    rec = rng.generator()
     counts = np.zeros(16, dtype=np.int64)
     total = 0
     steps_done = 0
-    carry = 0  # steps since the last zero, across block boundaries
+    last_zero = -1  # step of the latest zero of the path, counted from the chunk's first step
     prev_lam = 0
     while total < n_returns:
         if total == 0:
@@ -191,30 +224,30 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
         else:
             mean_gap = steps_done / total
             block = min(int(1.25 * mean_gap * (n_returns - total)) + 4096, _MAX_BLOCK)
-        seq = np.empty(block + 1, dtype=np.int32)
-        seq[0] = prev_lam  # a synthetic step carrying the length across blocks
-        _draw_counts(env, gen, seq[1:])
-        path = lambda_path_from_counts(seq)[1:]
-        steps_done += block
-        zero_pos = np.nonzero(path == 0)[0] + 1
-        if zero_pos.size == 0:
-            carry += block
+        proc = copy.deepcopy(rec)
+        proc.bit_generator.advance(block)
+        for start in range(0, block, chunk):
+            m = min(chunk, block - start)
+            seq[0] = prev_lam  # a synthetic step carrying the length across chunks
+            rec.random(out=received_u[:m])
+            proc.random(out=u[:m])
+            _evaluation_counts(cum, env.q, received_u[:m], u[:m], seq[1 : m + 1])
+            path = lambda_path_from_counts(seq[: m + 1])[1:]
             prev_lam = int(path[-1])
-            continue
-        gaps = np.diff(zero_pos, prepend=0)
-        gaps[0] += carry
-        carry = block - int(zero_pos[-1])
-        prev_lam = int(path[-1])
-        needed = n_returns - total
-        if gaps.size > needed:
-            gaps = gaps[:needed]
-        block_counts = np.bincount(gaps)[1:]  # gap values start at 1
-        if block_counts.size > counts.size:
-            counts = np.concatenate(
-                (counts, np.zeros(block_counts.size - counts.size, dtype=np.int64))
-            )
-        counts[: block_counts.size] += block_counts
-        total += int(gaps.size)
+            zero_pos = np.flatnonzero(path == 0)
+            gaps = np.diff(zero_pos, prepend=last_zero)[: n_returns - total]
+            last_zero = (int(zero_pos[-1]) if zero_pos.size else last_zero) - m
+            chunk_counts = np.bincount(gaps)[1:]  # gap values start at 1
+            if chunk_counts.size > counts.size:
+                counts = np.concatenate(
+                    (counts, np.zeros(chunk_counts.size - counts.size, dtype=np.int64))
+                )
+            counts[: chunk_counts.size] += chunk_counts
+            total += int(gaps.size)
+            if total == n_returns:
+                break
+        steps_done += block
+        rec = proc  # at the block's start + 2 * block
     last = int(np.nonzero(counts)[0][-1]) + 1
     return EmpiricalPmf(counts=counts[:last].copy(), total=total)
 

@@ -489,6 +489,28 @@ class TestDeltaDist:
         assert main(["delta-dist", "--config", write_config(tmp_path, data)]) == 0
         assert "samples=1000000" in capsys.readouterr().out
 
+    #: (env, samples, seed) runs and the exit code and SHA-256 of their CSV and
+    #: stdout, recorded before the chunked return-time kernel.  The long env
+    #: is the six-block run of ``test_oracle.SIMULATION_DIGESTS``.  Neither
+    #: reaches TV < 0.01 at these sample counts, so both exit 3.
+    PINNED_RUNS = {
+        "worked": ({"q": 0.75, "p": [0.2, 0.3, 0.5], "capacity": 2}, 20_000, 70, 3,
+                   "8d38d0252c987e8befbfae1d4d687dadfcaf1b8203c40949d810b731f02e1693",
+                   "0b499f5066c228beb509eba6e6ec7ab61334c23d03cc889c2ad435e8037da6e7"),
+        "long": ({"q": 0.9, "p": [0.05, 0.05, 0.1, 0.1, 0.2, 0.2, 0.3], "capacity": 6}, 100_000, 71, 3,
+                 "8c12f9ce61dbc3ba86580df8016aae352597a709bd8052ceefc25dab21fd3cb1",
+                 "6d8af9d3ed072bdb2e61befeacce8a62930b423e0f0d8ec5c69150af84bb27d7"),
+    }
+
+    @pytest.mark.parametrize("run", PINNED_RUNS)
+    def test_output_matches_recorded_digest(self, tmp_path, capsys, run):
+        env, samples, seed, code, csv_digest, stdout_digest = self.PINNED_RUNS[run]
+        out = tmp_path / "delta.csv"
+        data = {"plant": {"kind": "saturated"}, "env": env, "trials": samples, "seed": seed, "out": str(out)}
+        assert main(["delta-dist", "--config", write_config(tmp_path, data)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+
     def test_degenerate_env_is_config_error(self, tmp_path):
         out = str(tmp_path / "delta.csv")
         data = {

@@ -107,9 +107,13 @@ class TestIntegerKernel:
         StochasticEnv(q=0.0, p=(0.2, 0.3, 0.5), capacity=2),
         StochasticEnv(q=1.0, p=(0.3, 0.7), capacity=1),
         StochasticEnv(q=1.0, p=(0.0, 0.0, 1.0), capacity=2),
+        StochasticEnv(q=0.7, p=(0.0, 0.25, 0.5, 0.25, 0.0), capacity=4),  # zero mass at both ends
+        StochasticEnv(q=0.8, p=(0.5,) + (0.01,) * 50, capacity=50),
+        StochasticEnv(q=0.8, p=(0.3,) + (0.007,) * 100, capacity=100),
     ]
 
-    @pytest.mark.parametrize("env", ENVS, ids=["worked", "rounded", "repeated", "q0", "q1", "deterministic"])
+    @pytest.mark.parametrize("env", ENVS, ids=["worked", "rounded", "repeated", "q0", "q1", "deterministic",
+                                               "zero-ends", "capacity50", "capacity100"])
     def test_counts_equal_searchsorted_on_boundaries(self, env):
         u = crafted_uniforms(env)
         received_u = np.resize(np.array([0.0, 0.3, 0.75, np.nextafter(1.0, 0.0)]), u.size)
@@ -167,6 +171,25 @@ SIMULATION_DIGESTS = [
      "33efce75861e4aca654c4ab03d2566390f2db6115142f9c9fab52868574a909f"),
 ]
 
+SIMULATION_IDS = ["worked", "long", "slow", "rounded", "q0", "q1"]
+
+#: The worked run with ``_MAX_BLOCK = 17``, so that gaps straddle many blocks.
+TINY_BLOCKS_RUN = (WORKED_ENV, 3000, 66, "12ded44d639123b4ae6db36c65c7a022dbe03c16661e481319eb4c04f899660c")
+
+#: (chunk, run) pairs that check the digests above, and the ``_MAX_BLOCK = 17``
+#: digest ("tiny-blocks"), with the block walked ``_CHUNK`` steps at a time.
+#: Chunks of 1 and 7 make gaps straddle chunk and block boundaries and split
+#: every block unevenly; the slow run has whole blocks with no return.  They
+#: take one Python iteration per chunk, so only the runs of at most 70k steps
+#: are walked at those sizes; the worked, long and rounded runs (0.5M-10M
+#: steps) are walked in chunks of 1000.
+CHUNKED_RUNS = [
+    (chunk, run)
+    for chunk in (1, 7, 1000)
+    for run in SIMULATION_IDS + ["tiny-blocks"]
+    if chunk == 1000 or run in ("slow", "q0", "q1", "tiny-blocks")
+]
+
 #: (env, stream seed) runs of ``empirical_transition_matrix`` with 20000 draws per
 #: row, and the SHA-256 of their matrix and visits, recorded before the integer kernel.
 TRANSITION_DIGESTS = [
@@ -188,21 +211,34 @@ def sha256(array, dtype):
     return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
 
 
+def assert_simulation_digest(env, returns, seed, digest):
+    pmf = simulate_lambda_chain(env, returns, RngStream(seed, 0))
+    assert pmf.counts.dtype == np.int64
+    assert pmf.total == returns
+    assert sha256(pmf.counts, "<i8") == digest
+
+
 class TestPinnedOutputs:
-    @pytest.mark.parametrize("env, returns, seed, digest", SIMULATION_DIGESTS,
-                             ids=["worked", "long", "slow", "rounded", "q0", "q1"])
+    @pytest.mark.parametrize("env, returns, seed, digest", SIMULATION_DIGESTS, ids=SIMULATION_IDS)
     def test_simulation_counts(self, env, returns, seed, digest):
-        pmf = simulate_lambda_chain(env, returns, RngStream(seed, 0))
-        assert pmf.counts.dtype == np.int64
-        assert pmf.total == returns
-        assert sha256(pmf.counts, "<i8") == digest
+        assert_simulation_digest(env, returns, seed, digest)
 
     def test_simulation_counts_with_tiny_blocks(self, monkeypatch):
         import etac.oracle as oracle_mod
 
         monkeypatch.setattr(oracle_mod, "_MAX_BLOCK", 17)
-        pmf = simulate_lambda_chain(WORKED_ENV, 3000, RngStream(66, 0))
-        assert sha256(pmf.counts, "<i8") == "12ded44d639123b4ae6db36c65c7a022dbe03c16661e481319eb4c04f899660c"
+        assert_simulation_digest(*TINY_BLOCKS_RUN)
+
+    @pytest.mark.parametrize("chunk, run", CHUNKED_RUNS)
+    def test_simulation_counts_at_any_chunk(self, monkeypatch, chunk, run):
+        import etac.oracle as oracle_mod
+
+        monkeypatch.setattr(oracle_mod, "_CHUNK", chunk)
+        if run == "tiny-blocks":
+            monkeypatch.setattr(oracle_mod, "_MAX_BLOCK", 17)
+            assert_simulation_digest(*TINY_BLOCKS_RUN)
+        else:
+            assert_simulation_digest(*SIMULATION_DIGESTS[SIMULATION_IDS.index(run)])
 
     @pytest.mark.parametrize("env, seed, matrix_digest, visits_digest", TRANSITION_DIGESTS,
                              ids=["worked", "rounded", "q1", "q0"])
@@ -274,6 +310,22 @@ class TestSimulateLambdaChain:
         pmf = simulate_lambda_chain(WORKED_ENV, 10_000, RngStream(67, 0))
         assert pmf.counts.sum() == pmf.total
         assert float(pmf.frequencies.sum()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_memory_does_not_grow_with_returns(self):
+        import tracemalloc
+
+        def peak(n_returns):
+            tracemalloc.start()
+            try:
+                simulate_lambda_chain(WORKED_ENV, n_returns, RngStream(69, 0))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        simulate_lambda_chain(WORKED_ENV, 1000, RngStream(69, 0))  # first-call allocations
+        small, large = peak(100_000), peak(3_000_000)
+        assert large < 8 * 2**20
+        assert large <= small + 64 * 2**10
 
     def test_rejects_never_returning_chain(self):
         env = StochasticEnv(q=1.0, p=(0.0, 1.0), capacity=1)
