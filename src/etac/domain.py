@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -180,22 +180,11 @@ def _double(s: float) -> float:
     return 2.0 * s
 
 
-@lru_cache(maxsize=1)
-def _certify_sat_alpha() -> float:
-    # Grid-certified open-loop growth sup |f(x, 0)| / |x|, padded by 1e-4.
-    # On the unit circle the saturation is inactive, so a fine angular sweep
-    # captures the linear-regime supremum; a coarse square sweep covers the
-    # saturated branch, which only shrinks the second coordinate.
-    ang = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
-    x1, x2 = np.cos(ang), np.sin(ang)
-    ratio_linear = np.sqrt(x2**2 + (x1 + x2) ** 2)
-    g = np.linspace(-50.0, 50.0, 401)
-    xx1, xx2 = np.meshgrid(g, g)
-    norm = np.sqrt(xx1**2 + xx2**2)
-    mask = norm > 0.0
-    s = np.clip(xx1 + xx2, -SAT_LIMIT, SAT_LIMIT)
-    ratio_sat = np.sqrt(xx2[mask] ** 2 + s[mask] ** 2) / norm[mask]
-    return float(max(ratio_linear.max(), ratio_sat.max()) * (1.0 + 1e-4))
+#: Open-loop growth factor of the saturated plant, sup |f(x, 0)| / |x|, padded
+#: by 1e-4.  Unsaturated, f(x, 0) = A x with A = [[0, 1], [-1, -1]], whose
+#: spectral norm is the golden ratio (A^T A has eigenvalues (3 +- sqrt 5) / 2);
+#: saturation only shrinks the second coordinate, so it cannot raise the ratio.
+_SAT_ALPHA = (1.0 + math.sqrt(5.0)) / 2.0 * (1.0 + 1e-4)
 
 
 def make_sat_plant(d: float = 0.0) -> PlantSpec:
@@ -203,7 +192,7 @@ def make_sat_plant(d: float = 0.0) -> PlantSpec:
 
     Dynamics x1+ = x2 + u1, x2+ = -sat(x1 + x2) + u2 with sat clipping to
     [-10, 10]; kappa(x) = (-x2, 0.505 sat(x1 + x2)) contracts V by rho = 0.99,
-    and the open-loop growth factor is certified numerically at construction.
+    and the zero input grows |x| by at most the golden ratio, padded by 1e-4.
     """
     if d < 0.0:
         raise ValueError("trigger radius d must be nonnegative")
@@ -216,7 +205,7 @@ def make_sat_plant(d: float = 0.0) -> PlantSpec:
         phi1=_double,
         phi2=_double,
         rho=0.99,
-        alpha=_certify_sat_alpha(),
+        alpha=_SAT_ALPHA,
         d=d,
         name="saturated",
     )

@@ -17,12 +17,17 @@ controller has depth = capacity; the memoryless baseline is depth 1.
 
 Besides its step records, a trace keeps the squared state norm of every
 recorded step, which the loop computes anyway for its trigger and divergence
-tests; :func:`empirical_cost` sums that column.
+tests, and the number of silent steps; :func:`empirical_cost` sums that
+column and :func:`channel_utilization` reads that count.
+
+:func:`write_trace_csv` formats the rows itself and writes the bytes that
+``csv.writer``'s default dialect would: ``repr`` of each float, ``str`` of each
+int, fields joined by "," and every row ended by "\\r\\n", with no quoting,
+since no numeric field holds a delimiter, a quote or a line break.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -121,12 +126,15 @@ class Trace:
     ``float(x.dot(x))`` of ``records[k].x``, the squared norm the loop
     computes anyway for its trigger and divergence tests; it is kept as a
     compact column so that :func:`empirical_cost` need not revisit the records.
+    ``silent`` counts the records with ``beta == 2``, so that
+    :func:`channel_utilization` need not revisit them either.
     """
 
     records: list[StepRecord]
     horizon: int
     diverged: bool = False
     sq_norms: array = field(kw_only=True)
+    silent: int = field(kw_only=True)
 
 
 def plan_inputs(x: np.ndarray, n: int, plant: PlantSpec) -> list[np.ndarray]:
@@ -197,6 +205,7 @@ def run_trajectory(
     sq_norms = array("d")
     append_sq_norm = sq_norms.append
     diverged = False
+    silent = 0
     plan: list[np.ndarray] | tuple = ()  # inputs computed at the last refill
     age = 0  # steps since that refill
     # The squared norm of x(k + 1), computed for the divergence test, is the
@@ -215,6 +224,7 @@ def run_trajectory(
                 beta = 0
         else:
             beta = 2
+            silent += 1
             plan = ()
         if n_k:
             plan = plan_inputs(x, n_k if n_k < depth else depth, plant)
@@ -242,7 +252,9 @@ def run_trajectory(
             break
         x = x_next
 
-    return Trace(records=records, horizon=horizon, diverged=diverged, sq_norms=sq_norms)
+    return Trace(
+        records=records, horizon=horizon, diverged=diverged, sq_norms=sq_norms, silent=silent
+    )
 
 
 def empirical_cost(trace: Trace) -> float:
@@ -258,45 +270,45 @@ def empirical_cost(trace: Trace) -> float:
 
 def channel_utilization(trace: Trace) -> float:
     """Percentage of steps with a transmission attempt (beta != 2)."""
-    return 100.0 * sum(1 for r in trace.records if r.beta != 2) / trace.horizon
+    return 100.0 * (len(trace.records) - trace.silent) / trace.horizon
 
 
 #: Records per block in :func:`write_trace_csv`: large enough to amortise the
-#: per-block numpy calls, small enough that the stacked block stays a small
-#: fraction of the trace's own memory.
+#: per-block numpy calls, small enough that the stacked block and its joined
+#: text stay a small fraction of the trace's own memory.
 _CSV_BLOCK = 1024
 
 
 def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace as CSV with columns k, x1..xn, u1..up, beta, N, lambda.
 
-    Rows are written a block of :data:`_CSV_BLOCK` records at a time: the
-    block's states and inputs are stacked and turned into columns of Python
-    floats, which ``csv`` formats with ``repr`` exactly as it would the
-    scalars one by one.
+    The bytes are those of ``csv.writer`` in its default dialect, one row per
+    record: ``repr`` of each float (``nan``, ``inf`` and ``-0.0`` included),
+    ``str`` of each int, fields joined by "," and rows ended by "\\r\\n".  No
+    field is quoted, as none can hold a delimiter, a quote or a line break.
+    Rows are formatted a block of :data:`_CSV_BLOCK` records at a time: the
+    block's states and inputs are stacked into columns of Python floats, the
+    three int fields of a row are one string that carries the row's end, and
+    the block is written as one joined string.
     """
     records = trace.records
     n, p = len(records[0].x), len(records[0].u)
-    header = (
+    header = ",".join(
         ["k"]
         + [f"x{i + 1}" for i in range(n)]
         + [f"u{i + 1}" for i in range(p)]
         + ["beta", "N", "lambda"]
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(header + "\r\n")
         for start in range(0, len(records), _CSV_BLOCK):
             block = records[start : start + _CSV_BLOCK]
             x_cols = np.array([r.x for r in block], dtype=float).T.tolist()
             u_cols = np.array([r.u for r in block], dtype=float).T.tolist()
-            writer.writerows(
-                zip(
-                    [r.k for r in block],
-                    *x_cols,
-                    *u_cols,
-                    [r.beta for r in block],
-                    [r.n for r in block],
-                    [r.lam for r in block],
-                )
+            rows = zip(
+                [str(r.k) for r in block],
+                *[map(repr, col) for col in x_cols],
+                *[map(repr, col) for col in u_cols],
+                [f"{r.beta},{r.n},{r.lam}\r\n" for r in block],
             )
+            fh.write("".join(map(",".join, rows)))

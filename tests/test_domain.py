@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from etac.domain import (
+    SAT_LIMIT,
     NoiseSpec,
     StochasticEnv,
     make_sat_plant,
@@ -108,6 +109,24 @@ class TestSatPlant:
         plant = make_sat_plant()
         assert abs(plant.alpha - sigma_max) < 1e-3
         assert plant.alpha > sigma_max  # certification margin points upward
+
+    def test_alpha_covers_grid_sweep(self):
+        # The grid sweep that certified alpha before the closed form: a fine
+        # angular sweep of the unit circle, where saturation is inactive, and
+        # a coarse square sweep over the saturated branch, padded by 1e-4.
+        ang = np.linspace(0.0, 2.0 * np.pi, 8192, endpoint=False)
+        x1, x2 = np.cos(ang), np.sin(ang)
+        ratio_linear = np.sqrt(x2**2 + (x1 + x2) ** 2)
+        g = np.linspace(-50.0, 50.0, 401)
+        xx1, xx2 = np.meshgrid(g, g)
+        norm = np.sqrt(xx1**2 + xx2**2)
+        mask = norm > 0.0
+        s = np.clip(xx1 + xx2, -SAT_LIMIT, SAT_LIMIT)
+        ratio_sat = np.sqrt(xx2[mask] ** 2 + s[mask] ** 2) / norm[mask]
+        swept = float(max(ratio_linear.max(), ratio_sat.max()) * (1.0 + 1e-4))
+        alpha = make_sat_plant().alpha
+        assert swept <= alpha
+        assert abs(alpha - swept) <= 1e-7 * swept
 
     def test_lyapunov_and_envelopes(self):
         plant = make_sat_plant()

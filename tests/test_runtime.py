@@ -68,7 +68,7 @@ def diverged_trace():
 
 
 def reference_trace_csv(trace, path) -> None:
-    """The per-row writer that the block-columnar ``write_trace_csv`` replaced."""
+    """The ``csv.writer`` per-row writer: the bytes ``write_trace_csv`` must match."""
     first = trace.records[0]
     n, p = len(first.x), len(first.u)
     header = (
@@ -489,7 +489,8 @@ class TestTraceMetrics:
             for k, x in enumerate(xs)
         ]
         sq_norms = array("d", (float(r.x.dot(r.x)) for r in records))
-        return Trace(records=records, horizon=horizon, sq_norms=sq_norms)
+        silent = sum(1 for r in records if r.beta == 2)
+        return Trace(records=records, horizon=horizon, sq_norms=sq_norms, silent=silent)
 
     def test_cost_all_zero(self):
         trace = self._trace_from_xs([0.0] * 50, 50)
@@ -504,7 +505,8 @@ class TestTraceMetrics:
         trace = self._trace_from_xs([1.0] * 50, 50)
         assert empirical_cost(trace) == pytest.approx(1.0)
 
-    def test_cost_matches_per_record_reference(self):
+    @staticmethod
+    def _simulated_traces():
         traces = [
             run_trajectory(plant, UNIFORM_ENV, noise, controller, 300, RngStream(24, trial))
             for plant in (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0))
@@ -513,10 +515,20 @@ class TestTraceMetrics:
             for trial in range(2)
         ]
         traces.append(diverged_trace())
-        for trace in traces:
+        return traces
+
+    def test_cost_matches_per_record_reference(self):
+        for trace in self._simulated_traces():
             terms = [float(r.x @ r.x) for r in trace.records]
             assert trace.sq_norms.tolist() == terms
             assert empirical_cost(trace) == math.fsum(terms) / trace.horizon
+
+    def test_utilization_matches_per_record_reference(self):
+        # The per-record pass that the loop's silent-step count replaced.
+        for trace in self._simulated_traces():
+            assert trace.silent == sum(1 for r in trace.records if r.beta == 2)
+            reference = 100.0 * sum(1 for r in trace.records if r.beta != 2) / trace.horizon
+            assert channel_utilization(trace).hex() == reference.hex()
 
     def test_utilization_extremes_and_fraction(self):
         trace = self._trace_from_xs([0.0] * 50, 50, beta=[2] * 50)
@@ -649,3 +661,38 @@ class TestTraceCsv:
             write_trace_csv(trace, tmp_path / "block.csv")
             reference_trace_csv(trace, tmp_path / "row.csv")
             assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+    #: Values whose repr is easy to get wrong: signed zero, the smallest
+    #: subnormal, the switches to exponent notation, nan and the infinities.
+    ADVERSARIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e-5, 1e-4, 1e16, 1e15, 1e22, -1e22,
+                   math.nan, math.inf, -math.inf, 5.0, 0.1, 1.0 / 3.0, 1.7976931348623157e308)
+
+    @given(
+        state_dim=st.integers(min_value=1, max_value=3),
+        input_dim=st.integers(min_value=1, max_value=3),
+        length=st.sampled_from((1, _CSV_BLOCK - 1, _CSV_BLOCK, _CSV_BLOCK + 1, 2 * _CSV_BLOCK + 3)),
+        extra=st.lists(st.floats(), max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_match_per_row_writer_on_adversarial_floats(
+        self, tmp_path_factory, state_dim, input_dim, length, extra, seed
+    ):
+        from etac.domain import StepRecord
+        from etac.runtime import Trace
+
+        rng = np.random.default_rng(seed)
+        pool = np.array(self.ADVERSARIAL + tuple(extra))
+        xs = rng.choice(pool, size=(length, state_dim))
+        us = rng.choice(pool, size=(length, input_dim))
+        ints = rng.integers(0, 17, size=(length, 2)).tolist()
+        betas = rng.integers(0, 3, size=length).tolist()
+        records = [
+            StepRecord(k=k, x=xs[k], u=us[k], beta=betas[k], n=ints[k][0], lam=ints[k][1])
+            for k in range(length)
+        ]
+        trace = Trace(records=records, horizon=length, sq_norms=array("d"), silent=betas.count(2))
+        out = tmp_path_factory.mktemp("csv")
+        write_trace_csv(trace, out / "block.csv")
+        reference_trace_csv(trace, out / "row.csv")
+        assert (out / "block.csv").read_bytes() == (out / "row.csv").read_bytes()
