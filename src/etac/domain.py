@@ -101,8 +101,9 @@ class StepRecord:
     ``beta`` is the transmission outcome (2 silent, 1 received, 0 erased),
     ``n`` the number of control-law evaluations granted, ``lam`` the effective
     buffer length after the step, ``w`` the additive disturbance (None when
-    the run is noiseless).  Not frozen: the simulator builds one per step, and
-    a frozen dataclass's ``__init__`` costs about five times as much.
+    the run is noiseless).  A trace's ``records`` view builds one per access;
+    not frozen, as a frozen dataclass's ``__init__`` costs about five times as
+    much.
     """
 
     k: int

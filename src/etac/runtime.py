@@ -15,10 +15,15 @@ length min(N, depth); every later step plays the next planned input, or zero
 once the plan is used up, and a silent step discards the plan.  The anytime
 controller has depth = capacity; the memoryless baseline is depth 1.
 
-Besides its step records, a trace keeps the squared state norm of every
-recorded step, which the loop computes anyway for its trigger and divergence
-tests, and the number of silent steps; :func:`empirical_cost` sums that
-column and :func:`channel_utilization` reads that count.
+A trace stores a run as columns, one entry per recorded step: the state
+``x`` (the loop's own state object), the played input ``u``, and the ints
+``beta``, ``n`` and ``lam``.  It also keeps the run's pre-drawn disturbances,
+the squared state norm of every recorded step, which the loop computes anyway
+for its trigger and divergence tests, and the number of silent steps;
+:func:`empirical_cost` sums that column and :func:`channel_utilization` reads
+that count.  ``Trace.records`` is a read-only view that builds a
+:class:`~etac.domain.StepRecord` per index, for readers that want one step at a
+time.
 
 :func:`write_trace_csv` formats the rows itself and writes the bytes that
 ``csv.writer``'s default dialect would: ``repr`` of each float, ``str`` of each
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,25 +122,66 @@ class RngStream:
         return draws
 
 
-@dataclass
+@dataclass(eq=False, kw_only=True)
 class Trace:
-    """Step records of one closed-loop run.
+    """One closed-loop run, stored as columns.
 
-    ``records`` has exactly ``horizon`` entries unless the run diverged, in
-    which case it is truncated at the step where the state norm blew past
-    :data:`DIVERGENCE_NORM` (or went non-finite).  ``sq_norms[k]`` is
-    ``float(x.dot(x))`` of ``records[k].x``, the squared norm the loop
-    computes anyway for its trigger and divergence tests; it is kept as a
-    compact column so that :func:`empirical_cost` need not revisit the records.
-    ``silent`` counts the records with ``beta == 2``, so that
-    :func:`channel_utilization` need not revisit them either.
+    ``x``, ``u``, ``beta``, ``n`` and ``lam`` hold one entry per recorded
+    step: the state, the played input (a plan entry or the run's shared zero
+    input), the transmission outcome, the evaluations granted and the
+    effective buffer length.  They have exactly ``horizon`` entries unless the
+    run diverged, in which case they end at the step where the state norm blew
+    past :data:`DIVERGENCE_NORM` (or went non-finite).  ``w`` is the run's
+    read-only pre-drawn disturbance array of ``horizon`` rows, or None without
+    noise.  ``sq_norms[k]`` is ``float(x[k].dot(x[k]))``, the squared norm the
+    loop computes anyway for its trigger and divergence tests, kept so that
+    :func:`empirical_cost` need not revisit the states; ``silent`` counts the
+    steps with ``beta == 2``, so that :func:`channel_utilization` need not
+    revisit ``beta``.  ``==`` is identity, since comparing lists of arrays
+    element-wise has no single truth value.
+
+    ``records`` is a read-only sequence view over the columns whose item ``k``
+    is the :class:`~etac.domain.StepRecord` of step ``k``, built on access.
     """
 
-    records: list[StepRecord]
+    x: list[np.ndarray]
+    u: list[np.ndarray]
+    beta: list[int]
+    n: list[int]
+    lam: list[int]
+    w: np.ndarray | None
+    sq_norms: array
+    silent: int
     horizon: int
     diverged: bool = False
-    sq_norms: array = field(kw_only=True)
-    silent: int = field(kw_only=True)
+
+    @property
+    def records(self) -> StepRecords:
+        return StepRecords(self)
+
+
+class StepRecords(Sequence):
+    """The steps of a :class:`Trace` as :class:`~etac.domain.StepRecord` items.
+
+    Indexing works as on a list (negative indices count from the end, and an
+    index past either end raises ``IndexError``); each access builds a new
+    record over the trace's own arrays, so ``records[0].x is trace.x[0]``.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.x)
+
+    def __getitem__(self, index: int) -> StepRecord:
+        t = self._trace
+        k = range(len(t.x))[index]  # list indexing rules, IndexError included
+        return StepRecord(
+            k, t.x[k], t.u[k], t.beta[k], t.n[k], t.lam[k], None if t.w is None else t.w[k]
+        )
 
 
 def plan_inputs(x: np.ndarray, n: int, plant: PlantSpec) -> list[np.ndarray]:
@@ -170,7 +217,7 @@ def run_trajectory(
     and must have shape ``(plant.state_dim,)``; when None it is drawn standard
     normal.  The draws come from ``rng.trial_draws``, so runs on one stream
     object share them, and a drawn ``x0`` and the disturbances are read-only
-    arrays in the records.  The state update is x(k+1) = f(x(k), u(k)) + w(k).
+    arrays in the trace.  The state update is x(k+1) = f(x(k), u(k)) + w(k).
     A state whose norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite)
     ends the run early with the trace flagged diverged rather than raising.
     The input applied at a step is ``plan[age]`` while the plan lasts and zero
@@ -200,8 +247,13 @@ def run_trajectory(
     dd = plant.d * plant.d
     dynamics = plant.dynamics
     zero_u = np.zeros(plant.input_dim)
-    records: list[StepRecord] = []
-    append = records.append
+    xs: list[np.ndarray] = []
+    us: list[np.ndarray] = []
+    betas: list[int] = []
+    ns: list[int] = []
+    lams: list[int] = []
+    append_x, append_u = xs.append, us.append
+    append_beta, append_n, append_lam = betas.append, ns.append, lams.append
     sq_norms = array("d")
     append_sq_norm = sq_norms.append
     diverged = False
@@ -239,12 +291,13 @@ def run_trajectory(
             u = zero_u
             lam = 0
         x_next = dynamics(x, u)
-        if w is None:
-            w_k = None
-        else:
-            w_k = w[k]
-            x_next = x_next + w_k
-        append(StepRecord(k, x, u, beta, n_k, lam, w_k))
+        if w is not None:
+            x_next = x_next + w[k]
+        append_x(x)
+        append_u(u)
+        append_beta(beta)
+        append_n(n_k)
+        append_lam(lam)
         append_sq_norm(nrm2)
         nrm2 = float(x_next.dot(x_next))
         if not nrm2 <= limit2:  # also true for nan and inf
@@ -253,7 +306,8 @@ def run_trajectory(
         x = x_next
 
     return Trace(
-        records=records, horizon=horizon, diverged=diverged, sq_norms=sq_norms, silent=silent
+        x=xs, u=us, beta=betas, n=ns, lam=lams, w=w,
+        sq_norms=sq_norms, silent=silent, horizon=horizon, diverged=diverged,
     )
 
 
@@ -270,10 +324,10 @@ def empirical_cost(trace: Trace) -> float:
 
 def channel_utilization(trace: Trace) -> float:
     """Percentage of steps with a transmission attempt (beta != 2)."""
-    return 100.0 * (len(trace.records) - trace.silent) / trace.horizon
+    return 100.0 * (len(trace.x) - trace.silent) / trace.horizon
 
 
-#: Records per block in :func:`write_trace_csv`: large enough to amortise the
+#: Rows per block in :func:`write_trace_csv`: large enough to amortise the
 #: per-block numpy calls, small enough that the stacked block and its joined
 #: text stay a small fraction of the trace's own memory.
 _CSV_BLOCK = 1024
@@ -283,16 +337,16 @@ def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace as CSV with columns k, x1..xn, u1..up, beta, N, lambda.
 
     The bytes are those of ``csv.writer`` in its default dialect, one row per
-    record: ``repr`` of each float (``nan``, ``inf`` and ``-0.0`` included),
+    step: ``repr`` of each float (``nan``, ``inf`` and ``-0.0`` included),
     ``str`` of each int, fields joined by "," and rows ended by "\\r\\n".  No
     field is quoted, as none can hold a delimiter, a quote or a line break.
-    Rows are formatted a block of :data:`_CSV_BLOCK` records at a time: the
-    block's states and inputs are stacked into columns of Python floats, the
-    three int fields of a row are one string that carries the row's end, and
-    the block is written as one joined string.
+    Rows are formatted a block of :data:`_CSV_BLOCK` steps at a time: the
+    block's slices of the ``x`` and ``u`` columns are stacked into columns of
+    Python floats, the three int fields of a row are one string that carries
+    the row's end, and the block is written as one joined string.
     """
-    records = trace.records
-    n, p = len(records[0].x), len(records[0].u)
+    xs, us = trace.x, trace.u
+    n, p = len(xs[0]), len(us[0])
     header = ",".join(
         ["k"]
         + [f"x{i + 1}" for i in range(n)]
@@ -301,14 +355,15 @@ def write_trace_csv(trace: Trace, path) -> None:
     )
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        for start in range(0, len(records), _CSV_BLOCK):
-            block = records[start : start + _CSV_BLOCK]
-            x_cols = np.array([r.x for r in block], dtype=float).T.tolist()
-            u_cols = np.array([r.u for r in block], dtype=float).T.tolist()
+        for start in range(0, len(xs), _CSV_BLOCK):
+            stop = start + _CSV_BLOCK
+            x_cols = np.array(xs[start:stop], dtype=float).T.tolist()
+            u_cols = np.array(us[start:stop], dtype=float).T.tolist()
+            ints = zip(trace.beta[start:stop], trace.n[start:stop], trace.lam[start:stop])
             rows = zip(
-                [str(r.k) for r in block],
+                map(str, range(start, stop)),
                 *[map(repr, col) for col in x_cols],
                 *[map(repr, col) for col in u_cols],
-                [f"{r.beta},{r.n},{r.lam}\r\n" for r in block],
+                [f"{beta},{n_k},{lam}\r\n" for beta, n_k, lam in ints],
             )
             fh.write("".join(map(",".join, rows)))

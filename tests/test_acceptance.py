@@ -129,10 +129,10 @@ def test_criterion_4_baseline_bound_statistical():
     noise = NoiseSpec()
     for t in range(trials):
         trace = run_trajectory(plant, env, noise, "baseline", horizon, RngStream(404, t))
-        for r in trace.records:
-            v = abs(float(r.x[0]))
-            sums[r.k] += v
-            sumsq[r.k] += v * v
+        for k, x in enumerate(trace.x):
+            v = abs(float(x[0]))
+            sums[k] += v
+            sumsq[k] += v * v
     means = sums / trials
     variances = np.maximum(sumsq / trials - means**2, 0.0)
     ses = np.sqrt(variances / trials)

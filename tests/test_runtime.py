@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 from array import array
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
-from etac.oracle import BufferState, reference_anytime_step, update_lambda
+from etac.oracle import BufferState, lambda_path_from_counts, reference_anytime_step, update_lambda
 from etac.runtime import (
     _CSV_BLOCK,
     RngStream,
+    Trace,
     channel_utilization,
     empirical_cost,
     plan_inputs,
@@ -370,6 +372,74 @@ class TestRunTrajectory:
             "160b1a6cae3925cbc554c25a0290cb816fd3c66574d374fcc29ab00b0edfb5fb"
         )
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            diverged_trace,
+            lambda: run_trajectory(make_sat_plant(1.0), UNIFORM_ENV, NOISELESS, "anytime", 80, RngStream(27, 0)),
+            lambda: run_trajectory(
+                make_sat_plant(1.0), UNIFORM_ENV, NoiseSpec("gaussian-iid", 1.0), "anytime", 80, RngStream(27, 1)
+            ),
+        ],
+        ids=["diverged", "noiseless", "noisy"],
+    )
+    def test_records_view_matches_columns(self, make):
+        trace = make()
+        records = trace.records
+        assert len(records) == len(trace.x)
+        assert [r.k for r in records] == list(range(len(trace.x)))
+        for k in range(len(trace.x)):
+            r = records[k]
+            assert (r.k, r.beta, r.n, r.lam) == (k, trace.beta[k], trace.n[k], trace.lam[k])
+            assert r.x.tobytes() == trace.x[k].tobytes() and r.u.tobytes() == trace.u[k].tobytes()
+            if trace.w is None:
+                assert r.w is None
+            else:
+                assert r.w.tobytes() == trace.w[k].tobytes()
+        last = records[-1]
+        assert last.k == len(trace.x) - 1 and last.x is trace.x[-1] and last.u is trace.u[-1]
+        with pytest.raises(IndexError):
+            records[len(records)]
+        with pytest.raises(IndexError):
+            records[-len(records) - 1]
+
+    @pytest.mark.parametrize("capacity", range(1, 7))
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("plant_kind", ["scalar", "saturated"])
+    def test_lambda_matches_oracle_path_at_d_zero(self, plant_kind, noisy, capacity):
+        # At d = 0 every step transmits, so the anytime lambda column is the
+        # oracle's unrolled length recursion on received * N of the same draws.
+        plant = make_scalar_plant(2.0, 1.5, 0.0) if plant_kind == "scalar" else make_sat_plant(0.0)
+        env = StochasticEnv(q=0.8, p=(0.2,) + (0.8 / capacity,) * capacity, capacity=capacity)
+        noise = NoiseSpec("gaussian-iid", 1.0) if noisy else NOISELESS
+        for trial in range(5):
+            stream = RngStream(28, trial)
+            anytime = run_trajectory(plant, env, noise, "anytime", 200, stream)
+            baseline = run_trajectory(plant, env, noise, "baseline", 200, stream)
+            _, received, n_draws, _ = RngStream(28, trial).trial_draws(env, noise, 200, plant.state_dim, True)
+            path = lambda_path_from_counts(np.array(received) * np.array(n_draws))
+            assert anytime.lam == path[: len(anytime.x)].tolist()
+            assert baseline.lam == [0] * len(baseline.x)
+
+    @pytest.mark.parametrize("controller", ["baseline", "anytime"])
+    @pytest.mark.parametrize("plant", [make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0)], ids=["scalar", "saturated"])
+    def test_trace_memory_per_step(self, plant, controller):
+        # The columns hold the step's own state and input objects and three
+        # small ints; no per-step record or disturbance view.  The pre-draw is
+        # made before counting starts, as the trace only refers to it.
+        horizon = 20_000
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        stream = RngStream(29, 0)
+        stream.trial_draws(UNIFORM_ENV, noise, horizon, plant.state_dim, True)
+        tracemalloc.start()
+        try:
+            trace = run_trajectory(plant, UNIFORM_ENV, noise, controller, horizon, stream)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.x) == horizon
+        assert held / horizon < 300
+
 
 #: A few values of each input a run's draws depend on; the noted entries
 #: differ from another entry in one input only.
@@ -481,16 +551,13 @@ class TestSharedDraws:
 class TestTraceMetrics:
     @staticmethod
     def _trace_from_xs(xs, horizon, beta=None):
-        from etac.domain import StepRecord
-        from etac.runtime import Trace
-
-        records = [
-            StepRecord(k=k, x=np.array([x]), u=np.zeros(1), beta=(beta[k] if beta else 2), n=0, lam=0)
-            for k, x in enumerate(xs)
-        ]
-        sq_norms = array("d", (float(r.x.dot(r.x)) for r in records))
-        silent = sum(1 for r in records if r.beta == 2)
-        return Trace(records=records, horizon=horizon, sq_norms=sq_norms, silent=silent)
+        x = [np.array([v]) for v in xs]
+        betas = list(beta) if beta else [2] * len(xs)
+        return Trace(
+            x=x, u=[np.zeros(1) for _ in xs], beta=betas, n=[0] * len(xs), lam=[0] * len(xs),
+            w=None, sq_norms=array("d", (float(v.dot(v)) for v in x)), silent=betas.count(2),
+            horizon=horizon,
+        )
 
     def test_cost_all_zero(self):
         trace = self._trace_from_xs([0.0] * 50, 50)
@@ -678,20 +745,16 @@ class TestTraceCsv:
     def test_bytes_match_per_row_writer_on_adversarial_floats(
         self, tmp_path_factory, state_dim, input_dim, length, extra, seed
     ):
-        from etac.domain import StepRecord
-        from etac.runtime import Trace
-
         rng = np.random.default_rng(seed)
         pool = np.array(self.ADVERSARIAL + tuple(extra))
         xs = rng.choice(pool, size=(length, state_dim))
         us = rng.choice(pool, size=(length, input_dim))
         ints = rng.integers(0, 17, size=(length, 2)).tolist()
         betas = rng.integers(0, 3, size=length).tolist()
-        records = [
-            StepRecord(k=k, x=xs[k], u=us[k], beta=betas[k], n=ints[k][0], lam=ints[k][1])
-            for k in range(length)
-        ]
-        trace = Trace(records=records, horizon=length, sq_norms=array("d"), silent=betas.count(2))
+        trace = Trace(
+            x=list(xs), u=list(us), beta=betas, n=[n for n, _ in ints], lam=[lam for _, lam in ints],
+            w=None, sq_norms=array("d"), silent=betas.count(2), horizon=length,
+        )
         out = tmp_path_factory.mktemp("csv")
         write_trace_csv(trace, out / "block.csv")
         reference_trace_csv(trace, out / "row.csv")
