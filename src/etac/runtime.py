@@ -9,6 +9,21 @@ common-random-number comparisons.  The pre-draw is made once per
 draws, so the (d, controller) cells of a Monte Carlo trial, which share one
 stream object, draw once between them.
 
+The stream also keeps the runs made on its current draws, and a run follows
+them while it can.  Its peers are the kept runs under the same ``dynamics`` and
+``control_law`` objects that start from the same drawn ``x0`` object.  Once a
+step's input is chosen, the run keeps the peers that played that same input
+object at that step, and takes x(k+1) and its squared norm from the first; with
+none left it computes the step, and peers never come back.  At a refill, its
+plan starts with the longest stretch of inputs that a peer played from its own
+refill at that step.  Two inputs are one object only when they come from the
+same refill at the same state, or are the shared zero input, and x(k+1) =
+f(x(k), u(k)) + w(k) depends on nothing else, so a followed step is the step
+the run would compute, bit for bit; the run's own trigger radius and buffer
+depth still make its decisions.  A run that has a peer to its last step is
+that peer again, and a run from a given ``x0`` can be no later run's peer, so
+neither is kept.
+
 Both controllers are one rule.  A step that receives the state and is granted
 N >= 1 control-law evaluations replaces the plan with :func:`plan_inputs` of
 length min(N, depth); every later step plays the next planned input, or zero
@@ -16,14 +31,14 @@ once the plan is used up, and a silent step discards the plan.  The anytime
 controller has depth = capacity; the memoryless baseline is depth 1.
 
 A trace stores a run as columns, one entry per recorded step: the state
-``x`` (the loop's own state object), the played input ``u``, and the ints
-``beta``, ``n`` and ``lam``.  It also keeps the run's pre-drawn disturbances,
-the squared state norm of every recorded step, which the loop computes anyway
-for its trigger and divergence tests, and the number of silent steps;
-:func:`empirical_cost` sums that column and :func:`channel_utilization` reads
-that count.  ``Trace.records`` is a read-only view that builds a
-:class:`~etac.domain.StepRecord` per index, for readers that want one step at a
-time.
+``x`` (the state object the loop computed or took from a peer), the played
+input ``u``, and the ints ``beta``, ``n`` and ``lam``.  It also keeps the run's
+pre-drawn disturbances, the squared state norm of every recorded step, which
+the loop computes anyway for its trigger and divergence tests, and the number
+of silent steps; :func:`empirical_cost` sums that column and
+:func:`channel_utilization` reads that count.  ``Trace.records`` is a
+read-only view that builds a :class:`~etac.domain.StepRecord` per index, for
+readers that want one step at a time.
 
 :func:`write_trace_csv` formats the rows itself and writes the bytes that
 ``csv.writer``'s default dialect would: ``repr`` of each float, ``str`` of each
@@ -33,6 +48,7 @@ since no numeric field holds a delimiter, a quote or a line break.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from collections.abc import Sequence
@@ -67,9 +83,11 @@ class RngStream:
 
     The object keeps the last pre-draw of :meth:`trial_draws`, so the trial's
     draws are made once per stream object and every run on it with the same
-    draw inputs reuses them.  The kept draws are private state of this
-    object: they are not part of its ``repr``, equality or hash, and two
-    objects for one (seed, stream_id) share nothing.
+    draw inputs reuses them.  Beside the draws it keeps the runs made on them,
+    which later runs follow (see the module docstring); a new pre-draw drops
+    both.  The kept draws and runs are private state of this object: they are
+    not part of its ``repr``, equality or hash, and two objects for one (seed,
+    stream_id) share nothing.
     """
 
     seed: int
@@ -118,7 +136,7 @@ class RngStream:
         if w is not None:
             w.setflags(write=False)
         draws = (x0, received, n_draws, w)
-        object.__setattr__(self, "_draws", (key, draws))
+        object.__setattr__(self, "_draws", (key, draws, []))
         return draws
 
 
@@ -127,7 +145,7 @@ class Trace:
     """One closed-loop run, stored as columns.
 
     ``x``, ``u``, ``beta``, ``n`` and ``lam`` hold one entry per recorded
-    step: the state, the played input (a plan entry or the run's shared zero
+    step: the state, the played input (a plan entry or the shared zero
     input), the transmission outcome, the evaluations granted and the
     effective buffer length.  They have exactly ``horizon`` entries unless the
     run diverged, in which case they end at the step where the state norm blew
@@ -139,6 +157,10 @@ class Trace:
     steps with ``beta == 2``, so that :func:`channel_utilization` need not
     revisit ``beta``.  ``==`` is identity, since comparing lists of arrays
     element-wise has no single truth value.
+
+    The columns and the arrays in them are shared: a later run on the same
+    stream follows this one's states and inputs, and takes them as its own.
+    Neither the lists nor the arrays may be written.
 
     ``records`` is a read-only sequence view over the columns whose item ``k``
     is the :class:`~etac.domain.StepRecord` of step ``k``, built on access.
@@ -217,7 +239,12 @@ def run_trajectory(
     and must have shape ``(plant.state_dim,)``; when None it is drawn standard
     normal.  The draws come from ``rng.trial_draws``, so runs on one stream
     object share them, and a drawn ``x0`` and the disturbances are read-only
-    arrays in the trace.  The state update is x(k+1) = f(x(k), u(k)) + w(k).
+    arrays in the trace.  The state update is x(k+1) = f(x(k), u(k)) + w(k);
+    while the run plays the same input objects as a run kept on ``rng``, it
+    takes that run's next state instead of computing it (see the module
+    docstring), so the returned trace may share state and input arrays with
+    earlier and later runs on the stream, and the played zero input is one
+    read-only array.
     A state whose norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite)
     ends the run early with the trace flagged diverged rather than raising.
     The input applied at a step is ``plan[age]`` while the plan lasts and zero
@@ -245,8 +272,11 @@ def run_trajectory(
     buffered = controller == "anytime"
     depth = env.capacity if buffered else 1
     dd = plant.d * plant.d
-    dynamics = plant.dynamics
-    zero_u = np.zeros(plant.input_dim)
+    dynamics, control = plant.dynamics, plant.control_law
+    zero_u = _zero_input(plant.input_dim)
+    kept = rng._draws[2]  # the runs made on these draws
+    # Kept runs from this state under these maps; see the module docstring.
+    peers = [t for f, kappa, t in kept if t.x[0] is x and f is dynamics and kappa is control]
     xs: list[np.ndarray] = []
     us: list[np.ndarray] = []
     betas: list[int] = []
@@ -279,7 +309,8 @@ def run_trajectory(
             silent += 1
             plan = ()
         if n_k:
-            plan = plan_inputs(x, n_k if n_k < depth else depth, plant)
+            m = n_k if n_k < depth else depth
+            plan = _peer_plan(x, m, plant, peers, k) if peers else plan_inputs(x, m, plant)
             age = 0
         else:
             age += 1
@@ -290,25 +321,75 @@ def run_trajectory(
         else:
             u = zero_u
             lam = 0
-        x_next = dynamics(x, u)
-        if w is not None:
-            x_next = x_next + w[k]
         append_x(x)
         append_u(u)
         append_beta(beta)
         append_n(n_k)
         append_lam(lam)
         append_sq_norm(nrm2)
+        if peers:
+            # A peer that played this input object from this state has x(k + 1)
+            # already; if the first has no step k + 1, none has: this is the
+            # last step, or they all diverged here, as this run is about to.
+            peers = [p for p in peers if p.u[k] is u]
+            if peers and len(peers[0].x) > k + 1:
+                x = peers[0].x[k + 1]
+                nrm2 = peers[0].sq_norms[k + 1]
+                continue
+        x_next = dynamics(x, u)
+        if w is not None:
+            x_next = x_next + w[k]
         nrm2 = float(x_next.dot(x_next))
         if not nrm2 <= limit2:  # also true for nan and inf
             diverged = True
             break
         x = x_next
 
-    return Trace(
+    trace = Trace(
         x=xs, u=us, beta=betas, n=ns, lam=lams, w=w,
         sq_norms=sq_norms, silent=silent, horizon=horizon, diverged=diverged,
     )
+    # A run that still has a peer after its last step is that peer again, and
+    # a run from a given x0 can be no later run's peer.
+    if x0 is None and not peers:
+        kept.append((dynamics, control, trace))
+    return trace
+
+
+@functools.cache
+def _zero_input(input_dim: int) -> np.ndarray:
+    """The one read-only zero input of this dimension that every run plays.
+
+    Runs tell a shared input by identity, so the zero must be one object.
+    """
+    zero = np.zeros(input_dim)
+    zero.setflags(write=False)
+    return zero
+
+
+def _peer_plan(
+    x: np.ndarray, m: int, plant: PlantSpec, peers: list[Trace], k: int
+) -> list[np.ndarray]:
+    """``plan_inputs(x, m, plant)``, starting with the peers' input objects.
+
+    A peer that refilled at step k from this state played a prefix of the same
+    plan until it refilled again or played the zero input; the longest such
+    stretch, cut to ``m``, starts the plan, and only the rest is computed.
+    """
+    zero_u = _zero_input(plant.input_dim)
+    stretch: list[np.ndarray] = []
+    for p in peers:
+        if p.n[k] and len(stretch) < m:
+            us, ns = p.u, p.n
+            end = min(k + m, len(us))
+            j = k + 1
+            while j < end and not ns[j] and us[j] is not zero_u:
+                j += 1
+            if j - k > len(stretch):
+                stretch = us[k:j]
+    if len(stretch) < m:
+        stretch += plan_inputs(x, m, plant)[len(stretch):]
+    return stretch
 
 
 def empirical_cost(trace: Trace) -> float:

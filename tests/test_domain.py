@@ -217,6 +217,17 @@ class TestCertifiedInequalities:
             grown = plant.lyapunov(plant.dynamics(x, zero))
             assert grown <= plant.alpha * v
 
+    def test_sat_plant_tight_rho(self):
+        # f(x, kappa(x)) = (0, -0.495 sat(x1 + x2)) and |x1 + x2| <= sqrt(2) |x|,
+        # so V contracts by 0.495 sqrt(2) ~ 0.700 everywhere, below the declared rho
+        plant = make_sat_plant(d=1.0)
+        tight = 0.495 * math.sqrt(2.0)
+        assert tight < plant.rho
+        bound = tight * (1.0 + 4 * 2.0**-52)  # a few ulps of rounding in f, kappa and V
+        for x in self._states(2, 915151):
+            closed = plant.lyapunov(plant.dynamics(x, plant.control_law(x)))
+            assert closed <= bound * plant.lyapunov(x)
+
     def test_scalar_plant_bounds(self):
         plant = make_scalar_plant(2.0, 1.5, 1.0)
         states = self._states(1, 424242)

@@ -1,7 +1,10 @@
 import csv
+import dataclasses
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 from array import array
 
 import numpy as np
@@ -456,14 +459,22 @@ SHARED_DRAW_NOISES = (
     NoiseSpec("gaussian-iid", 0.5),
     NoiseSpec("gaussian-iid", 2.0),
 )
-SHARED_DRAW_PLANTS = (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0))
+SHARED_DRAW_RADII = (0.0, 1.0, 2.5, 40.0)
+#: Built once per radius, as ``_mc_worker`` builds them: the saturated plants
+#: share their maps across radii, and each scalar plant has maps of its own.
+#: The two scalar plants draw alike, so a run that took the states of a run
+#: under other maps would differ.
+SHARED_DRAW_PLANTS = tuple(
+    (make_scalar_plant(2.0, 1.5, d), make_sat_plant(d), make_scalar_plant(1.5, 1.0, d))
+    for d in SHARED_DRAW_RADII
+)
 
 
 def shared_draw_run(
-    stream, env=1, noise=3, horizon=30, plant=1, fixed_x0=False, controller="anytime"
+    stream, env=1, noise=3, horizon=30, plant=1, fixed_x0=False, controller="anytime", d=1
 ):
-    """One run on ``stream``; the first five arguments index the tables above."""
-    plant_spec = SHARED_DRAW_PLANTS[plant]
+    """One run on ``stream``; the arguments but ``controller`` index the tables above."""
+    plant_spec = SHARED_DRAW_PLANTS[d][plant]
     x0 = np.linspace(1.5, -0.5, plant_spec.state_dim) if fixed_x0 else None
     return run_trajectory(
         plant_spec, SHARED_DRAW_ENVS[env], SHARED_DRAW_NOISES[noise], controller,
@@ -482,23 +493,36 @@ class TestSharedDraws:
 
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        runs=st.lists(
+        # one or two sets of draw inputs per example, so that runs on the same
+        # draws, which follow each other, are common
+        draw_inputs=st.lists(
             st.fixed_dictionaries({
                 "env": st.integers(0, len(SHARED_DRAW_ENVS) - 1),
                 "noise": st.integers(0, len(SHARED_DRAW_NOISES) - 1),
                 "horizon": st.sampled_from([20, 35]),
-                "plant": st.integers(0, len(SHARED_DRAW_PLANTS) - 1),
                 "fixed_x0": st.booleans(),
-                "controller": st.sampled_from(["baseline", "anytime"]),
             }),
+            min_size=1,
+            max_size=2,
+        ),
+        runs=st.lists(
+            st.tuples(
+                st.integers(0, 1),  # which draw inputs
+                st.fixed_dictionaries({
+                    "plant": st.integers(0, len(SHARED_DRAW_PLANTS[0]) - 1),
+                    "controller": st.sampled_from(["baseline", "anytime"]),
+                    "d": st.integers(0, len(SHARED_DRAW_RADII) - 1),
+                }),
+            ),
             min_size=2,
             max_size=8,
         ),
     )
     @settings(max_examples=150, deadline=None)
-    def test_reused_stream_matches_fresh_streams(self, seed, runs):
+    def test_reused_stream_matches_fresh_streams(self, seed, draw_inputs, runs):
         shared = RngStream(seed, 3)
-        for run in runs:
+        for which, cell in runs:
+            run = {**draw_inputs[which % len(draw_inputs)], **cell}
             fresh = shared_draw_run(RngStream(seed, 3), **run)
             assert_runs_bitwise_equal(shared_draw_run(shared, **run), fresh)
 
@@ -546,6 +570,124 @@ class TestSharedDraws:
         shared_draw_run(used)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == repr(fresh) == "RngStream(seed=43, stream_id=2)"
+
+
+def counting_maps(plant):
+    """Wrappers of the plant's maps that count their calls, and the counts."""
+    calls = {"dynamics": 0, "control_law": 0}
+
+    def dynamics(x, u):
+        calls["dynamics"] += 1
+        return plant.dynamics(x, u)
+
+    def control_law(x):
+        calls["control_law"] += 1
+        return plant.control_law(x)
+
+    return dynamics, control_law, calls
+
+
+def kept_runs(stream):
+    """The runs a stream keeps beside its current draws."""
+    return [trace for _, _, trace in stream._draws[2]]
+
+
+class TestKeptRuns:
+    """A run on a stream takes an earlier run's next state while it plays the same input."""
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["sweep-order", "reversed"])
+    def test_sweep_cells_match_fresh_streams_with_fewer_plant_calls(self, reverse):
+        # the montecarlo cell order (every radius, both controllers, one stream
+        # per trial), and the reverse, where the anytime cell comes first; the
+        # saturated maps are one pair of objects across radii
+        dynamics, control_law, calls = counting_maps(make_sat_plant())
+        env = StochasticEnv(q=0.4, p=UNIFORM_ENV.p, capacity=4)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        cells = [
+            (d, dataclasses.replace(make_sat_plant(d), dynamics=dynamics, control_law=control_law),
+             controller)
+            for d in (0.0, 0.5, 1.0, 2.0, 4.0, 6.0)
+            for controller in ("baseline", "anytime")
+        ]
+        if reverse:
+            cells.reverse()
+        steps = 0
+        for trial in range(4):
+            stream = RngStream(45, trial)
+            for d, plant, controller in cells:
+                shared = run_trajectory(plant, env, noise, controller, 50, stream)
+                fresh = run_trajectory(
+                    make_sat_plant(d), env, noise, controller, 50, RngStream(45, trial)
+                )
+                assert_runs_bitwise_equal(shared, fresh)
+                steps += len(shared.x)
+        # without sharing every plant step is one dynamics call, plus the plans'
+        # forward simulations
+        assert calls["dynamics"] < steps
+
+    def test_follows_a_peer_that_diverged(self):
+        # diverged_trace()'s config from a drawn x0, which it still diverges from
+        plant = make_scalar_plant(3.0, 2.5, 0.0)
+        env = StochasticEnv(q=0.5, p=(0.3, 0.2, 0.2, 0.3), capacity=3)
+        stream = RngStream(23, 0)
+        runs = [
+            run_trajectory(plant, env, NOISELESS, controller, 200, stream)
+            for controller in ("baseline", "anytime", "baseline")
+        ]
+        assert runs[0].diverged and runs[2].diverged
+        for controller, run in zip(("baseline", "anytime", "baseline"), runs):
+            fresh = run_trajectory(plant, env, NOISELESS, controller, 200, RngStream(23, 0))
+            assert_runs_bitwise_equal(run, fresh)
+        # the repeat took every state from the first run, up to its divergence
+        assert all(a is b for a, b in zip(runs[2].x, runs[0].x))
+        assert kept_runs(stream) == runs[:2]
+
+    def test_runs_under_other_maps_share_nothing(self):
+        stream = RngStream(49, 0)
+        first = shared_draw_run(stream, plant=0)
+        other = shared_draw_run(stream, plant=2)
+        assert_runs_bitwise_equal(other, shared_draw_run(RngStream(49, 0), plant=2))
+        assert not any(a is b for a, b in zip(first.x[1:], other.x[1:]))
+        assert kept_runs(stream) == [first, other]
+        # the saturated dynamics under another control law
+        sat = SHARED_DRAW_PLANTS[0][1]
+        halved = dataclasses.replace(sat, control_law=lambda x: 0.5 * sat.control_law(x))
+        stream = RngStream(49, 1)
+        args = (UNIFORM_ENV, SHARED_DRAW_NOISES[3], "anytime", 30)
+        run_trajectory(sat, *args, stream)
+        assert_runs_bitwise_equal(
+            run_trajectory(halved, *args, stream), run_trajectory(halved, *args, RngStream(49, 1))
+        )
+
+    def test_zero_input_is_one_read_only_array(self):
+        # radius 40: the saturated plant never leaves the ball, so every input is zero
+        silent = shared_draw_run(RngStream(46, 0), controller="baseline", d=3)
+        zero = silent.u[0]
+        assert all(u is zero for u in silent.u) and not zero.any()
+        with pytest.raises(ValueError, match="read-only"):
+            zero[0] = 1.0
+        busy = shared_draw_run(RngStream(47, 1), d=0, fixed_x0=True)
+        assert any(u is zero for u in busy.u)
+
+    def test_repeated_run_is_not_kept_and_new_draws_drop_the_runs(self):
+        stream = RngStream(48, 2)
+        first = shared_draw_run(stream)
+        again = shared_draw_run(stream)
+        assert_runs_bitwise_equal(again, first)
+        assert again.x[7] is first.x[7]
+        assert kept_runs(stream) == [first]
+        ref = weakref.ref(first)
+        del first, again
+        gc.collect()
+        assert ref() is not None
+        shared_draw_run(stream, horizon=20)  # another draw key
+        gc.collect()
+        assert ref() is None
+        # a given x0 is copied per run, so such a run is no later run's peer
+        given = RngStream(48, 3)
+        shared_draw_run(given, fixed_x0=True)
+        shared_draw_run(given, fixed_x0=True, controller="baseline")
+        assert kept_runs(given) == []
 
 
 class TestTraceMetrics:
