@@ -611,7 +611,7 @@ class TestKeptRuns:
         ]
         if reverse:
             cells.reverse()
-        steps = 0
+        steps = planned = 0
         for trial in range(4):
             stream = RngStream(45, trial)
             for d, plant, controller in cells:
@@ -621,9 +621,12 @@ class TestKeptRuns:
                 )
                 assert_runs_bitwise_equal(shared, fresh)
                 steps += len(shared.x)
+                depth = env.capacity if controller == "anytime" else 1
+                planned += sum(min(n, depth) for n in shared.n)
         # without sharing every plant step is one dynamics call, plus the plans'
-        # forward simulations
+        # forward simulations, and every planned input one control-law call
         assert calls["dynamics"] < steps
+        assert calls["control_law"] < planned
 
     def test_follows_a_peer_that_diverged(self):
         # diverged_trace()'s config from a drawn x0, which it still diverges from
