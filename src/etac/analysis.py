@@ -31,7 +31,9 @@ Sherman-Morrison to the rank-1 term of G gives
     omega = alpha r (1 + rho theta^T (I - rho G)^{-1} e1) = alpha r (1 + rho N / (1 - rho D)),
     N = sum_l theta_l x**(l-1),  D = sum_{m<L} T_m x**m,  x = rho r,
 
-where 1 - rho D = det(I - rho G) > 0 for every rho < 1.
+where 1 - rho D = det(I - rho G) > 0 for every rho < 1.  At rho = 1 the same
+sums give the mean return time 1 / pi_0 by Kac's lemma (M. Kac, 1947), where
+pi_0 = 1 - D(r) = det(I - G) is the stationary mass of length 0 (0 when r = 0).
 """
 
 from __future__ import annotations
@@ -106,15 +108,14 @@ class SeriesResult(NamedTuple):
     tail_bound: float
 
 
-@dataclass(frozen=True, eq=False)
-class AnalysisResult:
-    """Bundle of stability quantities for one (plant, env) pair."""
+class AnalysisResult(NamedTuple):
+    """Closed-form stability quantities for one (plant, env) pair."""
 
     gamma: float
     omega: float
-    delta_pmf: np.ndarray  # return-time pmf over j = 1..len
-    delta_mass: float
-    bounds: dict[str, float]  # asymptotic tails of the two mean bounds
+    mean_return_time: float  # 1 / det(I - G); +inf when the length never returns
+    baseline_tail: float  # asymptotic tails of the two mean bounds
+    anytime_tail: float
 
 
 def _require_rho(rho) -> None:
@@ -235,17 +236,21 @@ def anytime_contraction_series(
     return SeriesResult(value=value, tail_bound=tail)
 
 
-def _resolvent_factor(chain: LambdaChain, rho):
-    """1 + rho theta^T (I - rho G)^{-1} e1 = 1 + rho N / (1 - rho D), elementwise in rho.
+def _power_sums(chain: LambdaChain, x):
+    """N = sum_l theta_l x**(l-1) and D = sum_{m<L} T_m x**m, elementwise in x.
 
-    Each rho gets its own row of powers and its own row sums, so an entry of
-    an array ``rho`` gets exactly the value the same rho gets alone.
+    Each x gets its own row of powers and its own row sums, so an entry of
+    an array ``x`` gets exactly the values the same x gets alone.
     """
-    x = np.multiply.outer(rho * chain.return1, np.ones(chain.capacity))
-    x[..., 0] = 1.0
-    powers = np.cumprod(x, axis=-1)  # x**m for m = 0..L-1
-    n = (powers * chain.theta).sum(axis=-1)
-    d = (powers * chain.tails).sum(axis=-1)
+    powers = np.multiply.outer(x, np.ones(chain.capacity))
+    powers[..., 0] = 1.0
+    powers = np.cumprod(powers, axis=-1)  # x**m for m = 0..L-1
+    return (powers * chain.theta).sum(axis=-1), (powers * chain.tails).sum(axis=-1)
+
+
+def _resolvent_factor(chain: LambdaChain, rho):
+    """1 + rho theta^T (I - rho G)^{-1} e1 = 1 + rho N / (1 - rho D), elementwise in rho."""
+    n, d = _power_sums(chain, rho * chain.return1)
     return 1.0 + rho * n / (1.0 - rho * d)
 
 
@@ -306,16 +311,16 @@ def boundary_curves(env: StochasticEnv, rho_values: np.ndarray) -> np.ndarray:
 
 
 def analyze(plant: PlantSpec, env: StochasticEnv) -> AnalysisResult:
-    """Gamma, omega, the truncated return-time pmf and the bound tails."""
+    """Gamma, omega, the mean return time and the bound tails, all in closed form."""
     chain = build_lambda_chain(env)
     gamma = baseline_contraction(plant.alpha, plant.rho, env.q, env.p[0])
     omega = anytime_contraction(chain, plant.alpha, plant.rho)
-    pmf = return_time_pmf_truncated(chain)
-    anytime_tail = plant.phi2(plant.d) / (1.0 - omega) if omega < 1.0 else math.inf
+    # pi_0 = det(I - G) is 0 at r = 0, where 1 - D holds only the rounding of sum(p)
+    pi0 = 1.0 - float(_power_sums(chain, chain.return1)[1]) if chain.return1 > 0.0 else 0.0
     return AnalysisResult(
         gamma=gamma,
         omega=omega,
-        delta_pmf=pmf,
-        delta_mass=float(pmf.sum()),
-        bounds={"baseline_tail": _baseline_tail(plant, env, gamma), "anytime_tail": anytime_tail},
+        mean_return_time=1.0 / pi0 if pi0 > 0.0 else math.inf,
+        baseline_tail=_baseline_tail(plant, env, gamma),
+        anytime_tail=plant.phi2(plant.d) / (1.0 - omega) if omega < 1.0 else math.inf,
     )

@@ -1,18 +1,21 @@
 """Config-driven experiment runner.
 
-Subcommands: ``analyze`` (contraction factors and stability-boundary curves),
-``delta-dist`` (analytic vs simulated return-time pmf), ``simulate`` (one
-trajectory to CSV), ``montecarlo`` (cost/utilization sweep over trigger radii
-with paired draws for the two controllers).  Experiments are described by a
-single strict JSON document so a recorded config reproduces a run exactly.
+Subcommands: ``analyze`` (closed forms only: contraction factors, mean return
+time, boundary curves on :data:`RHO_GRID`), ``delta-dist`` (analytic vs
+simulated return-time pmf), ``simulate`` (one trajectory to CSV),
+``montecarlo`` (cost/utilization sweep over trigger radii with paired draws
+for the two controllers).  Experiments are described by a single strict JSON
+document so a recorded config reproduces a run exactly.
 
 Each config type checks its own invariants when it is built, so a config
 built in Python or by ``dataclasses.replace`` gets the same checks as one read
 from JSON; :func:`parse_config` only decodes, taking each field's rule from its
 type.  Every config number, each entry of ``env.p``, ``d_sweep`` and
-``x0.value`` included, is a finite int or float and never a boolean.
+``x0.value`` included, is a finite int or float and never a boolean: finiteness
+is the decoder's rule, ranges the types' rules, each written so NaN fails it.
 
-Exit codes: 0 success, 2 config error, 3 accuracy-threshold failure in
+Exit codes: 0 success, 1 a ``montecarlo`` cell in which every trial diverged
+(no CSV is written), 2 config error, 3 accuracy-threshold failure in
 ``delta-dist``.  Exit 2 covers what the decoder and the types refuse, a
 ``--threads`` below 1, an output path whose directory does not exist (refused
 before any work), and the library's input checks (a ``ValueError``), in this
@@ -44,7 +47,7 @@ __all__ = [
     "ExperimentConfig",
     "InitSpec",
     "PlantSelector",
-    "RhoGrid",
+    "RHO_GRID",
     "TV_THRESHOLD",
     "build_plant",
     "cmd_analyze",
@@ -62,6 +65,10 @@ CONTROLLERS = ("baseline", "anytime")
 
 #: delta-dist fails (exit 3) when the TV distance reaches this value.
 TV_THRESHOLD = 0.01
+
+#: The rho values at which ``analyze`` writes the boundary curves; read-only.
+RHO_GRID = np.linspace(0.01, 0.99, 181)
+RHO_GRID.flags.writeable = False
 
 
 class ConfigError(ValueError):
@@ -97,22 +104,6 @@ class InitSpec:
 
 
 @dataclass(frozen=True)
-class RhoGrid:
-    lo: float = 0.01
-    hi: float = 0.99
-    points: int = 181
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lo <= self.hi < 1.0:
-            raise ValueError(f"0 <= lo <= hi < 1 must hold, got lo={self.lo}, hi={self.hi}")
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points}")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.points)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     plant: PlantSelector
     env: StochasticEnv
@@ -125,7 +116,6 @@ class ExperimentConfig:
     noise: NoiseSpec = NoiseSpec()
     x0: InitSpec = InitSpec()
     out: str | None = None
-    rho_grid: RhoGrid = RhoGrid()
 
     def __post_init__(self) -> None:
         for name in self.controllers:
@@ -133,18 +123,18 @@ class ExperimentConfig:
                 raise ValueError(f"unknown controller {name!r}")
         if not self.controllers or len(set(self.controllers)) != len(self.controllers):
             raise ValueError("controllers must be nonempty and must not repeat")
-        if self.d is not None and self.d < 0.0:
+        if self.d is not None and not self.d >= 0.0:
             raise ValueError("d must be nonnegative")
         if self.d_sweep is not None:
-            if not self.d_sweep or any(v < 0.0 for v in self.d_sweep):
+            if not self.d_sweep or not all(v >= 0.0 for v in self.d_sweep):
                 raise ValueError("d_sweep must be nonempty and its values nonnegative")
             if any(b <= a for a, b in zip(self.d_sweep, self.d_sweep[1:])):
                 raise ValueError("d_sweep values must be strictly increasing")
-        if self.horizon < 1:
+        if not self.horizon >= 1:
             raise ValueError("horizon must be >= 1")
-        if self.trials is not None and self.trials < 1:
+        if self.trials is not None and not self.trials >= 1:
             raise ValueError("trials must be >= 1")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be a nonnegative integer")
 
 
@@ -273,7 +263,7 @@ def _fmt(value: float) -> str:
 
 
 def cmd_analyze(config: ExperimentConfig) -> int:
-    """Print gamma/omega at the plant's (alpha, rho); write boundary curves CSV."""
+    """Print the closed forms at the plant's (alpha, rho); write the boundary curves CSV."""
     out = _require_out(config)
     plant = build_plant(config.plant, config.d if config.d is not None else 0.0)
     result = analysis.analyze(plant, config.env)
@@ -281,15 +271,14 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     print(f"omega={_fmt(result.omega)}")
     print(f"alpha_star_baseline={_fmt(analysis.boundary_alpha_baseline(plant.rho, config.env.q, config.env.p[0]))}")
     print(f"alpha_star_anytime={_fmt(analysis.boundary_alpha_anytime(plant.rho, config.env))}")
-    print(f"baseline_tail={_fmt(result.bounds['baseline_tail'])}")
-    print(f"anytime_tail={_fmt(result.bounds['anytime_tail'])}")
-    print(f"delta_mass={result.delta_mass:.9f}")
-    curves = analysis.boundary_curves(config.env, config.rho_grid.values())
+    print(f"baseline_tail={_fmt(result.baseline_tail)}")
+    print(f"anytime_tail={_fmt(result.anytime_tail)}")
+    print(f"mean_return_time={_fmt(result.mean_return_time)}")
+    curves = analysis.boundary_curves(config.env, RHO_GRID)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho", "alpha_star_baseline", "alpha_star_anytime"])
-        for rho, base, anyt in curves:
-            writer.writerow([float(rho), float(base), float(anyt)])
+        writer.writerows(curves.tolist())
     return 0
 
 
@@ -361,9 +350,11 @@ def _mc_worker(
 
     Every cell of trial t runs on one ``RngStream(seed, t)`` object, so the
     trial's draws are made once, by its first cell, and reused by the rest.
+    Each radius copies one built plant, so all cells share prefixes (same maps).
     """
     config, t0, t1 = args
-    plants = [build_plant(config.plant, d) for d in config.d_sweep]
+    plant = build_plant(config.plant, config.d_sweep[0])
+    plants = [replace(plant, d=d) for d in config.d_sweep]
     n_d, n_c, n_t = len(plants), len(config.controllers), t1 - t0
     costs = np.empty((n_d, n_c, n_t))
     utils = np.empty((n_d, n_c, n_t))

@@ -125,7 +125,7 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "gaussian-iid"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.std < 0.0:
+        if not self.std >= 0.0:
             raise ValueError("noise std must be nonnegative")
         if self.kind == "none" and self.std != 0.0:
             raise ValueError("noise std must be 0 under kind 'none'")
@@ -195,7 +195,7 @@ def make_sat_plant(d: float = 0.0) -> PlantSpec:
     [-10, 10]; kappa(x) = (-x2, 0.505 sat(x1 + x2)) contracts V by rho = 0.99,
     and the zero input grows |x| by at most the golden ratio, padded by 1e-4.
     """
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("trigger radius d must be nonnegative")
     return PlantSpec(
         state_dim=2,
@@ -236,11 +236,14 @@ def make_scalar_plant(a: float, gain: float, d: float) -> PlantSpec:
 
     The certified factors are |a - gain| and |a|, each padded by a few ulps to
     absorb product roundoff so the grid checks hold without tolerance.
+    The analysis assumes alpha >= rho and refuses a plant without it; this
+    does not, so the simulator runs e.g. a = 0.2, gain = -0.7 (alpha = 0.2 <
+    rho = 0.9) outside the model, where buffered inputs can cost more.
     """
     rho = abs(a - gain)
-    if rho >= 1.0:
+    if not rho < 1.0:
         raise ValueError(f"|a - gain| = {rho} must be < 1 for a contracting loop")
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("trigger radius d must be nonnegative")
     return PlantSpec(
         state_dim=1,

@@ -20,8 +20,9 @@ from etac.analysis import (
     default_series_length,
     return_time_pmf_truncated,
 )
-from etac.domain import StochasticEnv, make_scalar_plant, validate_env
-from etac.oracle import lambda_transition_matrix
+from etac.domain import StochasticEnv, make_sat_plant, make_scalar_plant, validate_env
+from etac.oracle import lambda_transition_matrix, simulate_lambda_chain
+from etac.runtime import RngStream
 
 # worked example used throughout: capacity 2, q = 0.75, p = (0.2, 0.3, 0.5)
 WORKED_ENV = StochasticEnv(q=0.75, p=(0.2, 0.3, 0.5), capacity=2)
@@ -501,15 +502,92 @@ class TestAnalyze:
         assert result.gamma == pytest.approx(0.785)
         chain = build_lambda_chain(env)
         assert result.omega == pytest.approx(anytime_contraction(chain, plant.alpha, plant.rho))
-        assert result.delta_mass >= 1.0 - 1e-6
-        assert np.all(result.delta_pmf >= 0.0)
-        assert result.bounds["baseline_tail"] == pytest.approx(
+        # one slot: every step returns with probability r = 0.19, a geometric law
+        assert result.mean_return_time == pytest.approx(1.0 / 0.19)
+        assert result.baseline_tail == pytest.approx(
             0.9 * 0.9 * (plant.alpha - plant.rho) * 1.0 / (1.0 - result.gamma)
         )
+        assert result.anytime_tail == pytest.approx(1.0 / (1.0 - result.omega))
 
     def test_supercritical_tails_are_infinite(self):
         plant = make_scalar_plant(3.0, 2.2, 1.0)
         env = StochasticEnv(q=0.3, p=(0.5, 0.5), capacity=1)
         result = analyze(plant, env)
-        assert result.gamma > 1.0 and result.bounds["baseline_tail"] == math.inf
-        assert result.omega > 1.0 and result.bounds["anytime_tail"] == math.inf
+        assert result.gamma > 1.0 and result.baseline_tail == math.inf
+        assert result.omega > 1.0 and result.anytime_tail == math.inf
+
+    def test_refuses_only_what_gamma_and_omega_refuse(self):
+        # alpha < rho is outside the model; the slow and never-returning
+        # environments below are not refused
+        with pytest.raises(ValueError, match="alpha"):
+            analyze(make_scalar_plant(0.2, -0.7, 0.0), WORKED_ENV)
+
+
+def dense_det(env):
+    """det(I - G) on the oracle's dense G."""
+    return float(np.linalg.det(np.eye(env.capacity) - lambda_transition_matrix(env)))
+
+
+def dense_hitting_times(env):
+    """Expected steps to reach length 0 from each length 1..L: (I - G) h = 1."""
+    g = lambda_transition_matrix(env)
+    return np.linalg.solve(np.eye(env.capacity) - g, np.ones(env.capacity))
+
+
+class TestMeanReturnTime:
+    """Kac's lemma: E[return time] = 1 / pi_0 with pi_0 = 1 - D(r) = det(I - G)."""
+
+    SAT = make_sat_plant(0.0)
+
+    def test_worked_value(self):
+        # D(r) = T_0 + T_1 r = 0.6 + 0.375 * 0.4 = 0.75
+        assert analyze(self.SAT, WORKED_ENV).mean_return_time == 4.0
+
+    def test_fuzz_against_dense_determinant(self):
+        rng = np.random.default_rng(20261)
+        worst = 0.0
+        for _ in range(1000):
+            env = random_env(rng, max_capacity=100, q_hi=0.999)
+            pi0 = 1.0 / analyze(self.SAT, env).mean_return_time
+            worst = max(worst, abs(pi0 - dense_det(env)))
+        assert worst < 1e-14, worst
+
+    @pytest.mark.parametrize("env", [WORKED_ENV, REFERENCE_ENV], ids=["worked", "capacity-4"])
+    def test_matches_simulation_within_three_sigma(self, env):
+        sim = simulate_lambda_chain(env, 200_000, RngStream(71, 0))
+        support = np.arange(1, sim.counts.size + 1)
+        second = float((support**2) @ sim.frequencies)
+        sigma = math.sqrt(second - sim.mean() ** 2)
+        mean = analyze(self.SAT, env).mean_return_time
+        assert abs(sim.mean() - mean) < 3.0 * sigma / math.sqrt(sim.total)
+
+    def test_within_truncated_pmf_slack(self):
+        # The pmf stops at J with mass m_J, so the rest has Delta > J; from the
+        # length at step J the return takes at most max_l h_l more steps on
+        # average, h the dense hitting times.
+        rng = np.random.default_rng(20262)
+        for _ in range(300):
+            env = random_env(rng)
+            pmf = return_time_pmf_truncated(build_lambda_chain(env))
+            j = pmf.size
+            head = float(np.arange(1, j + 1) @ pmf)
+            rest = 1.0 - float(pmf.sum())
+            mean = analyze(self.SAT, env).mean_return_time
+            lo = head + rest * (j + 1)
+            hi = head + rest * (j + float(dense_hitting_times(env).max()))
+            assert lo * (1.0 - 1e-12) <= mean <= hi * (1.0 + 1e-12), (env, lo, mean, hi)
+
+    @pytest.mark.parametrize("p", [(0.0, 1.0), (0.0, 0.1, 0.2, 0.7), (0.0, 0.3, 0.3, 0.4)])
+    def test_never_returning_length_is_infinite(self, p):
+        # q = 1, p0 = 0: r = 0.  (0.1, 0.2, 0.7) sums to 1 - 2**-53 in the tails,
+        # so 1 - D rounds to 1.1e-16 rather than 0.
+        env = StochasticEnv(q=1.0, p=p, capacity=len(p) - 1)
+        assert analyze(self.SAT, env).mean_return_time == math.inf
+
+    def test_slow_env_builds_no_pmf(self):
+        # r ~ 2e-3: the truncated pmf passes PMF_MAX_TERMS terms before its mass target
+        env = StochasticEnv(q=0.999, p=(0.001,) + (0.999 / 50,) * 50, capacity=50)
+        with mock.patch("etac.analysis._return_time_pmf", side_effect=AssertionError("pmf built")):
+            result = analyze(self.SAT, env)
+        assert result.mean_return_time == pytest.approx(24962.50625, rel=1e-9)
+        assert 1.0 / result.mean_return_time == pytest.approx(dense_det(env), abs=1e-14)

@@ -16,13 +16,12 @@ from etac.cli import (
     ExperimentConfig,
     InitSpec,
     PlantSelector,
-    RhoGrid,
     emit_config,
     main,
     parse_config,
     run_paired_cells,
 )
-from etac.domain import NoiseSpec, StochasticEnv
+from etac.domain import NoiseSpec, StochasticEnv, make_scalar_plant
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -45,7 +44,8 @@ def boundary_config(out=None, q=0.75):
 
 
 #: Returns to zero so rarely (r = 1 - q + p0 q ~ 2e-3) that the pmf prefix
-#: misses its mass target within PMF_MAX_TERMS terms.
+#: misses its mass target within PMF_MAX_TERMS terms; its mean return time is
+#: 24962.5 steps.
 SLOW_RETURN_ENV = {"q": 0.999, "p": [0.001] + [0.999 / 50] * 50, "capacity": 50}
 NO_RETURN_ENV = {"q": 1.0, "p": [0.0, 1.0], "capacity": 1}
 
@@ -174,8 +174,12 @@ INVALID_CHANGES = {
     "d-sweep-decreasing": (VALID_CONFIG, {"d_sweep": (2.0, 1.0)}, "increasing"),
     "d-sweep-empty": (VALID_CONFIG, {"d_sweep": ()}, "nonempty"),
     "controllers-empty": (VALID_CONFIG, {"controllers": ()}, "nonempty"),
-    "rho-grid-lo-above-hi": (RhoGrid(), {"lo": 0.5, "hi": 0.2, "points": 10}, "lo <= hi"),
-    "rho-grid-one-point": (RhoGrid(), {"points": 1}, "points"),
+    "horizon-nan": (VALID_CONFIG, {"horizon": NAN}, "horizon"),
+    "trials-nan": (VALID_CONFIG, {"trials": NAN}, "trials"),
+    "seed-nan": (VALID_CONFIG, {"seed": NAN}, "seed"),
+    "d-nan": (VALID_CONFIG, {"d": NAN}, "nonnegative"),
+    "d-sweep-nan": (VALID_CONFIG, {"d_sweep": (0.0, NAN)}, "nonnegative"),
+    "noise-std-nan": (NoiseSpec("gaussian-iid", 1.0), {"std": NAN}, "nonnegative"),
     "scalar-plant-without-parameters": (PlantSelector("saturated"), {"kind": "scalar"}, "plant.a"),
     "saturated-plant-with-gain": (PlantSelector("scalar", 2.0, 1.5), {"kind": "saturated"}, "only apply"),
     "fixed-x0-without-value": (InitSpec(), {"kind": "fixed"}, "value"),
@@ -216,11 +220,6 @@ VALID_CONFIGS = st.builds(
         InitSpec, kind=st.just("fixed"), value=st.lists(FINITE, min_size=1, max_size=3).map(tuple)
     ),
     out=st.none() | st.text(),
-    rho_grid=st.builds(
-        lambda ends, points: RhoGrid(*sorted(ends), points),
-        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=2),
-        st.integers(2, 1000),
-    ),
 )
 
 
@@ -238,7 +237,6 @@ class TestConfigParsing:
             noise=NoiseSpec("gaussian-iid", 0.5),
             x0=InitSpec(kind="fixed", value=(3.0,)),
             out="results.csv",
-            rho_grid=RhoGrid(0.05, 0.9, 18),
         )
         emitted = emit_config(config)
         assert parse_config(emitted) == config
@@ -258,6 +256,12 @@ class TestConfigParsing:
         data = boundary_config()
         data["horizons"] = 50
         with pytest.raises(ConfigError, match="horizons"):
+            parse_config(data)
+
+    def test_rho_grid_is_an_unknown_key(self):
+        # the boundary grid is fixed (cli.RHO_GRID), not a config section
+        data = {**boundary_config(), "rho_grid": {"points": 181}}
+        with pytest.raises(ConfigError, match="rho_grid"):
             parse_config(data)
 
     def test_unknown_nested_key(self):
@@ -423,12 +427,43 @@ class TestAnalyze:
             assert float(r["alpha_star_baseline"]) == pytest.approx(1.0)
             assert float(r["alpha_star_anytime"]) == pytest.approx(1.0)
 
-
-    @pytest.mark.parametrize("env", [SLOW_RETURN_ENV, NO_RETURN_ENV], ids=["slow", "never"])
-    def test_degenerate_env_is_config_error(self, tmp_path, capsys, env):
+    @pytest.mark.parametrize(
+        "env, mean", [(SLOW_RETURN_ENV, "24962.5"), (NO_RETURN_ENV, "inf")], ids=["slow", "never"]
+    )
+    def test_hard_env_reports_mean_return_time(self, tmp_path, capsys, env, mean):
+        # every line is closed form, so neither a slow-mixing nor a
+        # never-returning length is refused
         data = {"plant": {"kind": "saturated"}, "env": env, "out": str(tmp_path / "curves.csv")}
-        assert main(["analyze", "--config", write_config(tmp_path, data)]) == 2
-        assert "config error:" in capsys.readouterr().err
+        assert main(["analyze", "--config", write_config(tmp_path, data)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"mean_return_time={mean}"
+        assert len(read_csv(data["out"])) == 181
+
+    #: (plant, env, d, report, curves CSV SHA-256).  The first six report lines
+    #: and the CSV bytes were recorded when the report ended in the truncated
+    #: pmf's ``delta_mass``; ``mean_return_time`` replaced that line.
+    PINNED_REPORTS = {
+        "scalar-one-slot": (
+            {"kind": "scalar", "a": 2.0, "gain": 1.5}, {"q": 0.9, "p": [0.1, 0.9], "capacity": 1}, 1.0,
+            "gamma=0.785\nomega=0.638655\nalpha_star_baseline=3.13158\nalpha_star_anytime=3.13158\n"
+            "baseline_tail=5.65116\nanytime_tail=2.76744\nmean_return_time=5.26316\n",
+            "7eb6bca19d58648bbaa9aee5be80372f0d0b6735df335755f1cfc571bf24ee46",
+        ),
+        "saturated-tradeoff-env": (
+            {"kind": "saturated"}, {"q": 0.4, "p": [0.2] * 5, "capacity": 4}, None,
+            "gamma=1.41717\nomega=1.59629\nalpha_star_baseline=1.00471\nalpha_star_anytime=1.01372\n"
+            "baseline_tail=inf\nanytime_tail=inf\nmean_return_time=2.39428\n",
+            "f92b16b47d67bf10c7b08f0092261fff43cea4f7f29cf223de750cd1c592e0a9",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED_REPORTS))
+    def test_report_and_curves_match_recorded(self, tmp_path, capsys, name):
+        plant, env, d, report, digest = self.PINNED_REPORTS[name]
+        out = tmp_path / "curves.csv"
+        data = {"plant": plant, "env": env, "d": d, "out": str(out)}
+        assert main(["analyze", "--config", write_config(tmp_path, data)]) == 0
+        assert capsys.readouterr().out == report
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestDeltaDist:
@@ -619,6 +654,35 @@ class TestMonteCarlo:
     def test_output_matches_recorded_digest(self, tmp_path, name, threads):
         data, digest = PINNED_SWEEPS[name]
         assert sweep_digest(tmp_path, data, threads) == digest
+
+    def test_scalar_sweep_shares_prefixes_across_radii(self, monkeypatch):
+        # The sweep builds its plant once, so every radius runs one pair of map
+        # objects; one radius at a time, only the two controllers share.
+        radii = (0.0, 0.5, 1.0, 2.0, 4.0, 6.0)
+        data = {**montecarlo_config(trials=20, d_sweep=radii), "plant": {"kind": "scalar", "a": 1.2, "gain": 0.9}}
+        expected = run_paired_cells(parse_config(data))
+        calls = []
+
+        def counted_scalar_plant(a, gain, d):
+            plant = make_scalar_plant(a, gain, d)
+
+            def dynamics(x, u):
+                calls.append(d)
+                return plant.dynamics(x, u)
+
+            return replace(plant, dynamics=dynamics)
+
+        monkeypatch.setattr(etac.cli, "make_scalar_plant", counted_scalar_plant)
+        swept = run_paired_cells(parse_config(data))
+        swept_calls = len(calls)
+        calls.clear()
+        for i, d in enumerate(radii):
+            alone = run_paired_cells(parse_config({**data, "d_sweep": [d]}))
+            for whole, part in zip(expected, alone):
+                assert whole[i : i + 1].tobytes() == part.tobytes()
+        for got, want in zip(swept, expected):
+            assert got.tobytes() == want.tobytes()
+        assert swept_calls < len(calls)
 
     def test_requires_sweep_and_both_controllers(self, tmp_path):
         data = montecarlo_config(out=str(tmp_path / "m.csv"))

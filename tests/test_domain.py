@@ -139,6 +139,11 @@ class TestSatPlant:
         with pytest.raises(ValueError):
             make_sat_plant(-1.0)
 
+    def test_rejects_nan_d(self):
+        # a NaN radius would keep the sensor silent: |x|**2 >= nan is False
+        with pytest.raises(ValueError, match="nonnegative"):
+            make_sat_plant(math.nan)
+
 
 class TestPlantMapsMatchReference:
     @given(x1=COORD, x2=COORD, u1=COORD, u2=COORD)
@@ -186,6 +191,15 @@ class TestScalarPlant:
     def test_rejects_expanding_loop(self):
         with pytest.raises(ValueError):
             make_scalar_plant(2.0, 3.5, 0.0)
+
+    @pytest.mark.parametrize(
+        "a, gain, d, match",
+        [(math.nan, 0.5, 0.0, "< 1"), (1.0, math.nan, 0.0, "< 1"), (1.0, 0.5, math.nan, "nonnegative")],
+        ids=["a", "gain", "d"],
+    )
+    def test_rejects_nan(self, a, gain, d, match):
+        with pytest.raises(ValueError, match=match):
+            make_scalar_plant(a, gain, d)
 
     def test_control_law_continuous_and_zero_at_zero(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
@@ -264,6 +278,10 @@ class TestNoiseSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             NoiseSpec(kind="uniform", std=1.0)
+
+    def test_rejects_nan_std(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            NoiseSpec(kind="gaussian-iid", std=math.nan)
 
     def test_gaussian(self):
         spec = NoiseSpec(kind="gaussian-iid", std=2.0)
