@@ -9,17 +9,22 @@ explicit buffer matrix (:class:`BufferState`), and the scalar length recursion
 (:func:`update_lambda`) for differential testing against the simulator, which
 keeps its buffer as a plan plus an age instead.  Validation runs in the
 always-transmit regime (d = 0), where the length recursion is driven purely by
-the i.i.d. channel and processor draws.
+the i.i.d. channel and processor draws.  :func:`reference_trajectory` rebuilds
+a whole closed-loop run from its draws with that table-driven step, for
+bitwise comparison with ``runtime.run_trajectory``.
 
-The return-time simulation is an integer kernel.  It draws the stream in
-blocks, each laid out as all of its reception uniforms, then all of its
-processor uniforms, and walks a block in chunks of ``_CHUNK`` steps: the
-reception draws come from the stream's generator, the processor draws from a
-copy of it advanced by the block length.  Per chunk, the evaluation counts are
-made by in-place comparisons against the cumulative pmf into an int32 buffer,
-and the length path is unrolled in int32; only the returned counts are int64.
-The walk stops at the requested return, so its working memory is a few
-chunk-sized buffers whatever the block or sample count.
+The return-time simulation is an integer kernel that walks refill events.  It
+draws the stream in blocks, each laid out as all of its reception uniforms,
+then all of its processor uniforms, and walks a block in chunks of ``_CHUNK``
+steps: the reception draws come from the stream's generator, the processor
+draws from a copy of it advanced by the block length.  Per step, a chunk only
+draws into preallocated buffers and marks its refills, the received steps
+granted at least one evaluation.  The count rule then runs on the refills
+alone; each refill holds the length above zero until its count runs out or the
+next refill, touching intervals merge into stretches, and each stretch that
+closes gives one return gap, while every other zero is a gap of 1.  The walk
+stops at the requested return, so its working memory is a few chunk-sized
+buffers whatever the block or sample count.
 """
 
 from __future__ import annotations
@@ -30,16 +35,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import PlantSpec, StochasticEnv
+from .domain import NoiseSpec, PlantSpec, StochasticEnv
 
 __all__ = [
     "BufferState",
     "EmpiricalPmf",
+    "ReferenceRun",
     "TransitionEstimate",
     "empirical_transition_matrix",
     "lambda_path_from_counts",
     "lambda_transition_matrix",
     "reference_anytime_step",
+    "reference_trajectory",
     "simulate_lambda_chain",
     "tv_distance",
     "update_lambda",
@@ -118,30 +125,32 @@ def update_lambda(prev_lam: int, beta: int, n: int) -> int:
     return max(0, prev_lam - 1)
 
 
-def _evaluation_counts(
-    cum: np.ndarray, q: float, received_u: np.ndarray, u: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Fill the int32 array ``out`` with one evaluation count per step, and return it.
+def _evaluation_counts(cum: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill the integer array ``out`` with the count granted by each processor uniform.
 
-    Always-transmit regime: data goes out every step and arrives when its
-    reception uniform is below q; a received step grants j evaluations w.p.
-    p[j], and any other step none.  ``cum`` is the cumulative pmf, so the
-    capacity is L = len(cum) - 1.  The count is the number of j < L with
-    cum[j] <= u, made by L in-place comparisons: exactly
+    A received step grants j evaluations w.p. p[j].  ``cum`` is the
+    cumulative pmf, so the capacity is L = len(cum) - 1.  The count is the
+    number of j < L with cum[j] <= u, made by L in-place comparisons: exactly
     ``min(searchsorted(cum, u, side="right"), L)``, also when cum[L] < 1 by
     rounding.
     """
     np.greater_equal(u, cum[0], out=out, casting="unsafe")
     for c in cum[1:-1]:
         out += u >= c
-    out *= received_u < q
     return out
 
 
 def _draw_counts(env: StochasticEnv, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """:func:`_evaluation_counts` on ``out.size`` reception draws, then as many processor draws."""
+    """Fill ``out`` with per-step counts: ``out.size`` reception draws, then processor draws.
+
+    Always-transmit regime: data goes out every step and arrives when its
+    reception uniform is below q; a received step is granted
+    :func:`_evaluation_counts` of its processor uniform, any other step none.
+    """
     received_u = gen.random(out.size)
-    return _evaluation_counts(np.cumsum(env.p), env.q, received_u, gen.random(out.size), out)
+    _evaluation_counts(np.cumsum(env.p), gen.random(out.size), out)
+    out *= received_u < env.q
+    return out
 
 
 def lambda_transition_matrix(env: StochasticEnv) -> np.ndarray:
@@ -199,9 +208,17 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
     all of its processor uniforms.  The block is walked in chunks of
     ``_CHUNK`` steps: the reception uniforms come from the stream's generator
     and the processor uniforms from a copy of it advanced by the block length
-    (one 64-bit output per double), which also starts the next block.  The
-    walk stops at the n-th return, and apart from the counts its memory is a
-    few chunk-sized buffers, whatever the block length.
+    (one 64-bit output per double), which also starts the next block.
+
+    Per step, a chunk only draws and marks its refills: the steps that are
+    received and granted at least one evaluation.  The rest is walked over
+    the refills.  A refill at step r with count n holds the length above zero
+    on [r, min(r + n, next refill)); touching intervals merge into stretches,
+    and the length carried into a chunk is a refill at step -1.  A stretch
+    that closes inside the chunk ends at a zero whose gap to the zero before
+    the stretch is ``close - (start - 1)``; every other zero follows a zero, a
+    gap of 1.  The walk stops at the n-th return, and apart from the counts
+    its memory is a few chunk-sized buffers, whatever the block length.
     """
     if n_returns < 1:
         raise ValueError("n_returns must be >= 1")
@@ -211,13 +228,21 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
     chunk = _CHUNK
     received_u = np.empty(chunk)
     u = np.empty(chunk)
-    seq = np.empty(chunk + 1, dtype=np.int32)
+    u_refill = np.empty(chunk)
+    flags = np.empty(chunk + 1, dtype=bool)
+    mask = np.empty(chunk, dtype=bool)
+    # Per chunk, interval i starts at refill start[i] (the carry first, at step
+    # -1, and a sentinel refill last) and lasts until end[i], the step at which
+    # its countdown reaches zero, or until the next refill if that comes first.
+    start_buf = np.empty(chunk + 2, dtype=np.int64)
+    end_buf = np.empty(chunk + 1, dtype=np.int64)
+    never = np.iinfo(np.int64).max
     rec = rng.generator()
     counts = np.zeros(16, dtype=np.int64)
     total = 0
     steps_done = 0
     last_zero = -1  # step of the latest zero of the path, counted from the chunk's first step
-    prev_lam = 0
+    carry = -1  # the step of the open stretch's closing zero, counted likewise; -1 if none
     while total < n_returns:
         if total == 0:
             block = min(max(4 * n_returns, 4096), _MAX_BLOCK)
@@ -226,24 +251,56 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
             block = min(int(1.25 * mean_gap * (n_returns - total)) + 4096, _MAX_BLOCK)
         proc = copy.deepcopy(rec)
         proc.bit_generator.advance(block)
-        for start in range(0, block, chunk):
-            m = min(chunk, block - start)
-            seq[0] = prev_lam  # a synthetic step carrying the length across chunks
+        for first in range(0, block, chunk):
+            m = min(chunk, block - first)
             rec.random(out=received_u[:m])
             proc.random(out=u[:m])
-            _evaluation_counts(cum, env.q, received_u[:m], u[:m], seq[1 : m + 1])
-            path = lambda_path_from_counts(seq[: m + 1])[1:]
-            prev_lam = int(path[-1])
-            zero_pos = np.flatnonzero(path == 0)
-            gaps = np.diff(zero_pos, prepend=last_zero)[: n_returns - total]
-            last_zero = (int(zero_pos[-1]) if zero_pos.size else last_zero) - m
-            chunk_counts = np.bincount(gaps)[1:]  # gap values start at 1
-            if chunk_counts.size > counts.size:
-                counts = np.concatenate(
-                    (counts, np.zeros(chunk_counts.size - counts.size, dtype=np.int64))
-                )
-            counts[: chunk_counts.size] += chunk_counts
-            total += int(gaps.size)
+            refill = np.less(received_u[:m], env.q, out=mask[:m])
+            refill &= np.greater_equal(u[:m], cum[0], out=flags[:m])
+            at = np.flatnonzero(refill)
+            carried = carry >= 0
+            k = carried + at.size
+            start, end = start_buf[: k + 1], end_buf[:k]
+            if carried:
+                start[0], end[0] = -1, carry
+            start[carried:k] = at
+            start[k] = never
+            _evaluation_counts(cum, u.take(at, out=u_refill[: at.size]), end[carried:])
+            end[carried:] += at
+            if k:
+                # A stretch ends with the interval that closes before the next refill.
+                last = np.flatnonzero(np.less(end, start[1:], out=flags[:k]))
+                closes = end.take(last)
+                before = np.empty_like(closes)  # the zero before each stretch
+                before[0] = last_zero if carried else start[0] - 1
+                np.subtract(start.take(last[:-1] + 1), 1, out=before[1:])
+                gaps = closes - before
+                if closes[-1] >= m:  # the last stretch is still open
+                    carry, end_zero = int(closes[-1]) - m, int(before[-1])
+                    gaps = gaps[:-1]
+                else:
+                    carry, end_zero = -1, m - 1
+            else:
+                carry, end_zero = -1, m - 1
+                gaps = closes = end  # both empty
+            zeros = gaps.size + end_zero - last_zero - int(gaps.sum())
+            wanted = n_returns - total
+            if zeros >= wanted:
+                # keep the zeros up to the wanted one: rank each closing zero
+                rank = np.arange(1, gaps.size + 1) + closes[: gaps.size] - np.cumsum(gaps)
+                rank -= last_zero
+                gaps = gaps[: np.searchsorted(rank, wanted, side="right")]
+                zeros = wanted
+            counts[0] += zeros - gaps.size
+            if gaps.size:
+                closed = np.bincount(gaps)[1:]  # gap values start at 1
+                if closed.size > counts.size:
+                    counts = np.concatenate(
+                        (counts, np.zeros(closed.size - counts.size, dtype=np.int64))
+                    )
+                counts[: closed.size] += closed
+            total += zeros
+            last_zero = end_zero - m
             if total == n_returns:
                 break
         steps_done += block
@@ -330,6 +387,76 @@ def reference_anytime_step(
 
     out = blocks[0].copy()
     return out, BufferState(blocks, sum(written))
+
+
+@dataclass(frozen=True, eq=False)
+class ReferenceRun:
+    """A closed-loop run of :func:`reference_trajectory`, one row per recorded step."""
+
+    x: np.ndarray  # shape (steps, state_dim)
+    u: np.ndarray  # shape (steps, input_dim)
+    beta: np.ndarray
+    n: np.ndarray
+    lam: np.ndarray
+    diverged: bool
+
+
+def reference_trajectory(
+    plant: PlantSpec,
+    env: StochasticEnv,
+    noise: NoiseSpec,
+    controller: str,
+    horizon: int,
+    seed: int,
+    t: int,
+    x0: np.ndarray | None = None,
+) -> ReferenceRun:
+    """Trial ``t`` of a closed-loop run, regenerated from its draws one step at a time.
+
+    The draws come from a fresh ``np.random.default_rng([seed, t])`` in the
+    documented order: the standard normal x0 (none when ``x0`` is given), the
+    ``horizon`` reception uniforms, the ``horizon`` processor uniforms turned
+    into counts by :func:`_evaluation_counts`, then the disturbances.  Each
+    step makes the trigger test x·x >= d², the squared form the simulator
+    uses (criterion 6(c) writes silence as √(x·x) < d); passes β and N, cut to
+    the buffer's rows, to :func:`reference_anytime_step` on a capacity-row
+    buffer (anytime) or a one-row buffer (baseline); sets x to f(x, u) + w;
+    and ends the run, flagged diverged, when the new state's squared norm is
+    not at most ``DIVERGENCE_NORM`` squared.  The recorded λ is the buffer's
+    effective length for anytime and 0 for the baseline, which buffers
+    nothing.  There is no plan, age, kept run or shared draw.
+    """
+    from .runtime import DIVERGENCE_NORM
+
+    if controller not in ("baseline", "anytime"):
+        raise ValueError(f"unknown controller {controller!r}")
+    buffered = controller == "anytime"
+    gen = np.random.default_rng([seed, t])
+    x = gen.standard_normal(plant.state_dim) if x0 is None else np.array(x0, dtype=float)
+    received = gen.random(horizon) < env.q
+    granted = _evaluation_counts(np.cumsum(env.p), gen.random(horizon), np.empty(horizon, int))
+    w = None
+    if noise.kind == "gaussian-iid":
+        w = noise.std * gen.standard_normal((horizon, plant.state_dim))
+    buf = BufferState.zeros(env.capacity if buffered else 1, plant.input_dim)
+    steps = []
+    diverged = False
+    for k in range(horizon):
+        beta = (1 if received[k] else 0) if x @ x >= plant.d * plant.d else 2
+        n = int(granted[k]) if beta == 1 else 0
+        received_x = x if beta == 1 else None
+        u, buf = reference_anytime_step(received_x, beta, min(n, len(buf.blocks)), buf, plant)
+        steps.append((x, u, beta, n, buf.lam if buffered else 0))
+        x = plant.dynamics(x, u)
+        if w is not None:
+            x = x + w[k]
+        if not x @ x <= DIVERGENCE_NORM * DIVERGENCE_NORM:
+            diverged = True
+            break
+    xs, us, betas, ns, lams = zip(*steps)
+    return ReferenceRun(
+        np.array(xs), np.array(us), np.array(betas), np.array(ns), np.array(lams), diverged
+    )
 
 
 def tv_distance(analytic: np.ndarray, empirical: EmpiricalPmf) -> float:

@@ -1,12 +1,14 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from etac.analysis import build_lambda_chain, return_time_pmf_truncated
+from etac.cli import ExperimentConfig, InitSpec, PlantSelector, build_plant, run_paired_cells
 from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
 from etac.oracle import (
     BufferState,
@@ -15,6 +17,7 @@ from etac.oracle import (
     lambda_path_from_counts,
     lambda_transition_matrix,
     reference_anytime_step,
+    reference_trajectory,
     simulate_lambda_chain,
     tv_distance,
     update_lambda,
@@ -333,6 +336,73 @@ class TestSimulateLambdaChain:
             simulate_lambda_chain(env, 100, RngStream(68, 0))
 
 
+def definition_counts(env, n_returns, rng, max_block):
+    """Return-time counts by the definition, for checking the event walk.
+
+    Each block of the kernel's schedule is drawn whole from one generator in
+    the documented layout (its reception uniforms, then its processor
+    uniforms), counted by ``searchsorted``, and its length path unrolled by one
+    ``lambda_path_from_counts`` call after a step that carries the length in;
+    the gaps between zeros are cut at the n-th.
+    """
+    gen = rng.generator()
+    gaps, total, steps_done, last_zero, lam = [], 0, 0, -1, 0
+    while total < n_returns:
+        if total == 0:
+            block = min(max(4 * n_returns, 4096), max_block)
+        else:
+            mean_gap = steps_done / total
+            block = min(int(1.25 * mean_gap * (n_returns - total)) + 4096, max_block)
+        received_u = gen.random(block)
+        n_seq = searchsorted_counts(env, received_u, gen.random(block))
+        path = lambda_path_from_counts(np.concatenate(([lam], n_seq)))[1:]
+        zeros = np.flatnonzero(path == 0)
+        gaps.append(np.diff(zeros, prepend=last_zero))
+        total += zeros.size
+        last_zero = (zeros[-1] if zeros.size else last_zero) - block
+        lam = path[-1]
+        steps_done += block
+    return np.bincount(np.concatenate(gaps)[:n_returns])[1:]
+
+
+@st.composite
+def walk_cases(draw):
+    """(env, returns, chunk, max block, seed) for a walk of about a thousand chunks or blocks at most."""
+    capacity = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=capacity + 1,
+                            max_size=capacity + 1).filter(any))
+    q = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.01, 0.99))
+    if q == 1.0 and weights[0] == 0.0:
+        weights[0] = draw(st.floats(0.05, 1.0))
+    env = StochasticEnv(q=q, p=tuple(w / sum(weights) for w in weights), capacity=capacity)
+    chunk = draw(st.sampled_from([1, 7]) | st.integers(2, 400))
+    max_block = draw(st.sampled_from([17, 2_000_000]))
+    # Kac: the mean return time is 1 / det(I - G); expect at most about a
+    # thousand chunks or blocks per walk
+    mean_gap = 1.0 / np.linalg.det(np.eye(capacity) - lambda_transition_matrix(env))
+    most = int(1000 * min(chunk, max_block) / mean_gap)
+    assume(most >= 1)
+    returns = draw(st.integers(1, min(3000, most)))
+    return env, returns, chunk, max_block, draw(st.integers(0, 2**32 - 1))
+
+
+class TestEventWalk:
+    @given(walk_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_equal_the_definition(self, case):
+        import etac.oracle as oracle_mod
+
+        env, returns, chunk, max_block, seed = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_mod, "_CHUNK", chunk)
+            mp.setattr(oracle_mod, "_MAX_BLOCK", max_block)
+            pmf = simulate_lambda_chain(env, returns, RngStream(seed, 0))
+        assert pmf.total == returns
+        assert pmf.counts.dtype == np.int64
+        expected = definition_counts(env, returns, RngStream(seed, 0), max_block)
+        assert np.array_equal(pmf.counts, expected)
+
+
 class TestEmpiricalTransitionMatrix:
     def test_no_reception_is_pure_countdown(self):
         env = StochasticEnv(q=0.0, p=(0.2, 0.3, 0.5), capacity=2)
@@ -401,6 +471,92 @@ class TestReferenceAnytimeStep:
             reference_anytime_step(np.array([1.0]), 0, 1, BufferState.zeros(2, 1), plant)
         with pytest.raises(ValueError):
             reference_anytime_step(None, 1, 0, BufferState.zeros(2, 1), plant)
+
+
+#: The saturated plant, a stable scalar plant and a scalar plant that diverges.
+REFERENCE_PLANTS = [make_sat_plant(), make_scalar_plant(1.2, 0.9, 0.0), make_scalar_plant(3.0, 2.5, 0.0)]
+
+
+def assert_run_equals_reference(trace, ref):
+    """x, u, beta, N, lambda and the divergence flag, bit for bit."""
+    assert np.array(trace.x).tobytes() == ref.x.tobytes()
+    assert np.array(trace.u).tobytes() == ref.u.tobytes()
+    assert trace.beta == ref.beta.tolist()
+    assert trace.n == ref.n.tolist()
+    assert trace.lam == ref.lam.tolist()
+    assert trace.diverged == ref.diverged
+
+
+class TestReferenceTrajectory:
+    @given(
+        plant_index=st.integers(0, len(REFERENCE_PLANTS) - 1),
+        capacity=st.integers(1, 6),
+        data=st.data(),
+        noise_std=st.none() | st.floats(0.01, 2.0),
+        radii=st.sets(st.sampled_from([0.0, 0.3, 1.0, 3.0]), min_size=1),
+        reverse=st.booleans(),
+        horizon=st.integers(1, 80),
+        seed=st.integers(0, 2**64 - 1),
+        t=st.integers(0, 2**40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_on_one_stream_equals_reference(
+        self, plant_index, capacity, data, noise_std, radii, reverse, horizon, seed, t
+    ):
+        # every radius and both controllers on one stream, in the montecarlo
+        # cell order or reversed, so that runs follow the kept runs
+        plant = REFERENCE_PLANTS[plant_index]
+        weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=capacity + 1,
+                                     max_size=capacity + 1).filter(any))
+        env = StochasticEnv(q=data.draw(st.floats(0.0, 1.0)),
+                            p=tuple(w / sum(weights) for w in weights), capacity=capacity)
+        noise = NoiseSpec() if noise_std is None else NoiseSpec("gaussian-iid", noise_std)
+        x0 = None
+        if data.draw(st.integers(0, 4)) == 0:
+            x0 = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=plant.state_dim,
+                                             max_size=plant.state_dim)))
+        cells = [(replace(plant, d=d), c) for d in sorted(radii) for c in ("baseline", "anytime")]
+        if reverse:
+            cells.reverse()
+        stream = RngStream(seed, t)
+        for cell_plant, controller in cells:
+            trace = run_trajectory(cell_plant, env, noise, controller, horizon, stream, x0=x0)
+            ref = reference_trajectory(cell_plant, env, noise, controller, horizon, seed, t, x0=x0)
+            assert_run_equals_reference(trace, ref)
+
+    @pytest.mark.parametrize("config, any_diverged", [
+        (ExperimentConfig(
+            plant=PlantSelector("saturated"), env=StochasticEnv(q=0.4, p=(0.2,) * 5, capacity=4),
+            d_sweep=(0.0, 1.0, 3.0), horizon=30, trials=12, seed=7,
+            noise=NoiseSpec("gaussian-iid", 0.5),
+        ), False),
+        (ExperimentConfig(
+            plant=PlantSelector("scalar", 1.2, 0.8), env=StochasticEnv(q=0.6, p=(0.3, 0.3, 0.4), capacity=2),
+            d_sweep=(0.0, 0.5, 2.0), horizon=40, trials=12, seed=8, x0=InitSpec("fixed", (4.0,)),
+        ), False),
+        (ExperimentConfig(
+            plant=PlantSelector("scalar", 3.0, 2.5), env=StochasticEnv(q=0.5, p=(0.3, 0.2, 0.2, 0.3), capacity=3),
+            d_sweep=(0.0, 1.0), horizon=60, trials=12, seed=9,
+        ), True),
+    ], ids=["noisy-saturated", "fixed-x0-scalar", "diverging-scalar"])
+    def test_paired_cells_equal_reference(self, config, any_diverged):
+        costs, utils, diverged = run_paired_cells(config)
+        for di, d in enumerate(config.d_sweep):
+            plant = build_plant(config.plant, d)
+            for ci, controller in enumerate(config.controllers):
+                for t in range(config.trials):
+                    ref = reference_trajectory(plant, config.env, config.noise, controller,
+                                               config.horizon, config.seed, t, x0=config.x0.value)
+                    sent = int(np.count_nonzero(ref.beta != 2))
+                    cost = math.fsum(float(x.dot(x)) for x in ref.x) / config.horizon
+                    assert costs[di, ci, t] == cost
+                    assert utils[di, ci, t] == 100.0 * sent / config.horizon
+                    assert diverged[di, ci, t] == ref.diverged
+        assert diverged.any() == any_diverged
+
+    def test_refuses_unknown_controller(self):
+        with pytest.raises(ValueError):
+            reference_trajectory(make_sat_plant(), WORKED_ENV, NoiseSpec(), "pid", 10, 0, 0)
 
 
 class TestTvDistance:
