@@ -31,9 +31,16 @@ Sherman-Morrison to the rank-1 term of G gives
     omega = alpha r (1 + rho theta^T (I - rho G)^{-1} e1) = alpha r (1 + rho N / (1 - rho D)),
     N = sum_l theta_l x**(l-1),  D = sum_{m<L} T_m x**m,  x = rho r,
 
-where 1 - rho D = det(I - rho G) > 0 for every rho < 1.  At rho = 1 the same
-sums give the mean return time 1 / pi_0 by Kac's lemma (M. Kac, 1947), where
-pi_0 = 1 - D(r) = det(I - G) is the stationary mass of length 0 (0 when r = 0).
+where 1 - rho D = det(I - rho G) > 0 for every rho < 1.  The mean return time
+is 1 / pi_0 by Kac's lemma (M. Kac, 1947), pi_0 the stationary mass of length
+0.  Flow into length 0 gives pi_0 = r (pi_0 + pi_1), and pi_1 = N(r), so
+
+    pi_0 = r N(r) / T_0,  T_0 = sum_l theta_l,
+
+which equals det(I - G) = 1 - D(r) but sums only positive terms, where
+1 - D(r) loses about 1e-16 / pi_0 relative to cancellation.  It is the Kac
+mean of the chain with p renormalised to sum to 1; pi_0 is 0 (an infinite
+mean) when r = 0, and 1 when T_0 = 0 and the length never leaves 0.
 """
 
 from __future__ import annotations
@@ -113,7 +120,7 @@ class AnalysisResult(NamedTuple):
 
     gamma: float
     omega: float
-    mean_return_time: float  # 1 / det(I - G); +inf when the length never returns
+    mean_return_time: float  # 1 / pi_0 = T_0 / (r N(r)); +inf when the length never returns
     baseline_tail: float  # asymptotic tails of the two mean bounds
     anytime_tail: float
 
@@ -315,8 +322,9 @@ def analyze(plant: PlantSpec, env: StochasticEnv) -> AnalysisResult:
     chain = build_lambda_chain(env)
     gamma = baseline_contraction(plant.alpha, plant.rho, env.q, env.p[0])
     omega = anytime_contraction(chain, plant.alpha, plant.rho)
-    # pi_0 = det(I - G) is 0 at r = 0, where 1 - D holds only the rounding of sum(p)
-    pi0 = 1.0 - float(_power_sums(chain, chain.return1)[1]) if chain.return1 > 0.0 else 0.0
+    # pi_0 = r N(r) / T_0 sums positive terms, where 1 - D(r) would cancel
+    r, t0 = chain.return1, float(chain.tails[0])
+    pi0 = r * (float(_power_sums(chain, r)[0]) / t0) if t0 > 0.0 else 1.0
     return AnalysisResult(
         gamma=gamma,
         omega=omega,

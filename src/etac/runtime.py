@@ -9,26 +9,32 @@ common-random-number comparisons.  The pre-draw is made once per
 draws, so the (d, controller) cells of a Monte Carlo trial, which share one
 stream object, draw once between them.
 
+Both controllers are one rule.  A step that receives the state x and is
+granted N >= 1 control-law evaluations refills the plan: its length becomes
+m = min(N, depth) and its age 0.  The step at age j < m plays input j of
+:func:`plan_inputs` from x, computed when it is played: the refill plays
+kappa(x) and sets the forward-simulated state x-hat = x, and each later step
+sets x-hat = f(x-hat, u_prev) and plays kappa(x-hat), the same IEEE operations
+in the same order.  Once age reaches m the step plays zero, and a silent step
+ends the plan.  The anytime controller has depth = capacity; the memoryless
+baseline is depth 1.
+
 The stream also keeps the runs made on its current draws, and a run follows
 them while it can.  Its peers are the kept runs under the same ``dynamics`` and
-``control_law`` objects that start from the same drawn ``x0`` object.  Once a
-step's input is chosen, the run keeps the peers that played that same input
-object at that step, and takes x(k+1) and its squared norm from the first; with
-none left it computes the step, and peers never come back.  At a refill, its
-plan starts with the longest stretch of inputs that a peer played from its own
-refill at that step.  Two inputs are one object only when they come from the
-same refill at the same state, or are the shared zero input, and x(k+1) =
-f(x(k), u(k)) + w(k) depends on nothing else, so a followed step is the step
-the run would compute, bit for bit; the run's own trigger radius and buffer
-depth still make its decisions.  A run that has a peer to its last step is
-that peer again, and a run from a given ``x0`` can be no later run's peer, so
-neither is kept.
-
-Both controllers are one rule.  A step that receives the state and is granted
-N >= 1 control-law evaluations replaces the plan with :func:`plan_inputs` of
-length min(N, depth); every later step plays the next planned input, or zero
-once the plan is used up, and a silent step discards the plan.  The anytime
-controller has depth = capacity; the memoryless baseline is depth 1.
+``control_law`` objects that start from the same drawn ``x0`` object.  A plan
+input is taken from the first peer in the same situation: at a refill, one
+that also refilled; later, one that did not refill and plays a nonzero input.
+Once a step's input is chosen, the run keeps the peers that played that same
+input object at that step, and takes x(k+1) and its squared norm from the
+first; with none left it computes the step, and peers never come back.  A run
+that must compute a plan input after taking earlier ones from a peer first
+catches x-hat up from the refill state through the inputs it played, at most
+once per plan.  Two nonzero inputs are one object only when they are the same
+input of the same refill at the same state, and x(k+1) = f(x(k), u(k)) + w(k)
+depends on nothing else, so a followed step is the step the run would compute,
+bit for bit; the run's own trigger radius and buffer depth still make its
+decisions.  A run that has a peer to its last step is that peer again, and a
+run from a given ``x0`` can be no later run's peer, so neither is kept.
 
 A trace stores a run as columns, one entry per recorded step: the state
 ``x`` (the state object the loop computed or took from a peer), the played
@@ -211,6 +217,7 @@ def plan_inputs(x: np.ndarray, n: int, plant: PlantSpec) -> list[np.ndarray]:
 
     Input j is kappa at the j-th state of the plant's noise-free forward
     simulation from ``x`` under the inputs before it; the first is kappa(x).
+    :func:`run_trajectory` computes the same inputs one at a time, as played.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -239,18 +246,19 @@ def run_trajectory(
     and must have shape ``(plant.state_dim,)``; when None it is drawn standard
     normal.  The draws come from ``rng.trial_draws``, so runs on one stream
     object share them, and a drawn ``x0`` and the disturbances are read-only
-    arrays in the trace.  The state update is x(k+1) = f(x(k), u(k)) + w(k);
-    while the run plays the same input objects as a run kept on ``rng``, it
-    takes that run's next state instead of computing it (see the module
-    docstring), so the returned trace may share state and input arrays with
-    earlier and later runs on the stream, and the played zero input is one
-    read-only array.
+    arrays in the trace.  The state update is x(k+1) = f(x(k), u(k)) + w(k).
+    The plan is its length m, its age and x-hat (see the module docstring):
+    the step at age < m computes kappa(x-hat) after advancing x-hat through
+    the inputs played since it was last advanced, and later steps play zero.
+    While the run plays the same input objects as a run kept on ``rng``, it
+    takes that run's inputs and next states instead of computing them, so the
+    returned trace may share state and input arrays with earlier and later
+    runs on the stream, and the played zero input is one read-only array.
     A state whose norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite)
     ends the run early with the trace flagged diverged rather than raising.
-    The input applied at a step is ``plan[age]`` while the plan lasts and zero
-    after (see the module docstring).  The recorded ``lam`` is the effective
-    buffer length ``len(plan) - age`` floored at 0 for the anytime controller,
-    and 0 for the baseline, which buffers nothing.
+    The recorded ``lam`` is the effective buffer length ``m - age`` floored at
+    0 for the anytime controller, and 0 for the baseline, which buffers
+    nothing.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -288,7 +296,7 @@ def run_trajectory(
     append_sq_norm = sq_norms.append
     diverged = False
     silent = 0
-    plan: list[np.ndarray] | tuple = ()  # inputs computed at the last refill
+    m = 0  # inputs granted at the last refill, 0 after a silent step
     age = 0  # steps since that refill
     # The squared norm of x(k + 1), computed for the divergence test, is the
     # trigger test of step k + 1; ndarray.dot is bitwise equal to ``x @ x``
@@ -307,16 +315,27 @@ def run_trajectory(
         else:
             beta = 2
             silent += 1
-            plan = ()
+            m = 0
         if n_k:
             m = n_k if n_k < depth else depth
-            plan = _peer_plan(x, m, plant, peers, k) if peers else plan_inputs(x, m, plant)
             age = 0
+            xhat, hat_k = x, k  # x-hat, and the step whose input is kappa(x-hat)
         else:
             age += 1
-        left = len(plan) - age
+        left = m - age
         if left > 0:
-            u = plan[age]
+            # Input ``age`` of the plan: a peer's, if one plays it here (see
+            # the module docstring), else kappa at x-hat, caught up through
+            # the inputs played since x-hat was last advanced.
+            for p in peers:
+                if p.n[k] == n_k and p.u[k] is not zero_u:
+                    u = p.u[k]
+                    break
+            else:
+                for j in range(hat_k, k):
+                    xhat = dynamics(xhat, us[j])
+                hat_k = k
+                u = control(xhat)
             lam = left if buffered else 0
         else:
             u = zero_u
@@ -365,31 +384,6 @@ def _zero_input(input_dim: int) -> np.ndarray:
     zero = np.zeros(input_dim)
     zero.setflags(write=False)
     return zero
-
-
-def _peer_plan(
-    x: np.ndarray, m: int, plant: PlantSpec, peers: list[Trace], k: int
-) -> list[np.ndarray]:
-    """``plan_inputs(x, m, plant)``, starting with the peers' input objects.
-
-    A peer that refilled at step k from this state played a prefix of the same
-    plan until it refilled again or played the zero input; the longest such
-    stretch, cut to ``m``, starts the plan, and only the rest is computed.
-    """
-    zero_u = _zero_input(plant.input_dim)
-    stretch: list[np.ndarray] = []
-    for p in peers:
-        if p.n[k] and len(stretch) < m:
-            us, ns = p.u, p.n
-            end = min(k + m, len(us))
-            j = k + 1
-            while j < end and not ns[j] and us[j] is not zero_u:
-                j += 1
-            if j - k > len(stretch):
-                stretch = us[k:j]
-    if len(stretch) < m:
-        stretch += plan_inputs(x, m, plant)[len(stretch):]
-    return stretch
 
 
 def empirical_cost(trace: Trace) -> float:

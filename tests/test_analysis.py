@@ -535,13 +535,27 @@ def dense_hitting_times(env):
 
 
 class TestMeanReturnTime:
-    """Kac's lemma: E[return time] = 1 / pi_0 with pi_0 = 1 - D(r) = det(I - G)."""
+    """Kac's lemma: E[return time] = 1 / pi_0 with pi_0 = r N(r) / T_0 = det(I - G)."""
 
     SAT = make_sat_plant(0.0)
 
     def test_worked_value(self):
         # D(r) = T_0 + T_1 r = 0.6 + 0.375 * 0.4 = 0.75
         assert analyze(self.SAT, WORKED_ENV).mean_return_time == 4.0
+
+    @pytest.mark.parametrize("p0", [1e-6, 1e-9, 1e-12])
+    def test_rare_return_is_exact(self, p0):
+        # q = 1, one slot: a geometric return with mean 1 / p0.  1 - D(r) loses
+        # about 1e-16 / p0 relative here (2.2e-5 at p0 = 1e-12).
+        env = StochasticEnv(q=1.0, p=(p0, 1.0 - p0), capacity=1)
+        expected = 1.0 / p0
+        assert abs(analyze(self.SAT, env).mean_return_time - expected) <= 2 * math.ulp(expected)
+
+    @pytest.mark.parametrize("q, p", [(0.0, (0.5, 0.5)), (0.7, (1.0, 0.0, 0.0))])
+    def test_length_that_never_leaves_zero_returns_every_step(self, q, p):
+        # T_0 = 0: no step refills, so every step is a return
+        env = StochasticEnv(q=q, p=p, capacity=len(p) - 1)
+        assert analyze(self.SAT, env).mean_return_time == 1.0
 
     def test_fuzz_against_dense_determinant(self):
         rng = np.random.default_rng(20261)

@@ -12,9 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
-from etac.oracle import BufferState, lambda_path_from_counts, reference_anytime_step, update_lambda
+from etac.oracle import (
+    BufferState,
+    lambda_path_from_counts,
+    reference_anytime_step,
+    reference_trajectory,
+    update_lambda,
+)
 from etac.runtime import (
     _CSV_BLOCK,
+    _zero_input,
     RngStream,
     Trace,
     channel_utilization,
@@ -691,6 +698,75 @@ class TestKeptRuns:
         shared_draw_run(given, fixed_x0=True)
         shared_draw_run(given, fixed_x0=True, controller="baseline")
         assert kept_runs(given) == []
+
+
+class TestLazyPlan:
+    """A plan input is computed at the step that plays it, never ahead."""
+
+    @given(
+        plant_kind=st.sampled_from(["scalar", "saturated"]),
+        controller=st.sampled_from(["baseline", "anytime"]),
+        d=st.sampled_from([0.0, 0.5, 2.0]),
+        noise_std=st.none() | st.floats(0.01, 1.0),
+        horizon=st.integers(1, 60),
+        env=st.sampled_from(SHARED_DRAW_ENVS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_only_played_inputs_are_computed(
+        self, plant_kind, controller, d, noise_std, horizon, env, seed
+    ):
+        plant = make_scalar_plant(2.0, 1.5, d) if plant_kind == "scalar" else make_sat_plant(d)
+        dynamics, control_law, calls = counting_maps(plant)
+        counted = dataclasses.replace(plant, dynamics=dynamics, control_law=control_law)
+        noise = NOISELESS if noise_std is None else NoiseSpec("gaussian-iid", noise_std)
+        trace = run_trajectory(counted, env, noise, controller, horizon, RngStream(seed, 0))
+        zero = _zero_input(plant.input_dim)
+        played = [u is not zero for u in trace.u]
+        continued = [p and not n for p, n in zip(played, trace.n)]
+        # one kappa per played plan input; one plant step per recorded step,
+        # plus one forward-simulation step per played plan input but the first
+        assert calls["control_law"] == sum(played)
+        assert calls["dynamics"] == len(trace.x) + sum(continued)
+
+    def test_catches_up_after_taking_inputs_from_a_peer(self):
+        # Descending radii on one stream, as found by a search over seeds: both
+        # runs refill at step 6, and the d = 0.5 run takes inputs 0-2 of that
+        # plan from the d = 2 run, which falls silent at step 9.  There the
+        # d = 0.5 run must compute input 3 itself, from x-hat caught up through
+        # the three inputs it took.
+        plant = make_scalar_plant(2.0, 1.5, 0.0)
+        dynamics, control_law, calls = counting_maps(plant)
+        env = StochasticEnv(q=0.4, p=(0.1, 0.1, 0.1, 0.1, 0.6), capacity=4)
+        args = (env, NOISELESS, "anytime", 40)
+        stream = RngStream(43, 0)
+
+        def cell(d):
+            return dataclasses.replace(plant, d=d, dynamics=dynamics, control_law=control_law)
+
+        peer = run_trajectory(cell(2.0), *args, stream)
+        before = dict(calls)
+        run = run_trajectory(cell(0.5), *args, stream)
+        k = next(k for k, (a, b) in enumerate(zip(run.u, peer.u)) if a is not b)
+        refill = max(j for j in range(k) if run.n[j])
+        assert (refill, k) == (6, 9) and peer.beta[k] == 2 and not run.n[k]
+        assert all(not run.n[j] and run.u[j] is peer.u[j] for j in range(refill + 1, k))
+        # Every step before k was the peer's.  From k on the run computes each
+        # plant step and each plan input, one forward-simulation step per
+        # later continuation, and at k the k - refill steps of the catch-up.
+        zero = _zero_input(plant.input_dim)
+        own = range(k, len(run.x))
+        continued = sum(not run.n[j] and run.u[j] is not zero for j in own[1:])
+        assert calls["control_law"] - before["control_law"] == sum(run.u[j] is not zero for j in own)
+        assert calls["dynamics"] - before["dynamics"] == len(own) + (k - refill) + continued
+
+        def columns(r):
+            return (np.array(r.x).tobytes(), np.array(r.u).tobytes(), np.asarray(r.beta).tolist(),
+                    np.asarray(r.n).tolist(), np.asarray(r.lam).tolist(), r.diverged)
+
+        fresh = run_trajectory(cell(0.5), *args, RngStream(43, 0))
+        reference = reference_trajectory(cell(0.5), *args, 43, 0)
+        assert columns(run) == columns(fresh) == columns(reference)
 
 
 class TestTraceMetrics:
