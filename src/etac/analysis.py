@@ -31,9 +31,18 @@ Sherman-Morrison to the rank-1 term of G gives
     omega = alpha r (1 + rho theta^T (I - rho G)^{-1} e1) = alpha r (1 + rho N / (1 - rho D)),
     N = sum_l theta_l x**(l-1),  D = sum_{m<L} T_m x**m,  x = rho r,
 
-where 1 - rho D = det(I - rho G) > 0 for every rho < 1.  The mean return time
-is 1 / pi_0 by Kac's lemma (M. Kac, 1947), pi_0 the stationary mass of length
-0.  Flow into length 0 gives pi_0 = r (pi_0 + pi_1), and pi_1 = N(r), so
+where 1 - rho D = det(I - rho G) > 0 for every rho < 1.  The relative error of
+1 + rho N / (1 - rho D) grows like 2e-16 / (1 - rho): against 50-digit arithmetic on 300 random
+environments (L <= 59, q in [0.5, 0.999], p0 at most 5%), the worst was 2.1e-14
+at rho = 0.99, the top of the analysis grid, and 1.8e-13 at rho = 0.999.  The
+positive-terms form 1 - rho D = ((1 - rho) + rho x N(x)) / (1 - x), exact when
+r + T_0 = 1, does no better (2.0e-14 and 1.9e-13), so the loss comes from the
+conditioning of x = rho r near 1, not from cancellation; a test pins the bound
+1e-15 / (1 - rho).
+
+The mean return time is 1 / pi_0 by Kac's lemma (M. Kac, 1947), pi_0 the
+stationary mass of length 0.  Flow into length 0 gives pi_0 = r (pi_0 + pi_1),
+and pi_1 = N(r), so
 
     pi_0 = r N(r) / T_0,  T_0 = sum_l theta_l,
 

@@ -349,7 +349,8 @@ def _mc_worker(
     """Run trials [t0, t1) for every (d, controller) cell; arrays indexed by cell.
 
     Every cell of trial t runs on one ``RngStream(seed, t)`` object, so the
-    trial's draws are made once, by its first cell, and reused by the rest.
+    trial's draws, its initial state included, are made once, by its first
+    cell, and reused by the rest.
     Each radius copies one built plant, so all cells share prefixes (same maps).
     """
     config, t0, t1 = args

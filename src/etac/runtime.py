@@ -4,7 +4,8 @@ One call to :func:`run_trajectory` produces one trial.  All randomness for a
 trial is pre-drawn from its own stream in a fixed order (initial state,
 channel, processor, disturbances), so two runs on the same (seed, stream_id)
 share draws exactly; this is what makes paired baseline/anytime comparisons
-common-random-number comparisons.  The pre-draw is made once per
+common-random-number comparisons.  A given initial state takes the place of
+the drawn one in the pre-draw.  The pre-draw is made once per
 :class:`RngStream` object and reused by every run on it that needs the same
 draws, so the (d, controller) cells of a Monte Carlo trial, which share one
 stream object, draw once between them.
@@ -21,8 +22,8 @@ baseline is depth 1.
 
 The stream also keeps the runs made on its current draws, and a run follows
 them while it can.  Its peers are the kept runs under the same ``dynamics`` and
-``control_law`` objects that start from the same drawn ``x0`` object.  A plan
-input is taken from the first peer in the same situation: at a refill, one
+``control_law`` objects; every run on the draws starts from their ``x0``.  A
+plan input is taken from the first peer in the same situation: at a refill, one
 that also refilled; later, one that did not refill and plays a nonzero input.
 Once a step's input is chosen, the run keeps the peers that played that same
 input object at that step, and takes x(k+1) and its squared norm from the
@@ -33,8 +34,8 @@ once per plan.  Two nonzero inputs are one object only when they are the same
 input of the same refill at the same state, and x(k+1) = f(x(k), u(k)) + w(k)
 depends on nothing else, so a followed step is the step the run would compute,
 bit for bit; the run's own trigger radius and buffer depth still make its
-decisions.  A run that has a peer to its last step is that peer again, and a
-run from a given ``x0`` can be no later run's peer, so neither is kept.
+decisions.  A run that has a peer to its last step is that peer again, so it is
+not kept.
 
 A trace stores a run as columns, one entry per recorded step: the state
 ``x`` (the state object the loop computed or took from a peer), the played
@@ -105,26 +106,29 @@ class RngStream:
         return np.random.default_rng([self.seed, self.stream_id])
 
     def trial_draws(
-        self, env: StochasticEnv, noise: NoiseSpec, horizon: int, state_dim: int, draw_x0: bool
-    ) -> tuple[np.ndarray | None, tuple[bool, ...], tuple[int, ...], np.ndarray | None]:
+        self, env: StochasticEnv, noise: NoiseSpec, horizon: int, state_dim: int,
+        x0: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, tuple[bool, ...], tuple[int, ...], np.ndarray | None]:
         """The trial's pre-drawn ``(x0, received, n_draws, w)``, in draw order.
 
-        ``x0`` is a standard normal state when ``draw_x0``, else None (a given
-        initial state draws nothing, so the rest of the stream starts one
-        draw earlier).  ``received[k]`` is the channel outcome and
-        ``n_draws[k]`` the processor's evaluation count at step k; ``w[k]`` is
-        the disturbance, or ``w`` is None without noise.  A repeated request
+        ``x0`` is a copy of the given initial state, or a standard normal state
+        when none is given (a given state draws nothing, so the rest of the
+        stream starts one draw earlier).  ``received[k]`` is the channel outcome
+        and ``n_draws[k]`` the processor's evaluation count at step k; ``w[k]``
+        is the disturbance, or ``w`` is None without noise.  A repeated request
         returns the kept draws, which every run on this stream shares: the
         outcomes are tuples and the arrays read-only.  The key holds every input
-        the draws depend on; the noise std enters by its bits, since -0.0 ==
-        0.0 but the two scale the disturbances to zeros of opposite sign.
+        the draws depend on; the noise std and a given x0 enter by their bits,
+        since -0.0 == 0.0 but the two scale the disturbances, and start the
+        states, with zeros of opposite sign.
         """
-        key = (env, noise.kind, float(noise.std).hex(), horizon, state_dim, draw_x0)
+        x0_bits = None if x0 is None else np.asarray(x0, dtype=float).tobytes()
+        key = (env, noise.kind, float(noise.std).hex(), horizon, state_dim, x0_bits)
         kept = self._draws
         if kept is not None and kept[0] == key:
             return kept[1]
         gen = self.generator()
-        x0 = gen.standard_normal(state_dim) if draw_x0 else None
+        x0 = gen.standard_normal(state_dim) if x0 is None else np.array(x0, dtype=float)
         received = tuple((gen.random(horizon) < env.q).tolist())
         cum = np.cumsum(env.p)
         n_draws = tuple(
@@ -137,8 +141,7 @@ class RngStream:
             if noise.kind == "gaussian-iid"
             else None
         )
-        if x0 is not None:
-            x0.setflags(write=False)
+        x0.setflags(write=False)
         if w is not None:
             w.setflags(write=False)
         draws = (x0, received, n_draws, w)
@@ -245,8 +248,8 @@ def run_trajectory(
     ``controller`` is "baseline" or "anytime".  ``x0`` fixes the initial state
     and must have shape ``(plant.state_dim,)``; when None it is drawn standard
     normal.  The draws come from ``rng.trial_draws``, so runs on one stream
-    object share them, and a drawn ``x0`` and the disturbances are read-only
-    arrays in the trace.  The state update is x(k+1) = f(x(k), u(k)) + w(k).
+    object share them, and the pre-draw's copy of ``x0`` and the disturbances
+    are read-only arrays in the trace.  The update is x(k+1) = f(x(k), u(k)) + w(k).
     The plan is its length m, its age and x-hat (see the module docstring):
     the step at age < m computes kappa(x-hat) after advancing x-hat through
     the inputs played since it was last advanced, and later steps play zero.
@@ -265,17 +268,12 @@ def run_trajectory(
     if controller not in ("baseline", "anytime"):
         raise ValueError(f"unknown controller {controller!r}")
 
-    if x0 is not None:
-        x0 = np.array(x0, dtype=float)
-        if x0.shape != (plant.state_dim,):
-            raise ValueError(
-                f"x0 has shape {x0.shape}, expected ({plant.state_dim},) for plant {plant.name!r}"
-            )
+    if x0 is not None and np.shape(x0) != (plant.state_dim,):
+        raise ValueError(
+            f"x0 has shape {np.shape(x0)}, expected ({plant.state_dim},) for plant {plant.name!r}"
+        )
 
-    drawn_x0, received, n_draws, w = rng.trial_draws(
-        env, noise, horizon, plant.state_dim, x0 is None
-    )
-    x = drawn_x0 if x0 is None else x0
+    x, received, n_draws, w = rng.trial_draws(env, noise, horizon, plant.state_dim, x0)
 
     buffered = controller == "anytime"
     depth = env.capacity if buffered else 1
@@ -283,8 +281,8 @@ def run_trajectory(
     dynamics, control = plant.dynamics, plant.control_law
     zero_u = _zero_input(plant.input_dim)
     kept = rng._draws[2]  # the runs made on these draws
-    # Kept runs from this state under these maps; see the module docstring.
-    peers = [t for f, kappa, t in kept if t.x[0] is x and f is dynamics and kappa is control]
+    # Kept runs under these maps; see the module docstring.
+    peers = [t for f, kappa, t in kept if f is dynamics and kappa is control]
     xs: list[np.ndarray] = []
     us: list[np.ndarray] = []
     betas: list[int] = []
@@ -368,9 +366,8 @@ def run_trajectory(
         x=xs, u=us, beta=betas, n=ns, lam=lams, w=w,
         sq_norms=sq_norms, silent=silent, horizon=horizon, diverged=diverged,
     )
-    # A run that still has a peer after its last step is that peer again, and
-    # a run from a given x0 can be no later run's peer.
-    if x0 is None and not peers:
+    # A run that still has a peer after its last step is that peer again.
+    if not peers:
         kept.append((dynamics, control, trace))
     return trace
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etac.analysis import (
+    _resolvent_factor,
     _return_time_pmf,
     analyze,
     anytime_contraction,
@@ -393,6 +395,40 @@ class TestOmega:
                 continue  # skip knife-edge cases where the decisions may round apart
             assert (lhs < rhs) == (omega < 1.0)
             checked += 1
+
+
+def exact_resolvent_factor(chain, rho):
+    """1 + rho N / (1 - rho D) in exact rationals, from the chain's float theta and r."""
+    theta = [Fraction(float(t)) for t in chain.theta]
+    rho = Fraction(rho)
+    x = rho * Fraction(chain.return1)
+    n = d = Fraction(0)
+    for m in reversed(range(len(theta))):  # Horner in x; T_m = sum of theta_l for l > m
+        n = n * x + theta[m]
+        d = d * x + sum(theta[m:])
+    return 1 + rho * n / (1 - rho * d)
+
+
+class TestResolventConditioning:
+    @pytest.mark.parametrize("rho", [0.99, 0.999])
+    def test_relative_error_within_1e_15_over_one_minus_rho(self, rho):
+        # The error grows like 2e-16 / (1 - rho) from the conditioning of
+        # x = rho r (see the analysis module docstring); long buffers, busy
+        # channels and a small p0, as in the 50-digit probe behind that bound.
+        rng = np.random.default_rng(31)
+        envs = [StochasticEnv(q=0.99, p=(0.01,) + (0.99 / 54,) * 54, capacity=54)]
+        for _ in range(5):
+            capacity = int(rng.integers(1, 60))
+            p0 = float(rng.uniform(0.0, 0.05))
+            rest = (1.0 - p0) * rng.dirichlet(np.ones(capacity))
+            envs.append(StochasticEnv(
+                q=float(rng.uniform(0.5, 0.999)), p=(p0, *map(float, rest)), capacity=capacity
+            ))
+        for env in envs:
+            chain = build_lambda_chain(env)
+            exact = exact_resolvent_factor(chain, rho)
+            error = abs(Fraction(float(_resolvent_factor(chain, rho))) - exact) / exact
+            assert error <= Fraction(1e-15) / (1 - Fraction(rho)), (env, float(error))
 
 
 class TestClosedFormsAgainstDenseReference:

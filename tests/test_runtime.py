@@ -426,7 +426,7 @@ class TestRunTrajectory:
             stream = RngStream(28, trial)
             anytime = run_trajectory(plant, env, noise, "anytime", 200, stream)
             baseline = run_trajectory(plant, env, noise, "baseline", 200, stream)
-            _, received, n_draws, _ = RngStream(28, trial).trial_draws(env, noise, 200, plant.state_dim, True)
+            _, received, n_draws, _ = RngStream(28, trial).trial_draws(env, noise, 200, plant.state_dim)
             path = lambda_path_from_counts(np.array(received) * np.array(n_draws))
             assert anytime.lam == path[: len(anytime.x)].tolist()
             assert baseline.lam == [0] * len(baseline.x)
@@ -440,7 +440,7 @@ class TestRunTrajectory:
         horizon = 20_000
         noise = NoiseSpec("gaussian-iid", 1.0)
         stream = RngStream(29, 0)
-        stream.trial_draws(UNIFORM_ENV, noise, horizon, plant.state_dim, True)
+        stream.trial_draws(UNIFORM_ENV, noise, horizon, plant.state_dim)
         tracemalloc.start()
         try:
             trace = run_trajectory(plant, UNIFORM_ENV, noise, controller, horizon, stream)
@@ -478,11 +478,17 @@ SHARED_DRAW_PLANTS = tuple(
 
 
 def shared_draw_run(
-    stream, env=1, noise=3, horizon=30, plant=1, fixed_x0=False, controller="anytime", d=1
+    stream, env=1, noise=3, horizon=30, plant=1, fixed_x0=False, controller="anytime", d=1,
+    x0=None,
 ):
-    """One run on ``stream``; the arguments but ``controller`` index the tables above."""
+    """One run on ``stream``; the arguments but ``controller`` and ``x0`` index the tables above.
+
+    The run starts from ``x0`` if given, else from a fixed state if ``fixed_x0``, else
+    from a drawn one.
+    """
     plant_spec = SHARED_DRAW_PLANTS[d][plant]
-    x0 = np.linspace(1.5, -0.5, plant_spec.state_dim) if fixed_x0 else None
+    if fixed_x0 and x0 is None:
+        x0 = np.linspace(1.5, -0.5, plant_spec.state_dim)
     return run_trajectory(
         plant_spec, SHARED_DRAW_ENVS[env], SHARED_DRAW_NOISES[noise], controller,
         horizon, stream, x0=x0,
@@ -544,8 +550,11 @@ class TestSharedDraws:
             ({"horizon": 20}, {"horizon": 35}),
             ({"plant": 0}, {"plant": 1}),
             ({"fixed_x0": False}, {"fixed_x0": True}),
+            ({"x0": (1.5, -0.5)}, {"x0": (1.5, 0.25)}),
+            ({"x0": (0.0, 1.0)}, {"x0": (-0.0, 1.0)}),
         ],
-        ids=["q", "p", "noise-kind", "noise-std-sign", "noise-std", "horizon", "state-dim", "x0-drawn"],
+        ids=["q", "p", "noise-kind", "noise-std-sign", "noise-std", "horizon", "state-dim",
+             "x0-drawn", "x0-value", "x0-zero-sign"],
     )
     def test_each_draw_input_is_in_the_key(self, first, second):
         # the two runs differ in one draw input only; either may come first
@@ -567,8 +576,8 @@ class TestSharedDraws:
         for record in (a.records[0], b.records[4]):
             with pytest.raises(ValueError, match="read-only"):
                 record.w[0] = 1.0
-        draws = stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2, True)
-        assert draws is stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2, True)
+        draws = stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2)
+        assert draws is stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2)
         _, received, n_draws, _ = draws
         assert isinstance(received, tuple) and isinstance(n_draws, tuple)
 
@@ -602,11 +611,16 @@ def kept_runs(stream):
 class TestKeptRuns:
     """A run on a stream takes an earlier run's next state while it plays the same input."""
 
-    @pytest.mark.parametrize("reverse", [False, True], ids=["sweep-order", "reversed"])
-    def test_sweep_cells_match_fresh_streams_with_fewer_plant_calls(self, reverse):
+    @pytest.mark.parametrize(
+        "reverse, fixed_x0",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["sweep-order", "reversed", "sweep-order-given-x0", "reversed-given-x0"],
+    )
+    def test_sweep_cells_match_fresh_streams_with_fewer_plant_calls(self, reverse, fixed_x0):
         # the montecarlo cell order (every radius, both controllers, one stream
         # per trial), and the reverse, where the anytime cell comes first; the
-        # saturated maps are one pair of objects across radii
+        # saturated maps are one pair of objects across radii, and each cell
+        # passes a new array of a given x0
         dynamics, control_law, calls = counting_maps(make_sat_plant())
         env = StochasticEnv(q=0.4, p=UNIFORM_ENV.p, capacity=4)
         noise = NoiseSpec("gaussian-iid", 1.0)
@@ -622,9 +636,10 @@ class TestKeptRuns:
         for trial in range(4):
             stream = RngStream(45, trial)
             for d, plant, controller in cells:
-                shared = run_trajectory(plant, env, noise, controller, 50, stream)
+                x0 = np.array([1.5, -0.5]) if fixed_x0 else None
+                shared = run_trajectory(plant, env, noise, controller, 50, stream, x0=x0)
                 fresh = run_trajectory(
-                    make_sat_plant(d), env, noise, controller, 50, RngStream(45, trial)
+                    make_sat_plant(d), env, noise, controller, 50, RngStream(45, trial), x0=x0
                 )
                 assert_runs_bitwise_equal(shared, fresh)
                 steps += len(shared.x)
@@ -693,11 +708,19 @@ class TestKeptRuns:
         shared_draw_run(stream, horizon=20)  # another draw key
         gc.collect()
         assert ref() is None
-        # a given x0 is copied per run, so such a run is no later run's peer
+        # a given x0 is part of the pre-draw, as a drawn one is: the repeat
+        # starts from the first run's read-only copy and follows it throughout,
+        # and the caller's array is left as it was
         given = RngStream(48, 3)
-        shared_draw_run(given, fixed_x0=True)
-        shared_draw_run(given, fixed_x0=True, controller="baseline")
-        assert kept_runs(given) == []
+        x0 = np.array([1.5, -0.5])
+        first = shared_draw_run(given, x0=x0)
+        again = shared_draw_run(given, x0=x0)
+        assert_runs_bitwise_equal(again, first)
+        assert all(a is b for a, b in zip(again.x, first.x))
+        assert kept_runs(given) == [first]
+        assert first.x[0] is not x0 and x0.flags.writeable and x0.tolist() == [1.5, -0.5]
+        with pytest.raises(ValueError, match="read-only"):
+            first.x[0][0] = 1.0
 
 
 class TestLazyPlan:
