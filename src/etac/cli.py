@@ -10,9 +10,9 @@ document so a recorded config reproduces a run exactly.
 Each config type checks its own invariants when it is built, so a config
 built in Python or by ``dataclasses.replace`` gets the same checks as one read
 from JSON; :func:`parse_config` only decodes, taking each field's rule from its
-type.  Every config number, each entry of ``env.p``, ``d_sweep`` and
-``x0.value`` included, is a finite int or float and never a boolean: finiteness
-is the decoder's rule, ranges the types' rules, each written so NaN fails it.
+type.  Every config number, each entry of ``env.p``, ``d_sweep`` and ``x0``
+included, is a finite int or float and never a boolean: finiteness is the
+decoder's rule, ranges the types' rules, each written so NaN fails it.
 
 Exit codes: 0 success, 1 a ``montecarlo`` cell in which every trial diverged
 (no CSV is written), 2 config error, 3 accuracy-threshold failure in
@@ -45,7 +45,6 @@ __all__ = [
     "CONTROLLERS",
     "ConfigError",
     "ExperimentConfig",
-    "InitSpec",
     "PlantSelector",
     "RHO_GRID",
     "TV_THRESHOLD",
@@ -92,18 +91,6 @@ class PlantSelector:
 
 
 @dataclass(frozen=True)
-class InitSpec:
-    kind: str = "gaussian"  # standard normal draw, or "fixed" with a value
-    value: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "fixed"):
-            raise ValueError(f"kind must be 'gaussian' or 'fixed', got {self.kind!r}")
-        if (self.kind == "fixed") != (self.value is not None):
-            raise ValueError("value is required for kind 'fixed' and only applies to it")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     plant: PlantSelector
     env: StochasticEnv
@@ -114,7 +101,7 @@ class ExperimentConfig:
     trials: int | None = None  # per-command default: simulate 1, delta-dist 1e6, montecarlo 1e4
     seed: int = 0
     noise: NoiseSpec = NoiseSpec()
-    x0: InitSpec = InitSpec()
+    x0: tuple[float, ...] | None = None  # the initial state; None draws a standard normal one
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -219,7 +206,7 @@ def _json_object(items: list[tuple[str, object]]) -> dict:
 def emit_config(config: ExperimentConfig) -> dict:
     """JSON-shaped dict such that ``parse_config(emit_config(c)) == c``.
 
-    Every field is emitted, unset ones (``d``, ``plant.a``, ``x0.value``, ...)
+    Every field is emitted, unset ones (``d``, ``plant.a``, ``x0``, ...)
     as null, and tuples as lists.
     """
     return asdict(config, dict_factory=_json_object)
@@ -330,7 +317,7 @@ def cmd_simulate(config: ExperimentConfig) -> int:
     plant = build_plant(config.plant, config.d)
     trace = run_trajectory(
         plant, config.env, config.noise, config.controllers[0],
-        config.horizon, RngStream(config.seed, 0), x0=config.x0.value,
+        config.horizon, RngStream(config.seed, 0), x0=config.x0,
     )
     write_trace_csv(trace, out)
     print(f"J={_fmt(empirical_cost(trace))}")
@@ -366,7 +353,7 @@ def _mc_worker(
             for ci, controller in enumerate(config.controllers):
                 trace = run_trajectory(
                     plant, config.env, config.noise, controller,
-                    config.horizon, stream, x0=config.x0.value,
+                    config.horizon, stream, x0=config.x0,
                 )
                 costs[di, ci, ti] = empirical_cost(trace)
                 utils[di, ci, ti] = channel_utilization(trace)

@@ -4,10 +4,11 @@ Everything here re-derives a quantity the analysis module computes in closed
 form: the first-return-time pmf of the effective buffer length by direct
 simulation of the length recursion, the dense transition matrix of that chain
 built row by row from its transition rule, the same law by conditional
-frequency counts, the buffered controller step as a literal case table on an
-explicit buffer matrix (:class:`BufferState`), and the scalar length recursion
-(:func:`update_lambda`) for differential testing against the simulator, which
-keeps its buffer as a plan plus an age instead.  Validation runs in the
+frequency counts, the anytime plan computed whole from the received state
+(:func:`plan_inputs`), the buffered controller step as a literal case table on
+an explicit buffer matrix (:class:`BufferState`) filled from that plan, and the
+scalar length recursion (:func:`update_lambda`) for differential testing
+against the simulator, which keeps its buffer as a plan plus an age instead.  Validation runs in the
 always-transmit regime (d = 0), where the length recursion is driven purely by
 the i.i.d. channel and processor draws.  :func:`reference_trajectory` rebuilds
 a whole closed-loop run from its draws with that table-driven step, for
@@ -45,6 +46,7 @@ __all__ = [
     "empirical_transition_matrix",
     "lambda_path_from_counts",
     "lambda_transition_matrix",
+    "plan_inputs",
     "reference_anytime_step",
     "reference_trajectory",
     "simulate_lambda_chain",
@@ -335,6 +337,25 @@ def empirical_transition_matrix(env: StochasticEnv, n_steps: int, rng) -> Transi
     return TransitionEstimate(matrix=matrix, visits=visits)
 
 
+def plan_inputs(x: np.ndarray, n: int, plant: PlantSpec) -> list[np.ndarray]:
+    """The ``n`` tentative inputs computed from the received state ``x``.
+
+    Input j is kappa at the j-th state of the plant's noise-free forward
+    simulation from ``x`` under the inputs before it; the first is kappa(x).
+    ``runtime.run_trajectory`` computes the same inputs one at a time, as played.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    control = plant.control_law
+    u = control(x)
+    inputs = [u]
+    while len(inputs) < n:
+        x = plant.dynamics(x, u)
+        u = control(x)
+        inputs.append(u)
+    return inputs
+
+
 def reference_anytime_step(
     x: np.ndarray | None,
     beta: int,
@@ -346,9 +367,9 @@ def reference_anytime_step(
 
     The literal operating-mode table: a silent step (beta = 2) zeroes the
     buffer, any other step shifts it one row ahead, and a step with n >= 1
-    evaluations then overwrites it with the schedule forward-simulated from
-    the received state.  The effective length is re-derived by tagging which
-    rows the control law wrote.  ``runtime.run_trajectory`` must match it on a
+    evaluations then overwrites it with :func:`plan_inputs` of the received
+    state.  The effective length is re-derived by tagging which rows the
+    control law wrote.  ``runtime.run_trajectory`` must match it on a
     capacity-row buffer (anytime) and on a one-row buffer (baseline).
     """
     if n >= 1 and beta != 1:
@@ -374,16 +395,9 @@ def reference_anytime_step(
     written[capacity - 1] = False
 
     if beta == 1 and n >= 1:
-        chi = np.array(x, dtype=float)
-        for j in range(n):
-            u_j = np.asarray(plant.control_law(chi), dtype=float)
-            if j == 0:
-                blocks[:] = 0.0
-                written = [False] * capacity
-            blocks[j] = u_j
-            written[j] = True
-            if j + 1 < n:
-                chi = plant.dynamics(chi, u_j)
+        blocks[:] = 0.0
+        blocks[:n] = plan_inputs(x, n, plant)
+        written = [j < n for j in range(capacity)]
 
     out = blocks[0].copy()
     return out, BufferState(blocks, sum(written))

@@ -12,11 +12,12 @@ stream object, draw once between them.
 
 Both controllers are one rule.  A step that receives the state x and is
 granted N >= 1 control-law evaluations refills the plan: its length becomes
-m = min(N, depth) and its age 0.  The step at age j < m plays input j of
-:func:`plan_inputs` from x, computed when it is played: the refill plays
-kappa(x) and sets the forward-simulated state x-hat = x, and each later step
-sets x-hat = f(x-hat, u_prev) and plays kappa(x-hat), the same IEEE operations
-in the same order.  Once age reaches m the step plays zero, and a silent step
+m = min(N, depth) and its age 0.  The step at age j < m plays input j of the
+plan from x, computed when it is played: the refill plays kappa(x) and sets
+the forward-simulated state x-hat = x, and each later step sets
+x-hat = f(x-hat, u_prev) and plays kappa(x-hat), the same IEEE operations in
+the same order as :func:`etac.oracle.plan_inputs`, the plan's reference, which
+computes it whole.  Once age reaches m the step plays zero, and a silent step
 ends the plan.  The anytime controller has depth = capacity; the memoryless
 baseline is depth 1.
 
@@ -40,12 +41,12 @@ not kept.
 A trace stores a run as columns, one entry per recorded step: the state
 ``x`` (the state object the loop computed or took from a peer), the played
 input ``u``, and the ints ``beta``, ``n`` and ``lam``.  It also keeps the run's
-pre-drawn disturbances, the squared state norm of every recorded step, which
-the loop computes anyway for its trigger and divergence tests, and the number
-of silent steps; :func:`empirical_cost` sums that column and
-:func:`channel_utilization` reads that count.  ``Trace.records`` is a
-read-only view that builds a :class:`~etac.domain.StepRecord` per index, for
-readers that want one step at a time.
+pre-drawn disturbances and the squared state norm of every recorded step,
+which the loop computes anyway for its trigger and divergence tests;
+:func:`empirical_cost` sums that column, and :func:`channel_utilization`
+counts the silent steps in ``beta``.  ``Trace.records`` is a read-only view
+that builds a :class:`~etac.domain.StepRecord` per index, for readers that want
+one step at a time.
 
 :func:`write_trace_csv` formats the rows itself and writes the bytes that
 ``csv.writer``'s default dialect would: ``repr`` of each float, ``str`` of each
@@ -71,7 +72,6 @@ __all__ = [
     "Trace",
     "channel_utilization",
     "empirical_cost",
-    "plan_inputs",
     "run_trajectory",
     "write_trace_csv",
 ]
@@ -162,10 +162,8 @@ class Trace:
     read-only pre-drawn disturbance array of ``horizon`` rows, or None without
     noise.  ``sq_norms[k]`` is ``float(x[k].dot(x[k]))``, the squared norm the
     loop computes anyway for its trigger and divergence tests, kept so that
-    :func:`empirical_cost` need not revisit the states; ``silent`` counts the
-    steps with ``beta == 2``, so that :func:`channel_utilization` need not
-    revisit ``beta``.  ``==`` is identity, since comparing lists of arrays
-    element-wise has no single truth value.
+    :func:`empirical_cost` need not revisit the states.  ``==`` is identity,
+    since comparing lists of arrays element-wise has no single truth value.
 
     The columns and the arrays in them are shared: a later run on the same
     stream follows this one's states and inputs, and takes them as its own.
@@ -182,7 +180,6 @@ class Trace:
     lam: list[int]
     w: np.ndarray | None
     sq_norms: array
-    silent: int
     horizon: int
     diverged: bool = False
 
@@ -213,25 +210,6 @@ class StepRecords(Sequence):
         return StepRecord(
             k, t.x[k], t.u[k], t.beta[k], t.n[k], t.lam[k], None if t.w is None else t.w[k]
         )
-
-
-def plan_inputs(x: np.ndarray, n: int, plant: PlantSpec) -> list[np.ndarray]:
-    """The ``n`` tentative inputs computed from the received state ``x``.
-
-    Input j is kappa at the j-th state of the plant's noise-free forward
-    simulation from ``x`` under the inputs before it; the first is kappa(x).
-    :func:`run_trajectory` computes the same inputs one at a time, as played.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    control = plant.control_law
-    u = control(x)
-    inputs = [u]
-    while len(inputs) < n:
-        x = plant.dynamics(x, u)
-        u = control(x)
-        inputs.append(u)
-    return inputs
 
 
 def run_trajectory(
@@ -293,7 +271,6 @@ def run_trajectory(
     sq_norms = array("d")
     append_sq_norm = sq_norms.append
     diverged = False
-    silent = 0
     m = 0  # inputs granted at the last refill, 0 after a silent step
     age = 0  # steps since that refill
     # The squared norm of x(k + 1), computed for the divergence test, is the
@@ -312,7 +289,6 @@ def run_trajectory(
                 beta = 0
         else:
             beta = 2
-            silent += 1
             m = 0
         if n_k:
             m = n_k if n_k < depth else depth
@@ -364,7 +340,7 @@ def run_trajectory(
 
     trace = Trace(
         x=xs, u=us, beta=betas, n=ns, lam=lams, w=w,
-        sq_norms=sq_norms, silent=silent, horizon=horizon, diverged=diverged,
+        sq_norms=sq_norms, horizon=horizon, diverged=diverged,
     )
     # A run that still has a peer after its last step is that peer again.
     if not peers:
@@ -396,7 +372,7 @@ def empirical_cost(trace: Trace) -> float:
 
 def channel_utilization(trace: Trace) -> float:
     """Percentage of steps with a transmission attempt (beta != 2)."""
-    return 100.0 * (len(trace.x) - trace.silent) / trace.horizon
+    return 100.0 * (len(trace.beta) - trace.beta.count(2)) / trace.horizon
 
 
 #: Rows per block in :func:`write_trace_csv`: large enough to amortise the

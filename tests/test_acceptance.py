@@ -24,12 +24,13 @@ from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_pl
 from etac.oracle import (
     BufferState,
     lambda_transition_matrix,
+    plan_inputs,
     reference_anytime_step,
     simulate_lambda_chain,
     tv_distance,
     update_lambda,
 )
-from etac.runtime import RngStream, plan_inputs, run_trajectory
+from etac.runtime import RngStream, run_trajectory
 
 REFERENCE_ENV = StochasticEnv(q=0.75, p=(0.2,) * 5, capacity=4)
 

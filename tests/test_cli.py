@@ -14,7 +14,6 @@ import etac
 from etac.cli import (
     ConfigError,
     ExperimentConfig,
-    InitSpec,
     PlantSelector,
     emit_config,
     main,
@@ -59,7 +58,7 @@ def decay_config(out=None):
         "horizon": 10,
         "trials": 1,
         "seed": 5,
-        "x0": {"kind": "fixed", "value": [4.0]},
+        "x0": [4.0],
         "out": out,
     }
 
@@ -99,7 +98,7 @@ PINNED_SWEEPS = {
             "env": {"q": 0.6, "p": [0.3, 0.3, 0.4], "capacity": 2},
             "d_sweep": [0.0, 0.5, 2.0],
             "horizon": 40, "trials": 16, "seed": 8,
-            "x0": {"kind": "fixed", "value": [4.0]},
+            "x0": [4.0],
         },
         "f5ebcba0cf10840d8cfdaee0615ede722e2752fa48e92fa12dfcbd7d226fa9fc",
     ),
@@ -131,32 +130,47 @@ NAN = float("nan")
 SIMULATE = ["simulate"]
 POOL = ["montecarlo", "--threads", "2"]
 
-#: Inputs that must leave through main's single exit: code 2, a config error, no
-#: traceback.  The first nine break the number rule (json reads ``NaN``, and an
-#: int literal too large for a float); the next three are library checks, two
-#: of them raised in a pool worker; then three command-line overrides out of
-#: range, and pmf entries whose sum overflows a float.
+#: Inputs that must leave through main's single exit: code 2, a config error
+#: whose message holds the given fragment, no traceback.  The first eleven break
+#: the decoder's rules: the number rule (json reads ``NaN``, and an int literal
+#: too large for a float) and the list form of ``x0``, which refuses the old
+#: ``{"kind": ...}`` object.  The next three are library checks, two of them
+#: raised in a pool worker; then three command-line overrides out of range, and
+#: pmf entries whose sum overflows a float.
 REJECTED_INPUTS = {
-    "x0-string-entry": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": ["a"]}}),
-    "x0-nested-list": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": [[1.0, 2.0]]}}),
-    "p-booleans": (SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [True, False], "capacity": 1}}),
-    "p-strings": (SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": ["0.5", "0.5"], "capacity": 1}}),
-    "d-nan": (SIMULATE, {**decay_config(), "d": NAN}),
-    "d-sweep-nan": (SIMULATE, {**decay_config(), "d_sweep": [0.0, NAN]}),
-    "noise-std-nan": (SIMULATE, {**decay_config(), "noise": {"kind": "gaussian-iid", "std": NAN}}),
-    "gain-nan": (SIMULATE, {**decay_config(), "plant": {"kind": "scalar", "a": 2.0, "gain": NAN}}),
-    "d-int-beyond-float": (SIMULATE, {**decay_config(), "d": 10**400}),
-    "x0-wrong-length": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": [1.0, 2.0]}}),
+    "x0-string-entry": (SIMULATE, {**decay_config(), "x0": ["a"]}, "x0[0]"),
+    "x0-nested-list": (SIMULATE, {**decay_config(), "x0": [[1.0, 2.0]]}, "x0[0]"),
+    "x0-object-gaussian": (SIMULATE, {**decay_config(), "x0": {"kind": "gaussian"}}, "x0"),
+    "x0-object-fixed": (
+        SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": [4.0]}}, "x0"
+    ),
+    "p-booleans": (
+        SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [True, False], "capacity": 1}}, "env.p[0]"
+    ),
+    "p-strings": (
+        SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": ["0.5", "0.5"], "capacity": 1}}, "env.p[0]"
+    ),
+    "d-nan": (SIMULATE, {**decay_config(), "d": NAN}, "d must"),
+    "d-sweep-nan": (SIMULATE, {**decay_config(), "d_sweep": [0.0, NAN]}, "d_sweep[1]"),
+    "noise-std-nan": (
+        SIMULATE, {**decay_config(), "noise": {"kind": "gaussian-iid", "std": NAN}}, "noise.std"
+    ),
+    "gain-nan": (
+        SIMULATE, {**decay_config(), "plant": {"kind": "scalar", "a": 2.0, "gain": NAN}}, "plant.gain"
+    ),
+    "d-int-beyond-float": (SIMULATE, {**decay_config(), "d": 10**400}, "d must"),
+    "x0-wrong-length": (SIMULATE, {**decay_config(), "x0": [1.0, 2.0]}, "x0 has shape"),
     "unstable-plant-in-worker": (
-        POOL, {**montecarlo_config(trials=4), "plant": {"kind": "scalar", "a": 2.0, "gain": 0.5}}
+        POOL, {**montecarlo_config(trials=4), "plant": {"kind": "scalar", "a": 2.0, "gain": 0.5}},
+        "contracting",
     ),
-    "x0-wrong-length-in-worker": (
-        POOL, {**montecarlo_config(trials=4), "x0": {"kind": "fixed", "value": [1.0]}}
+    "x0-wrong-length-in-worker": (POOL, {**montecarlo_config(trials=4), "x0": [1.0]}, "x0 has shape"),
+    "seed-override-negative": ([*SIMULATE, "--seed", "-1"], decay_config(), "seed"),
+    "trials-override-zero": ([*SIMULATE, "--trials", "0"], decay_config(), "trials"),
+    "threads-zero": (["montecarlo", "--threads", "0"], montecarlo_config(trials=4), "--threads"),
+    "p-sum-overflows": (
+        SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [1e308, 1e308], "capacity": 1}}, "env: p[0]"
     ),
-    "seed-override-negative": ([*SIMULATE, "--seed", "-1"], decay_config()),
-    "trials-override-zero": ([*SIMULATE, "--trials", "0"], decay_config()),
-    "threads-zero": (["montecarlo", "--threads", "0"], montecarlo_config(trials=4)),
-    "p-sum-overflows": (SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [1e308, 1e308], "capacity": 1}}),
 }
 
 VALID_CONFIG = ExperimentConfig(
@@ -182,7 +196,6 @@ INVALID_CHANGES = {
     "noise-std-nan": (NoiseSpec("gaussian-iid", 1.0), {"std": NAN}, "nonnegative"),
     "scalar-plant-without-parameters": (PlantSelector("saturated"), {"kind": "scalar"}, "plant.a"),
     "saturated-plant-with-gain": (PlantSelector("scalar", 2.0, 1.5), {"kind": "saturated"}, "only apply"),
-    "fixed-x0-without-value": (InitSpec(), {"kind": "fixed"}, "value"),
     "env-q-above-one": (VALID_CONFIG.env, {"q": 1.2}, r"q=1\.2"),
 }
 
@@ -216,9 +229,7 @@ VALID_CONFIGS = st.builds(
     trials=st.none() | st.integers(1, 10**7),
     seed=st.integers(0, 2**64 - 1),
     noise=st.just(NoiseSpec()) | st.builds(NoiseSpec, kind=st.just("gaussian-iid"), std=NONNEGATIVE),
-    x0=st.just(InitSpec()) | st.builds(
-        InitSpec, kind=st.just("fixed"), value=st.lists(FINITE, min_size=1, max_size=3).map(tuple)
-    ),
+    x0=st.none() | st.lists(FINITE, min_size=1, max_size=3).map(tuple),
     out=st.none() | st.text(),
 )
 
@@ -235,7 +246,7 @@ class TestConfigParsing:
             trials=7,
             seed=123,
             noise=NoiseSpec("gaussian-iid", 0.5),
-            x0=InitSpec(kind="fixed", value=(3.0,)),
+            x0=(3.0,),
             out="results.csv",
         )
         emitted = emit_config(config)
@@ -321,11 +332,10 @@ class TestConfigParsing:
 
     def test_null_takes_the_default_except_for_strings(self):
         # a null number or section takes its default; a null string is refused
-        nulls = {**boundary_config(), "horizon": None, "noise": None}
+        nulls = {**boundary_config(), "horizon": None, "noise": None, "x0": None}
         assert parse_config(nulls) == parse_config(boundary_config())
         for data in (
             {**boundary_config(), "controllers": None},
-            {**boundary_config(), "x0": {"kind": None}},
             {**boundary_config(), "noise": {"kind": None}},
             {**boundary_config(), "plant": {"kind": None}},
             {**boundary_config(), "env": None},
@@ -392,12 +402,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("command, data", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys())
-    def test_rejected_input_leaves_through_config_error(self, tmp_path, capfd, command, data):
+    @pytest.mark.parametrize(
+        "command, data, fragment", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys()
+    )
+    def test_rejected_input_leaves_through_config_error(self, tmp_path, capfd, command, data, fragment):
         path = write_config(tmp_path, data)
         assert main([*command, "--config", path, "--out", str(tmp_path / "out.csv")]) == 2
         err = capfd.readouterr().err  # fd-level, so worker processes' stderr is seen too
         assert err.startswith("config error:")
+        assert fragment in err
         assert "Traceback" not in err
 
 
@@ -585,7 +598,7 @@ class TestSimulate:
         out = str(tmp_path / "trace.csv")
         data = decay_config(out=out)
         data["d"] = 1.0
-        data["x0"] = {"kind": "fixed", "value": [0.0]}
+        data["x0"] = [0.0]
         assert main(["simulate", "--config", write_config(tmp_path, data)]) == 0
         report = capsys.readouterr().out
         assert "J=0" in report
@@ -718,7 +731,7 @@ class TestMonteCarlo:
             "horizon": 80,
             "trials": 10,
             "seed": 1,
-            "x0": {"kind": "fixed", "value": [1000.0]},
+            "x0": [1000.0],
             "out": str(tmp_path / "mc.csv"),
         }
         assert main(["montecarlo", "--config", write_config(tmp_path, data)]) == 1

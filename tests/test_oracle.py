@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from etac.analysis import build_lambda_chain, return_time_pmf_truncated
-from etac.cli import ExperimentConfig, InitSpec, PlantSelector, build_plant, run_paired_cells
+from etac.cli import ExperimentConfig, PlantSelector, build_plant, run_paired_cells
 from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
 from etac.oracle import (
     BufferState,
@@ -532,7 +532,7 @@ class TestReferenceTrajectory:
         ), False),
         (ExperimentConfig(
             plant=PlantSelector("scalar", 1.2, 0.8), env=StochasticEnv(q=0.6, p=(0.3, 0.3, 0.4), capacity=2),
-            d_sweep=(0.0, 0.5, 2.0), horizon=40, trials=12, seed=8, x0=InitSpec("fixed", (4.0,)),
+            d_sweep=(0.0, 0.5, 2.0), horizon=40, trials=12, seed=8, x0=(4.0,),
         ), False),
         (ExperimentConfig(
             plant=PlantSelector("scalar", 3.0, 2.5), env=StochasticEnv(q=0.5, p=(0.3, 0.2, 0.2, 0.3), capacity=3),
@@ -546,7 +546,7 @@ class TestReferenceTrajectory:
             for ci, controller in enumerate(config.controllers):
                 for t in range(config.trials):
                     ref = reference_trajectory(plant, config.env, config.noise, controller,
-                                               config.horizon, config.seed, t, x0=config.x0.value)
+                                               config.horizon, config.seed, t, x0=config.x0)
                     sent = int(np.count_nonzero(ref.beta != 2))
                     cost = math.fsum(float(x.dot(x)) for x in ref.x) / config.horizon
                     assert costs[di, ci, t] == cost

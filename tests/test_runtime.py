@@ -15,6 +15,7 @@ from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_pl
 from etac.oracle import (
     BufferState,
     lambda_path_from_counts,
+    plan_inputs,
     reference_anytime_step,
     reference_trajectory,
     update_lambda,
@@ -26,7 +27,6 @@ from etac.runtime import (
     Trace,
     channel_utilization,
     empirical_cost,
-    plan_inputs,
     run_trajectory,
     write_trace_csv,
 )
@@ -799,8 +799,7 @@ class TestTraceMetrics:
         betas = list(beta) if beta else [2] * len(xs)
         return Trace(
             x=x, u=[np.zeros(1) for _ in xs], beta=betas, n=[0] * len(xs), lam=[0] * len(xs),
-            w=None, sq_norms=array("d", (float(v.dot(v)) for v in x)), silent=betas.count(2),
-            horizon=horizon,
+            w=None, sq_norms=array("d", (float(v.dot(v)) for v in x)), horizon=horizon,
         )
 
     def test_cost_all_zero(self):
@@ -835,9 +834,8 @@ class TestTraceMetrics:
             assert empirical_cost(trace) == math.fsum(terms) / trace.horizon
 
     def test_utilization_matches_per_record_reference(self):
-        # The per-record pass that the loop's silent-step count replaced.
+        # Utilization by its definition, one record at a time.
         for trace in self._simulated_traces():
-            assert trace.silent == sum(1 for r in trace.records if r.beta == 2)
             reference = 100.0 * sum(1 for r in trace.records if r.beta != 2) / trace.horizon
             assert channel_utilization(trace).hex() == reference.hex()
 
@@ -997,7 +995,7 @@ class TestTraceCsv:
         betas = rng.integers(0, 3, size=length).tolist()
         trace = Trace(
             x=list(xs), u=list(us), beta=betas, n=[n for n, _ in ints], lam=[lam for _, lam in ints],
-            w=None, sq_norms=array("d"), silent=betas.count(2), horizon=length,
+            w=None, sq_norms=array("d"), horizon=length,
         )
         out = tmp_path_factory.mktemp("csv")
         write_trace_csv(trace, out / "block.csv")
