@@ -121,8 +121,8 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if self.trials is not None and not self.trials >= 1:
             raise ValueError("trials must be >= 1")
-        if not self.seed >= 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
 
 
 def _as_number(value, where: str, integer: bool = False) -> float | int:
@@ -381,7 +381,7 @@ def run_paired_cells(
     if workers == 1:
         return _mc_worker((config, 0, trials))
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    chunks = [(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    chunks = [(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_mc_worker, chunks))
     costs = np.concatenate([p[0] for p in parts], axis=2)

@@ -36,7 +36,6 @@ __all__ = [
     "NoiseSpec",
     "PlantSpec",
     "SAT_LIMIT",
-    "StepRecord",
     "StochasticEnv",
     "make_sat_plant",
     "make_scalar_plant",
@@ -92,27 +91,6 @@ class StochasticEnv:
         errors = validate_env(self)
         if errors:
             raise ValueError("; ".join(errors))
-
-
-@dataclass(eq=False, slots=True)
-class StepRecord:
-    """One step of a closed-loop run.
-
-    ``beta`` is the transmission outcome (2 silent, 1 received, 0 erased),
-    ``n`` the number of control-law evaluations granted, ``lam`` the effective
-    buffer length after the step, ``w`` the additive disturbance (None when
-    the run is noiseless).  A trace's ``records`` view builds one per access;
-    not frozen, as a frozen dataclass's ``__init__`` costs about five times as
-    much.
-    """
-
-    k: int
-    x: np.ndarray
-    u: np.ndarray
-    beta: int
-    n: int
-    lam: int
-    w: np.ndarray | None = None
 
 
 @dataclass(frozen=True)

@@ -23,30 +23,28 @@ baseline is depth 1.
 
 The stream also keeps the runs made on its current draws, and a run follows
 them while it can.  Its peers are the kept runs under the same ``dynamics`` and
-``control_law`` objects; every run on the draws starts from their ``x0``.  A
-plan input is taken from the first peer in the same situation: at a refill, one
-that also refilled; later, one that did not refill and plays a nonzero input.
-Once a step's input is chosen, the run keeps the peers that played that same
-input object at that step, and takes x(k+1) and its squared norm from the
-first; with none left it computes the step, and peers never come back.  A run
-that must compute a plan input after taking earlier ones from a peer first
-catches x-hat up from the refill state through the inputs it played, at most
-once per plan.  Two nonzero inputs are one object only when they are the same
-input of the same refill at the same state, and x(k+1) = f(x(k), u(k)) + w(k)
-depends on nothing else, so a followed step is the step the run would compute,
-bit for bit; the run's own trigger radius and buffer depth still make its
-decisions.  A run that has a peer to its last step is that peer again, so it is
-not kept.
+``control_law`` objects; every run on the draws starts from their ``x0``.  At
+each step the run keeps the peers that play a plan input exactly when it does,
+plays the first one's input and takes x(k+1) and its squared norm from it; with
+none left it computes the step, and peers never come back.  Peers that played
+the same inputs through step k - 1 share x(k), and two that both play a plan
+input at k refilled at the same step from that state, since a step where one
+refills is a refill for every run not silent there and a silent step ends a
+plan.  So they play the same input of the same plan, and
+x(k+1) = f(x(k), u(k)) + w(k) depends on nothing else: a followed step is the
+step the run would compute, bit for bit.  The run's own trigger radius and
+buffer depth still make its decisions.  A run that must compute a plan input
+after taking earlier ones from a peer first catches x-hat up from the refill
+state through the inputs it played, at most once per plan.  A run that has a
+peer to its last step is that peer again, so it is not kept.
 
 A trace stores a run as columns, one entry per recorded step: the state
 ``x`` (the state object the loop computed or took from a peer), the played
-input ``u``, and the ints ``beta``, ``n`` and ``lam``.  It also keeps the run's
-pre-drawn disturbances and the squared state norm of every recorded step,
-which the loop computes anyway for its trigger and divergence tests;
-:func:`empirical_cost` sums that column, and :func:`channel_utilization`
-counts the silent steps in ``beta``.  ``Trace.records`` is a read-only view
-that builds a :class:`~etac.domain.StepRecord` per index, for readers that want
-one step at a time.
+input ``u``, and the ints ``beta``, ``n`` and ``lam``.  It also keeps the
+squared state norm of every recorded step, which the loop computes anyway for
+its trigger and divergence tests; :func:`empirical_cost` sums that column, and
+:func:`channel_utilization` counts the silent steps in ``beta``.  The
+disturbances stay in the stream's pre-draw.
 
 :func:`write_trace_csv` formats the rows itself and writes the bytes that
 ``csv.writer``'s default dialect would: ``repr`` of each float, ``str`` of each
@@ -59,12 +57,11 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import NoiseSpec, PlantSpec, StepRecord, StochasticEnv
+from .domain import NoiseSpec, PlantSpec, StochasticEnv
 
 __all__ = [
     "DIVERGENCE_NORM",
@@ -158,19 +155,19 @@ class Trace:
     input), the transmission outcome, the evaluations granted and the
     effective buffer length.  They have exactly ``horizon`` entries unless the
     run diverged, in which case they end at the step where the state norm blew
-    past :data:`DIVERGENCE_NORM` (or went non-finite).  ``w`` is the run's
-    read-only pre-drawn disturbance array of ``horizon`` rows, or None without
-    noise.  ``sq_norms[k]`` is ``float(x[k].dot(x[k]))``, the squared norm the
-    loop computes anyway for its trigger and divergence tests, kept so that
-    :func:`empirical_cost` need not revisit the states.  ``==`` is identity,
-    since comparing lists of arrays element-wise has no single truth value.
+    past :data:`DIVERGENCE_NORM` (or went non-finite).  ``sq_norms[k]`` is
+    ``float(x[k].dot(x[k]))``, the squared norm the loop computes anyway for
+    its trigger and divergence tests, kept so that :func:`empirical_cost` need
+    not revisit the states.  ``==`` is identity, since comparing lists of
+    arrays element-wise has no single truth value.
 
     The columns and the arrays in them are shared: a later run on the same
     stream follows this one's states and inputs, and takes them as its own.
     Neither the lists nor the arrays may be written.
 
-    ``records`` is a read-only sequence view over the columns whose item ``k``
-    is the :class:`~etac.domain.StepRecord` of step ``k``, built on access.
+    ``records`` lists the ``(x, u, beta, n, lam)`` tuple of every recorded
+    step.  It stays only because the benchmark's tracer counts its length; the
+    benchmark contract's next version (ROADMAP item 1) deletes it.
     """
 
     x: list[np.ndarray]
@@ -178,38 +175,13 @@ class Trace:
     beta: list[int]
     n: list[int]
     lam: list[int]
-    w: np.ndarray | None
     sq_norms: array
     horizon: int
     diverged: bool = False
 
     @property
-    def records(self) -> StepRecords:
-        return StepRecords(self)
-
-
-class StepRecords(Sequence):
-    """The steps of a :class:`Trace` as :class:`~etac.domain.StepRecord` items.
-
-    Indexing works as on a list (negative indices count from the end, and an
-    index past either end raises ``IndexError``); each access builds a new
-    record over the trace's own arrays, so ``records[0].x is trace.x[0]``.
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: Trace) -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.x)
-
-    def __getitem__(self, index: int) -> StepRecord:
-        t = self._trace
-        k = range(len(t.x))[index]  # list indexing rules, IndexError included
-        return StepRecord(
-            k, t.x[k], t.u[k], t.beta[k], t.n[k], t.lam[k], None if t.w is None else t.w[k]
-        )
+    def records(self) -> list[tuple[np.ndarray, np.ndarray, int, int, int]]:
+        return list(zip(self.x, self.u, self.beta, self.n, self.lam))
 
 
 def run_trajectory(
@@ -226,15 +198,16 @@ def run_trajectory(
     ``controller`` is "baseline" or "anytime".  ``x0`` fixes the initial state
     and must have shape ``(plant.state_dim,)``; when None it is drawn standard
     normal.  The draws come from ``rng.trial_draws``, so runs on one stream
-    object share them, and the pre-draw's copy of ``x0`` and the disturbances
-    are read-only arrays in the trace.  The update is x(k+1) = f(x(k), u(k)) + w(k).
+    object share them, and the trace's first state is the pre-draw's read-only
+    copy of ``x0``.  The update is x(k+1) = f(x(k), u(k)) + w(k).
     The plan is its length m, its age and x-hat (see the module docstring):
     the step at age < m computes kappa(x-hat) after advancing x-hat through
     the inputs played since it was last advanced, and later steps play zero.
-    While the run plays the same input objects as a run kept on ``rng``, it
-    takes that run's inputs and next states instead of computing them, so the
-    returned trace may share state and input arrays with earlier and later
-    runs on the stream, and the played zero input is one read-only array.
+    While a run kept on ``rng`` plays a plan input exactly when this one does,
+    this run takes that run's inputs and next states instead of computing
+    them, so the returned trace may share state and input arrays with earlier
+    and later runs on the stream, and the played zero input is one read-only
+    array.
     A state whose norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite)
     ends the run early with the trace flagged diverged rather than raising.
     The recorded ``lam`` is the effective buffer length ``m - age`` floored at
@@ -297,14 +270,15 @@ def run_trajectory(
         else:
             age += 1
         left = m - age
+        if peers:
+            # The peers that play a plan input exactly when this run does.
+            plays_zero = left <= 0
+            peers = [p for p in peers if (p.u[k] is zero_u) == plays_zero]
         if left > 0:
-            # Input ``age`` of the plan: a peer's, if one plays it here (see
-            # the module docstring), else kappa at x-hat, caught up through
-            # the inputs played since x-hat was last advanced.
-            for p in peers:
-                if p.n[k] == n_k and p.u[k] is not zero_u:
-                    u = p.u[k]
-                    break
+            # Input ``age`` of the plan: the first peer's, else kappa at x-hat,
+            # caught up through the inputs played since x-hat was last advanced.
+            if peers:
+                u = peers[0].u[k]
             else:
                 for j in range(hat_k, k):
                     xhat = dynamics(xhat, us[j])
@@ -320,15 +294,13 @@ def run_trajectory(
         append_n(n_k)
         append_lam(lam)
         append_sq_norm(nrm2)
-        if peers:
-            # A peer that played this input object from this state has x(k + 1)
-            # already; if the first has no step k + 1, none has: this is the
-            # last step, or they all diverged here, as this run is about to.
-            peers = [p for p in peers if p.u[k] is u]
-            if peers and len(peers[0].x) > k + 1:
-                x = peers[0].x[k + 1]
-                nrm2 = peers[0].sq_norms[k + 1]
-                continue
+        # The first peer has x(k + 1) already; if it has no step k + 1, no
+        # peer has: this is the last step, or they all diverged here, as this
+        # run is about to.
+        if peers and len(peers[0].x) > k + 1:
+            x = peers[0].x[k + 1]
+            nrm2 = peers[0].sq_norms[k + 1]
+            continue
         x_next = dynamics(x, u)
         if w is not None:
             x_next = x_next + w[k]
@@ -339,7 +311,7 @@ def run_trajectory(
         x = x_next
 
     trace = Trace(
-        x=xs, u=us, beta=betas, n=ns, lam=lams, w=w,
+        x=xs, u=us, beta=betas, n=ns, lam=lams,
         sq_norms=sq_norms, horizon=horizon, diverged=diverged,
     )
     # A run that still has a peer after its last step is that peer again.

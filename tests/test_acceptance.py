@@ -217,13 +217,13 @@ def test_criterion_6_differential_and_structural():
             for controller, rows in (("anytime", capacity), ("baseline", 1)):
                 trace = run_trajectory(plant, env, noise, controller, 80, RngStream(606, trial))
                 buf = BufferState.zeros(rows, 2)
-                for r in trace.records:
-                    x = r.x if r.beta == 1 else None
-                    u, buf = reference_anytime_step(x, r.beta, min(r.n, rows), buf, plant)
-                    assert np.array_equal(r.u, u)
-                    assert r.lam == (buf.lam if controller == "anytime" else 0)
-                    betas.add(r.beta)
-                    ns.add(r.n)
+                for x, u_run, beta, n, lam in zip(trace.x, trace.u, trace.beta, trace.n, trace.lam):
+                    x = x if beta == 1 else None
+                    u, buf = reference_anytime_step(x, beta, min(n, rows), buf, plant)
+                    assert np.array_equal(u_run, u)
+                    assert lam == (buf.lam if controller == "anytime" else 0)
+                    betas.add(beta)
+                    ns.add(n)
                     steps += controller == "anytime"
         assert betas == {0, 1, 2} and ns == set(range(capacity + 1)), (capacity, betas, ns)
     assert steps >= 100_000
@@ -234,44 +234,42 @@ def test_criterion_6_differential_and_structural():
     for trial in range(50):
         a = run_trajectory(plant, env1, noise, "baseline", 100, RngStream(607, trial))
         b = run_trajectory(plant, env1, noise, "anytime", 100, RngStream(607, trial))
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.u, rb.u)
-            assert ra.beta == rb.beta and ra.n == rb.n
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
+        assert a.beta == b.beta and a.n == b.n
 
     # (c) structural invariants on randomized buffered runs
     env = StochasticEnv(q=0.6, p=(0.2,) * 5, capacity=4)
     for trial in range(50):
         trace = run_trajectory(plant, env, noise, "anytime", 80, RngStream(608, trial))
         lam = 0
-        for r in trace.records:
-            lam = update_lambda(lam, r.beta, r.n)
-            assert r.lam == lam
-            assert (r.beta == 2) == (math.sqrt(float(r.x @ r.x)) < plant.d)
-            if r.lam != 0:
-                assert r.beta != 2
-            if r.lam == 0:
-                assert np.array_equal(r.u, np.zeros(2))
+        for x, u, beta, n, recorded in zip(trace.x, trace.u, trace.beta, trace.n, trace.lam):
+            lam = update_lambda(lam, beta, n)
+            assert recorded == lam
+            assert (beta == 2) == (math.sqrt(float(x @ x)) < plant.d)
+            if recorded != 0:
+                assert beta != 2
+            if recorded == 0:
+                assert np.array_equal(u, np.zeros(2))
 
     # buffer play: after a refill of N at step k, step k + m plays the m-th
     # planned input for m < N and zero afterwards
     for trial in range(50):
         trace = run_trajectory(plant, env, noise, "anytime", 80, RngStream(608, trial))
         plan, refill_k = [], 0
-        for r in trace.records:
-            if r.beta == 2:
+        for k, (x, u, beta, n) in enumerate(zip(trace.x, trace.u, trace.beta, trace.n)):
+            if beta == 2:
                 plan = []
-            if r.n >= 1:
-                plan, refill_k = plan_inputs(r.x, r.n, plant), r.k
-            m = r.k - refill_k
+            if n >= 1:
+                plan, refill_k = plan_inputs(x, n, plant), k
+            m = k - refill_k
             expected = plan[m] if m < len(plan) else np.zeros(2)
-            assert np.array_equal(r.u, expected)
+            assert np.array_equal(u, expected)
 
     # (d) same-stream runs are bit-identical
     a = run_trajectory(plant, env, noise, "anytime", 80, RngStream(609, 5))
     b = run_trajectory(plant, env, noise, "anytime", 80, RngStream(609, 5))
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.u, rb.u)
-        assert (ra.beta, ra.n, ra.lam) == (rb.beta, rb.n, rb.lam)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
+    assert (a.beta, a.n, a.lam) == (b.beta, b.n, b.lam)
 
     elapsed = time.time() - start
     ok = elapsed < 30.0

@@ -134,9 +134,9 @@ POOL = ["montecarlo", "--threads", "2"]
 #: whose message holds the given fragment, no traceback.  The first eleven break
 #: the decoder's rules: the number rule (json reads ``NaN``, and an int literal
 #: too large for a float) and the list form of ``x0``, which refuses the old
-#: ``{"kind": ...}`` object.  The next three are library checks, two of them
-#: raised in a pool worker; then three command-line overrides out of range, and
-#: pmf entries whose sum overflows a float.
+#: ``{"kind": ...}`` object.  The next four are library checks, two of them
+#: raised in a pool worker and one a seed past 64 bits; then four command-line
+#: overrides out of range, and pmf entries whose sum overflows a float.
 REJECTED_INPUTS = {
     "x0-string-entry": (SIMULATE, {**decay_config(), "x0": ["a"]}, "x0[0]"),
     "x0-nested-list": (SIMULATE, {**decay_config(), "x0": [[1.0, 2.0]]}, "x0[0]"),
@@ -165,7 +165,9 @@ REJECTED_INPUTS = {
         "contracting",
     ),
     "x0-wrong-length-in-worker": (POOL, {**montecarlo_config(trials=4), "x0": [1.0]}, "x0 has shape"),
+    "seed-beyond-u64": (SIMULATE, {**decay_config(), "seed": 2**70}, "seed"),
     "seed-override-negative": ([*SIMULATE, "--seed", "-1"], decay_config(), "seed"),
+    "seed-override-beyond-u64": ([*SIMULATE, "--seed", str(2**64)], decay_config(), "seed"),
     "trials-override-zero": ([*SIMULATE, "--trials", "0"], decay_config(), "trials"),
     "threads-zero": (["montecarlo", "--threads", "0"], montecarlo_config(trials=4), "--threads"),
     "p-sum-overflows": (

@@ -30,13 +30,12 @@ WORKED_ENV = StochasticEnv(q=0.75, p=(0.2, 0.3, 0.5), capacity=2)
 def replay(trace, plant, rows):
     """Feed a trace's step inputs to the reference step on a ``rows``-row buffer.
 
-    Yields each record with the reference's input and buffer after that step.
+    Yields each step's index with the reference's input and buffer after it.
     """
     buf = BufferState.zeros(rows, plant.input_dim)
-    for r in trace.records:
-        x = r.x if r.beta == 1 else None
-        u, buf = reference_anytime_step(x, r.beta, min(r.n, rows), buf, plant)
-        yield r, u, buf
+    for k, (x, beta, n) in enumerate(zip(trace.x, trace.beta, trace.n)):
+        u, buf = reference_anytime_step(x if beta == 1 else None, beta, min(n, rows), buf, plant)
+        yield k, u, buf
 
 
 class TestLambdaPath:
@@ -435,14 +434,14 @@ class TestReferenceAnytimeStep:
         steps, betas, ns = 0, set(), set()
         for trial in range(170):
             trace = run_trajectory(plant, env, noise, "anytime", 60, RngStream(74, trial))
-            for r, u, buf in replay(trace, plant, env.capacity):
-                assert np.array_equal(r.u, u)
-                assert r.lam == buf.lam
+            for k, u, buf in replay(trace, plant, env.capacity):
+                assert np.array_equal(trace.u[k], u)
+                assert trace.lam[k] == buf.lam
                 # rows past the effective length are always padding zeros
                 assert np.all(buf.blocks[buf.lam :] == 0.0)
                 steps += 1
-                betas.add(r.beta)
-                ns.add(r.n)
+            betas.update(trace.beta)
+            ns.update(trace.n)
         assert steps >= 10_000
         assert betas == {0, 1, 2} and ns == set(range(env.capacity + 1))
 
@@ -460,8 +459,8 @@ class TestReferenceAnytimeStep:
         steps = 0
         for trial in range(40):
             trace = run_trajectory(plant, env, NoiseSpec(), "baseline", 50, RngStream(75, trial))
-            for r, u, _ in replay(trace, plant, 1):
-                assert np.array_equal(r.u, u)
+            for k, u, _ in replay(trace, plant, 1):
+                assert np.array_equal(trace.u[k], u)
                 steps += 1
         assert steps >= 1000
 

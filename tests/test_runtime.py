@@ -37,36 +37,38 @@ NOISELESS = NoiseSpec()
 STABLE_SCALAR = make_scalar_plant(0.5, 0.2, 0.0)
 
 
-def assert_traces_equal(a, b, check_lam=True):
-    assert a.horizon == b.horizon and a.diverged == b.diverged
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.k == rb.k and ra.beta == rb.beta and ra.n == rb.n
-        if check_lam:
-            assert ra.lam == rb.lam
-        assert np.array_equal(ra.x, rb.x)
-        assert np.array_equal(ra.u, rb.u)
+def columns(run):
+    """A run's divergence flag and columns, the arrays as bytes; the last entry is lam."""
+    return (
+        run.diverged, np.array(run.x).tobytes(), np.array(run.u).tobytes(),
+        np.asarray(run.beta).tolist(), np.asarray(run.n).tolist(), np.asarray(run.lam).tolist(),
+    )
 
 
-def first_record(plant, env, x0, controller="anytime", stream=0):
-    """The record of a one-step run from ``x0``."""
-    trace = run_trajectory(
+def assert_runs_bitwise_equal(a, b):
+    """Every column, the squared norms, the horizon and the divergence flag, bit for bit."""
+    assert columns(a) == columns(b)
+    assert a.horizon == b.horizon and a.sq_norms.tobytes() == b.sq_norms.tobytes()
+
+
+def one_step(plant, env, x0, controller="anytime", stream=0):
+    """A one-step run from ``x0``."""
+    return run_trajectory(
         plant, env, NOISELESS, controller, 1, RngStream(30, stream), x0=np.array(x0)
     )
-    return trace.records[0]
 
 
 def assert_plays_plan(trace, plant, depth):
     """After a refill of N at step k, step k + m plays plan_inputs(...)[m], then zero."""
     plan, refill_k = [], 0
-    for r in trace.records:
-        if r.beta == 2:
+    for k, (x, u, beta, n) in enumerate(zip(trace.x, trace.u, trace.beta, trace.n)):
+        if beta == 2:
             plan = []
-        if r.n >= 1:
-            plan, refill_k = plan_inputs(r.x, min(r.n, depth), plant), r.k
-        m = r.k - refill_k
+        if n >= 1:
+            plan, refill_k = plan_inputs(x, min(n, depth), plant), k
+        m = k - refill_k
         expected = plan[m] if m < len(plan) else np.zeros(plant.input_dim)
-        assert np.array_equal(r.u, expected)
+        assert np.array_equal(u, expected)
 
 
 def diverged_trace():
@@ -81,8 +83,7 @@ def diverged_trace():
 
 def reference_trace_csv(trace, path) -> None:
     """The ``csv.writer`` per-row writer: the bytes ``write_trace_csv`` must match."""
-    first = trace.records[0]
-    n, p = len(first.x), len(first.u)
+    n, p = len(trace.x[0]), len(trace.u[0])
     header = (
         ["k"]
         + [f"x{i + 1}" for i in range(n)]
@@ -92,22 +93,32 @@ def reference_trace_csv(trace, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r in trace.records:
-            writer.writerow(
-                [r.k, *(float(v) for v in r.x), *(float(v) for v in r.u), r.beta, r.n, r.lam]
-            )
+        steps = zip(trace.x, trace.u, trace.beta, trace.n, trace.lam)
+        for k, (x, u, beta, n, lam) in enumerate(steps):
+            writer.writerow([k, *(float(v) for v in x), *(float(v) for v in u), beta, n, lam])
 
 
-def traces_digest(traces) -> str:
-    """SHA-256 over every record field of every trace, in order."""
+def run_with_disturbances(plant, env, noise, controller, horizon, stream, x0=None):
+    """A run and its pre-drawn disturbances from the stream (None without noise)."""
+    trace = run_trajectory(plant, env, noise, controller, horizon, stream, x0=x0)
+    return trace, stream.trial_draws(env, noise, horizon, plant.state_dim, x0)[3]
+
+
+def traces_digest(runs) -> str:
+    """SHA-256 over every step of every ``(trace, w)`` pair, in order.
+
+    Per step it hashes k, beta, n and lam, then the state, the input and the
+    disturbance row ("-" without noise).
+    """
     h = hashlib.sha256()
-    for trace in traces:
-        h.update(repr((trace.horizon, trace.diverged, len(trace.records))).encode())
-        for r in trace.records:
-            h.update(repr((r.k, r.beta, r.n, r.lam)).encode())
-            h.update(r.x.tobytes())
-            h.update(r.u.tobytes())
-            h.update(b"-" if r.w is None else r.w.tobytes())
+    for trace, w in runs:
+        h.update(repr((trace.horizon, trace.diverged, len(trace.x))).encode())
+        steps = zip(trace.x, trace.u, trace.beta, trace.n, trace.lam)
+        for k, (x, u, beta, n, lam) in enumerate(steps):
+            h.update(repr((k, beta, n, lam)).encode())
+            h.update(x.tobytes())
+            h.update(u.tobytes())
+            h.update(b"-" if w is None else w[k].tobytes())
     return h.hexdigest()
 
 
@@ -115,14 +126,14 @@ class TestTrigger:
     ALWAYS = StochasticEnv(q=1.0, p=(0.0, 1.0), capacity=1)
 
     def test_origin_inside_open_ball(self):
-        assert first_record(make_sat_plant(1.0), self.ALWAYS, [0.0, 0.0]).beta == 2
+        assert one_step(make_sat_plant(1.0), self.ALWAYS, [0.0, 0.0]).beta == [2]
 
     def test_boundary_transmits(self):
-        assert first_record(make_sat_plant(1.0), self.ALWAYS, [1.0, 0.0]).beta == 1
+        assert one_step(make_sat_plant(1.0), self.ALWAYS, [1.0, 0.0]).beta == [1]
 
     def test_d_zero_always_transmits(self):
-        assert first_record(make_sat_plant(0.0), self.ALWAYS, [0.0, 0.0]).beta == 1
-        assert first_record(make_scalar_plant(2.0, 1.5, 0.0), self.ALWAYS, [5.0]).beta == 1
+        assert one_step(make_sat_plant(0.0), self.ALWAYS, [0.0, 0.0]).beta == [1]
+        assert one_step(make_scalar_plant(2.0, 1.5, 0.0), self.ALWAYS, [5.0]).beta == [1]
 
 
 class TestSampleBeta:
@@ -130,12 +141,12 @@ class TestSampleBeta:
         env = StochasticEnv(q=0.5, p=(0.5, 0.5), capacity=1)
         plant = make_scalar_plant(2.0, 1.5, 1.0)
         for stream in range(100):
-            assert first_record(plant, env, [0.5], stream=stream).beta == 2
+            assert one_step(plant, env, [0.5], stream=stream).beta == [2]
 
     def test_lossless_channel(self):
         env = StochasticEnv(q=1.0, p=(0.5, 0.5), capacity=1)
         trace = run_trajectory(STABLE_SCALAR, env, NOISELESS, "baseline", 100, RngStream(2, 0))
-        assert [r.beta for r in trace.records] == [1] * 100
+        assert trace.beta == [1] * 100
 
     def test_success_frequency(self):
         env = StochasticEnv(q=0.75, p=(1.0, 0.0), capacity=1)
@@ -143,7 +154,7 @@ class TestSampleBeta:
         hits = 0
         for trial in range(n // 1000):
             trace = run_trajectory(STABLE_SCALAR, env, NOISELESS, "baseline", 1000, RngStream(3, trial))
-            hits += sum(1 for r in trace.records if r.beta == 1)
+            hits += trace.beta.count(1)
         half_width = 3.0 * math.sqrt(0.75 * 0.25 / n)
         assert abs(hits / n - 0.75) < half_width
 
@@ -155,10 +166,10 @@ class TestSampleN:
         seen = set()
         for trial in range(20):
             trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 60, RngStream(4, trial))
-            for r in trace.records:
-                if r.beta != 1:
-                    seen.add(r.beta)
-                    assert r.n == 0
+            for beta, n in zip(trace.beta, trace.n):
+                if beta != 1:
+                    seen.add(beta)
+                    assert n == 0
         assert seen == {0, 2}
 
     def test_conditional_frequencies(self):
@@ -167,8 +178,7 @@ class TestSampleN:
         counts = np.zeros(5, dtype=int)
         for trial in range(n // 1000):
             trace = run_trajectory(STABLE_SCALAR, env, NOISELESS, "baseline", 1000, RngStream(5, trial))
-            for r in trace.records:
-                counts[r.n] += 1
+            counts += np.bincount(trace.n, minlength=5)
         half_width = 3.0 * math.sqrt(0.2 * 0.8 / n)
         assert np.all(np.abs(counts / n - 0.2) < half_width)
 
@@ -178,21 +188,21 @@ class TestBaselineStep:
 
     def test_applies_control_when_ready(self):
         env = StochasticEnv(q=1.0, p=(0.0, 0.0, 1.0), capacity=2)
-        r = first_record(self.PLANT, env, [4.0], "baseline")
-        assert (r.beta, r.n, r.lam) == (1, 2, 0)
-        assert r.u[0] == -6.0
+        run = one_step(self.PLANT, env, [4.0], "baseline")
+        assert (run.beta, run.n, run.lam) == ([1], [2], [0])
+        assert run.u[0][0] == -6.0
 
     def test_zero_without_processor(self):
         env = StochasticEnv(q=1.0, p=(1.0, 0.0), capacity=1)
-        r = first_record(self.PLANT, env, [4.0], "baseline")
-        assert (r.beta, r.n) == (1, 0)
-        assert r.u[0] == 0.0
+        run = one_step(self.PLANT, env, [4.0], "baseline")
+        assert (run.beta, run.n) == ([1], [0])
+        assert run.u[0][0] == 0.0
 
     def test_zero_on_erasure(self):
         env = StochasticEnv(q=0.0, p=(0.0, 1.0), capacity=1)
-        r = first_record(self.PLANT, env, [4.0], "baseline")
-        assert (r.beta, r.n) == (0, 0)
-        assert r.u[0] == 0.0
+        run = one_step(self.PLANT, env, [4.0], "baseline")
+        assert (run.beta, run.n) == ([0], [0])
+        assert run.u[0][0] == 0.0
 
 
 class TestUpdateLambda:
@@ -243,10 +253,10 @@ class TestShiftBuffer:
         env = StochasticEnv(q=q, p=(0.5,) + (0.5 / capacity,) * capacity, capacity=capacity)
         trace = run_trajectory(plant, env, NOISELESS, "anytime", 60, RngStream(seed, 0))
         since = capacity
-        for r in trace.records:
-            since = 0 if r.n >= 1 else since + 1
+        for u, n, lam in zip(trace.u, trace.n, trace.lam):
+            since = 0 if n >= 1 else since + 1
             if since >= capacity:
-                assert np.array_equal(r.u, np.zeros(1)) and r.lam == 0
+                assert np.array_equal(u, np.zeros(1)) and lam == 0
 
 
 class TestAnytimeStep:
@@ -269,8 +279,8 @@ class TestAnytimeStep:
 
     def test_erasure_with_empty_buffer_applies_zero(self):
         env = StochasticEnv(q=0.0, p=(0.0, 0.0, 0.0, 1.0), capacity=3)
-        r = first_record(make_scalar_plant(2.0, 1.5, 0.0), env, [4.0])
-        assert r.beta == 0 and r.u[0] == 0.0 and r.lam == 0
+        run = one_step(make_scalar_plant(2.0, 1.5, 0.0), env, [4.0])
+        assert run.beta == [0] and run.u[0][0] == 0.0 and run.lam == [0]
 
     def test_rejects_computation_without_reception(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
@@ -297,9 +307,8 @@ class TestRunTrajectory:
         trace = run_trajectory(
             plant, env, NOISELESS, "baseline", 10, RngStream(11, 0), x0=np.array([4.0])
         )
-        xs = [float(r.x[0]) for r in trace.records]
-        assert xs == [4.0 * 0.5**k for k in range(10)]
-        assert float(trace.records[0].u[0]) == -6.0
+        assert [float(x[0]) for x in trace.x] == [4.0 * 0.5**k for k in range(10)]
+        assert float(trace.u[0][0]) == -6.0
         assert not trace.diverged
 
     def test_origin_stays_silent(self):
@@ -307,26 +316,23 @@ class TestRunTrajectory:
         trace = run_trajectory(
             plant, UNIFORM_ENV, NOISELESS, "anytime", 30, RngStream(12, 0), x0=np.zeros(2)
         )
-        for r in trace.records:
-            assert r.beta == 2 and r.n == 0 and r.lam == 0
-            assert np.array_equal(r.x, np.zeros(2))
-            assert np.array_equal(r.u, np.zeros(2))
+        assert trace.beta == [2] * 30 and trace.n == [0] * 30 and trace.lam == [0] * 30
+        assert np.array_equal(trace.x, np.zeros((30, 2)))
+        assert np.array_equal(trace.u, np.zeros((30, 2)))
 
     def test_same_stream_bitwise_identical(self):
         plant = make_sat_plant(d=1.0)
         noise = NoiseSpec("gaussian-iid", 1.0)
         a = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 40, RngStream(13, 7))
         b = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 40, RngStream(13, 7))
-        assert_traces_equal(a, b)
+        assert_runs_bitwise_equal(a, b)
 
     def test_distinct_streams_differ(self):
         plant = make_sat_plant(d=1.0)
         noise = NoiseSpec("gaussian-iid", 1.0)
         a = run_trajectory(plant, UNIFORM_ENV, noise, "baseline", 40, RngStream(13, 0))
         b = run_trajectory(plant, UNIFORM_ENV, noise, "baseline", 40, RngStream(13, 1))
-        assert any(
-            not np.array_equal(ra.x, rb.x) for ra, rb in zip(a.records, b.records)
-        )
+        assert any(not np.array_equal(xa, xb) for xa, xb in zip(a.x, b.x))
 
     def test_divergence_flagged_not_raised(self):
         # never transmits, so the unstable open loop doubles each step
@@ -336,7 +342,7 @@ class TestRunTrajectory:
             plant, env, NOISELESS, "baseline", 200, RngStream(14, 0), x0=np.array([1.0])
         )
         assert trace.diverged
-        assert len(trace.records) < 200
+        assert len(trace.x) < 200
 
     def test_rejects_bad_inputs(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
@@ -362,56 +368,31 @@ class TestRunTrajectory:
                 run_trajectory(plant, env, NOISELESS, "anytime", 10, RngStream(1, 0), x0=x0)
         # a list of the right length is accepted
         trace = run_trajectory(make_sat_plant(1.0), env, NOISELESS, "anytime", 3, RngStream(1, 0), x0=[1, 2])
-        assert trace.records[0].x.dtype == np.float64
+        assert trace.x[0].dtype == np.float64
 
 
     def test_records_match_recorded_digest(self):
         # Recorded before the controllers became one plan-and-age rule; every
-        # record field of these runs must stay byte for byte the same.
-        traces = []
+        # step of these runs must stay byte for byte the same.
+        runs = []
         for plant in (make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0)):
             for env in (StochasticEnv(q=0.6, p=(0.3, 0.7), capacity=1), UNIFORM_ENV):
                 for noise in (NOISELESS, NoiseSpec("gaussian-iid", 1.0)):
                     for controller in ("baseline", "anytime"):
                         for trial in range(3):
-                            traces.append(
-                                run_trajectory(plant, env, noise, controller, 50, RngStream(23, trial))
-                            )
-        traces.append(diverged_trace())
-        assert traces_digest(traces) == (
+                            runs.append(run_with_disturbances(
+                                plant, env, noise, controller, 50, RngStream(23, trial)
+                            ))
+        runs.append((diverged_trace(), None))  # noiseless
+        assert traces_digest(runs) == (
             "160b1a6cae3925cbc554c25a0290cb816fd3c66574d374fcc29ab00b0edfb5fb"
         )
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            diverged_trace,
-            lambda: run_trajectory(make_sat_plant(1.0), UNIFORM_ENV, NOISELESS, "anytime", 80, RngStream(27, 0)),
-            lambda: run_trajectory(
-                make_sat_plant(1.0), UNIFORM_ENV, NoiseSpec("gaussian-iid", 1.0), "anytime", 80, RngStream(27, 1)
-            ),
-        ],
-        ids=["diverged", "noiseless", "noisy"],
-    )
-    def test_records_view_matches_columns(self, make):
-        trace = make()
-        records = trace.records
-        assert len(records) == len(trace.x)
-        assert [r.k for r in records] == list(range(len(trace.x)))
-        for k in range(len(trace.x)):
-            r = records[k]
-            assert (r.k, r.beta, r.n, r.lam) == (k, trace.beta[k], trace.n[k], trace.lam[k])
-            assert r.x.tobytes() == trace.x[k].tobytes() and r.u.tobytes() == trace.u[k].tobytes()
-            if trace.w is None:
-                assert r.w is None
-            else:
-                assert r.w.tobytes() == trace.w[k].tobytes()
-        last = records[-1]
-        assert last.k == len(trace.x) - 1 and last.x is trace.x[-1] and last.u is trace.u[-1]
-        with pytest.raises(IndexError):
-            records[len(records)]
-        with pytest.raises(IndexError):
-            records[-len(records) - 1]
+        # ``records`` has one tuple per recorded step, made of the column objects
+        for trace, _ in runs:
+            cols = (trace.x, trace.u, trace.beta, trace.n, trace.lam)
+            assert len(trace.records) == len(trace.x)
+            for k, record in enumerate(trace.records):
+                assert all(field is col[k] for field, col in zip(record, cols, strict=True))
 
     @pytest.mark.parametrize("capacity", range(1, 7))
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
@@ -495,12 +476,6 @@ def shared_draw_run(
     )
 
 
-def assert_runs_bitwise_equal(a, b):
-    """Every record field, the squared-norm column and the divergence flag, bit for bit."""
-    assert traces_digest([a]) == traces_digest([b])  # includes the divergence flag
-    assert a.sq_norms.tobytes() == b.sq_norms.tobytes()
-
-
 class TestSharedDraws:
     """Runs on one stream object reuse its pre-draw only when the draws would match."""
 
@@ -568,18 +543,15 @@ class TestSharedDraws:
         stream = RngStream(42, 5)
         a = shared_draw_run(stream, controller="baseline")
         b = shared_draw_run(stream, controller="anytime")
-        # one pre-draw: the drawn x0 and the disturbances are the same arrays
-        assert a.records[0].x is b.records[0].x
-        assert a.records[4].w.base is b.records[4].w.base
-        with pytest.raises(ValueError, match="read-only"):
-            a.records[0].x[0] = 1.0
-        for record in (a.records[0], b.records[4]):
-            with pytest.raises(ValueError, match="read-only"):
-                record.w[0] = 1.0
+        # one pre-draw: both runs start from its read-only x0
         draws = stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2)
         assert draws is stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2)
-        _, received, n_draws, _ = draws
+        x0, received, n_draws, w = draws
+        assert a.x[0] is x0 and b.x[0] is x0
         assert isinstance(received, tuple) and isinstance(n_draws, tuple)
+        for drawn in (x0, w):
+            with pytest.raises(ValueError, match="read-only"):
+                drawn[0] = 1.0
 
     def test_kept_draws_are_not_part_of_the_stream_value(self):
         used, fresh = RngStream(43, 2), RngStream(43, 2)
@@ -612,11 +584,14 @@ class TestKeptRuns:
     """A run on a stream takes an earlier run's next state while it plays the same input."""
 
     @pytest.mark.parametrize(
-        "reverse, fixed_x0",
-        [(False, False), (True, False), (False, True), (True, True)],
+        "reverse, fixed_x0, dynamics_calls, kappa_calls",
+        [(False, False, 1337, 351), (True, False, 1339, 351), (False, True, 1337, 328),
+         (True, True, 1337, 328)],
         ids=["sweep-order", "reversed", "sweep-order-given-x0", "reversed-given-x0"],
     )
-    def test_sweep_cells_match_fresh_streams_with_fewer_plant_calls(self, reverse, fixed_x0):
+    def test_sweep_cells_match_fresh_streams_with_fewer_plant_calls(
+        self, reverse, fixed_x0, dynamics_calls, kappa_calls
+    ):
         # the montecarlo cell order (every radius, both controllers, one stream
         # per trial), and the reverse, where the anytime cell comes first; the
         # saturated maps are one pair of objects across radii, and each cell
@@ -646,9 +621,10 @@ class TestKeptRuns:
                 depth = env.capacity if controller == "anytime" else 1
                 planned += sum(min(n, depth) for n in shared.n)
         # without sharing every plant step is one dynamics call, plus the plans'
-        # forward simulations, and every planned input one control-law call
-        assert calls["dynamics"] < steps
-        assert calls["control_law"] < planned
+        # forward simulations, and every planned input one control-law call;
+        # the exact counts catch a peer rule that shares less
+        assert (calls["dynamics"], calls["control_law"]) == (dynamics_calls, kappa_calls)
+        assert dynamics_calls < steps and kappa_calls < planned
 
     def test_follows_a_peer_that_diverged(self):
         # diverged_trace()'s config from a drawn x0, which it still diverges from
@@ -783,10 +759,6 @@ class TestLazyPlan:
         assert calls["control_law"] - before["control_law"] == sum(run.u[j] is not zero for j in own)
         assert calls["dynamics"] - before["dynamics"] == len(own) + (k - refill) + continued
 
-        def columns(r):
-            return (np.array(r.x).tobytes(), np.array(r.u).tobytes(), np.asarray(r.beta).tolist(),
-                    np.asarray(r.n).tolist(), np.asarray(r.lam).tolist(), r.diverged)
-
         fresh = run_trajectory(cell(0.5), *args, RngStream(43, 0))
         reference = reference_trajectory(cell(0.5), *args, 43, 0)
         assert columns(run) == columns(fresh) == columns(reference)
@@ -799,7 +771,7 @@ class TestTraceMetrics:
         betas = list(beta) if beta else [2] * len(xs)
         return Trace(
             x=x, u=[np.zeros(1) for _ in xs], beta=betas, n=[0] * len(xs), lam=[0] * len(xs),
-            w=None, sq_norms=array("d", (float(v.dot(v)) for v in x)), horizon=horizon,
+            sq_norms=array("d", (float(v.dot(v)) for v in x)), horizon=horizon,
         )
 
     def test_cost_all_zero(self):
@@ -829,14 +801,14 @@ class TestTraceMetrics:
 
     def test_cost_matches_per_record_reference(self):
         for trace in self._simulated_traces():
-            terms = [float(r.x @ r.x) for r in trace.records]
+            terms = [float(x @ x) for x in trace.x]
             assert trace.sq_norms.tolist() == terms
             assert empirical_cost(trace) == math.fsum(terms) / trace.horizon
 
     def test_utilization_matches_per_record_reference(self):
-        # Utilization by its definition, one record at a time.
+        # Utilization by its definition, one step at a time.
         for trace in self._simulated_traces():
-            reference = 100.0 * sum(1 for r in trace.records if r.beta != 2) / trace.horizon
+            reference = 100.0 * sum(1 for beta in trace.beta if beta != 2) / trace.horizon
             assert channel_utilization(trace).hex() == reference.hex()
 
     def test_utilization_extremes_and_fraction(self):
@@ -858,7 +830,7 @@ class TestClosedLoopInvariants:
         for trial in range(20):
             a = run_trajectory(plant, env, noise, "baseline", 60, RngStream(16, trial))
             b = run_trajectory(plant, env, noise, "anytime", 60, RngStream(16, trial))
-            assert_traces_equal(a, b, check_lam=False)
+            assert columns(a)[:-1] == columns(b)[:-1]  # all but lam: the baseline's is 0
 
 
     @given(
@@ -885,18 +857,16 @@ class TestClosedLoopInvariants:
         noise = NoiseSpec("gaussian-iid", 1.0) if noisy else NOISELESS
         a = run_trajectory(plant, env, noise, "baseline", 60, RngStream(seed, 0))
         b = run_trajectory(plant, folded, noise, "anytime", 60, RngStream(seed, 0))
-        assert a.diverged == b.diverged and len(a.records) == len(b.records)
-        for ra, rb in zip(a.records, b.records):
-            assert ra.beta == rb.beta
-            assert np.array_equal(ra.x, rb.x) and np.array_equal(ra.u, rb.u)
+        assert a.diverged == b.diverged and a.beta == b.beta
+        assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
     def test_empty_schedule_means_zero_input(self):
         plant = make_sat_plant(d=1.0)
         noise = NoiseSpec("gaussian-iid", 1.0)
         for trial in range(30):
             trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 60, RngStream(17, trial))
-            for r in trace.records:
-                if r.lam == 0:
-                    assert np.array_equal(r.u, np.zeros(2))
+            for u, lam in zip(trace.u, trace.lam):
+                if lam == 0:
+                    assert np.array_equal(u, np.zeros(2))
 
     def test_lambda_recursion_matches_trace(self):
         plant = make_sat_plant(d=1.0)
@@ -904,31 +874,31 @@ class TestClosedLoopInvariants:
         for trial in range(30):
             trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 60, RngStream(18, trial))
             lam = 0
-            for r in trace.records:
-                lam = update_lambda(lam, r.beta, r.n)
-                assert r.lam == lam
+            for beta, n, recorded in zip(trace.beta, trace.n, trace.lam):
+                lam = update_lambda(lam, beta, n)
+                assert recorded == lam
 
     def test_beta_consistency(self):
         plant = make_sat_plant(d=1.0)
         noise = NoiseSpec("gaussian-iid", 1.0)
         for trial in range(30):
             trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 60, RngStream(19, trial))
-            for r in trace.records:
-                inside = math.sqrt(float(r.x @ r.x)) < plant.d
-                assert (r.beta == 2) == inside
-                if r.beta in (0, 2):
-                    assert r.n == 0
-                if r.lam != 0:
-                    assert r.beta != 2  # between resets the sensor is active
+            for x, beta, n, lam in zip(trace.x, trace.beta, trace.n, trace.lam):
+                inside = math.sqrt(float(x @ x)) < plant.d
+                assert (beta == 2) == inside
+                if beta in (0, 2):
+                    assert n == 0
+                if lam != 0:
+                    assert beta != 2  # between resets the sensor is active
 
     def test_baseline_trace_follows_step_rule(self):
         plant = make_sat_plant(d=1.0)
         noise = NoiseSpec("gaussian-iid", 1.0)
         for trial in range(10):
             trace = run_trajectory(plant, UNIFORM_ENV, noise, "baseline", 60, RngStream(20, trial))
-            for r in trace.records:
-                expected = plant.control_law(r.x) if (r.beta == 1 and r.n >= 1) else np.zeros(2)
-                assert np.array_equal(r.u, expected)
+            for x, u, beta, n in zip(trace.x, trace.u, trace.beta, trace.n):
+                expected = plant.control_law(x) if (beta == 1 and n >= 1) else np.zeros(2)
+                assert np.array_equal(u, expected)
 
     def test_processor_pmf_conditional_on_reception(self):
         plant = make_sat_plant(d=0.5)
@@ -937,9 +907,9 @@ class TestClosedLoopInvariants:
         trial = 0
         while counts.sum() < 100_000:
             trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 100, RngStream(21, trial))
-            for r in trace.records:
-                if r.beta == 1:
-                    counts[r.n] += 1
+            for beta, n in zip(trace.beta, trace.n):
+                if beta == 1:
+                    counts[n] += 1
             trial += 1
         n = counts.sum()
         half_width = 3.0 * math.sqrt(0.2 * 0.8 / n)
@@ -995,7 +965,7 @@ class TestTraceCsv:
         betas = rng.integers(0, 3, size=length).tolist()
         trace = Trace(
             x=list(xs), u=list(us), beta=betas, n=[n for n, _ in ints], lam=[lam for _, lam in ints],
-            w=None, sq_norms=array("d"), horizon=length,
+            sq_norms=array("d"), horizon=length,
         )
         out = tmp_path_factory.mktemp("csv")
         write_trace_csv(trace, out / "block.csv")
