@@ -394,6 +394,31 @@ class TestRunTrajectory:
             for k, record in enumerate(trace.records):
                 assert all(field is col[k] for field, col in zip(record, cols, strict=True))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            diverged_trace,
+            lambda: run_trajectory(make_sat_plant(1.0), UNIFORM_ENV, NOISELESS, "anytime", 80, RngStream(27, 0)),
+            lambda: run_trajectory(
+                make_sat_plant(1.0), UNIFORM_ENV, NoiseSpec("gaussian-iid", 1.0), "anytime", 80, RngStream(27, 1)
+            ),
+        ],
+        ids=["diverged", "noiseless", "noisy"],
+    )
+    def test_records_view_matches_columns(self, make):
+        trace = make()
+        records = trace.records
+        assert len(records) == len(trace.x)
+        for k, (x, u, beta, n, lam) in enumerate(records):
+            assert (beta, n, lam) == (trace.beta[k], trace.n[k], trace.lam[k])
+            assert x.tobytes() == trace.x[k].tobytes() and u.tobytes() == trace.u[k].tobytes()
+        last = records[-1]
+        assert last[0] is trace.x[-1] and last[1] is trace.u[-1]
+        with pytest.raises(IndexError):
+            records[len(records)]
+        with pytest.raises(IndexError):
+            records[-len(records) - 1]
+
     @pytest.mark.parametrize("capacity", range(1, 7))
     @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
     @pytest.mark.parametrize("plant_kind", ["scalar", "saturated"])
