@@ -75,7 +75,6 @@ __all__ = [
     "boundary_alpha_baseline",
     "boundary_curves",
     "build_lambda_chain",
-    "default_series_length",
     "return_time_pmf_truncated",
 ]
 
@@ -216,32 +215,16 @@ def baseline_mean_bound(plant: PlantSpec, env: StochasticEnv, k: int, e_phi2_x0:
     return gamma**k * e_phi2_x0 + _baseline_tail(plant, env, gamma)
 
 
-def default_series_length(alpha: float, rho: float) -> int:
-    """Smallest truncation with rigorous tail bound below 1e-12.
-
-    Uses the coarse cap alpha * rho**J / (1 - rho) valid because the pmf mass
-    never exceeds 1 (all row sums of G are <= 1).  At alpha = 0 or rho = 0
-    every term after the first vanishes, so one term suffices.
-    """
-    _require_alpha(alpha)
-    if alpha == 0.0 or rho == 0.0:
-        return 1
-    j = math.log(1e-12 * (1.0 - rho) / alpha) / math.log(rho)
-    return max(1, math.ceil(j))
-
-
 def anytime_contraction_series(
-    chain: LambdaChain, alpha: float, rho: float, j_max: int | None = None
+    chain: LambdaChain, alpha: float, rho: float, j_max: int
 ) -> SeriesResult:
-    """Per-cycle factor (omega) by direct series summation.
+    """Per-cycle factor (omega) by direct series summation to a stated length.
 
     Sums alpha * rho**(j-1) * pmf(j) for j <= j_max and reports the rigorous
     tail cap alpha * rho**j_max / (1 - rho) * (remaining pmf mass).
     """
     _require_alpha(alpha)
     _require_rho(rho)
-    if j_max is None:
-        j_max = default_series_length(alpha, rho)
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     pmf = _return_time_pmf(chain, j_max)

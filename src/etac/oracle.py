@@ -1,37 +1,28 @@
 """Brute-force validators, independent of the closed-form analysis path.
 
-Everything here re-derives a quantity the analysis module computes in closed
-form: the first-return-time pmf of the effective buffer length by direct
+Everything here re-derives, by a second and plainer route, a quantity that
+the analysis module computes in closed form or the simulator computes step by
+step: the first-return-time pmf of the effective buffer length by direct
 simulation of the length recursion, the dense transition matrix of that chain
-built row by row from its transition rule, the same law by conditional
-frequency counts, the anytime plan computed whole from the received state
-(:func:`plan_inputs`), the buffered controller step as a literal case table on
-an explicit buffer matrix (:class:`BufferState`) filled from that plan, and the
-scalar length recursion (:func:`update_lambda`) for differential testing
-against the simulator, which keeps its buffer as a plan plus an age instead.  Validation runs in the
-always-transmit regime (d = 0), where the length recursion is driven purely by
-the i.i.d. channel and processor draws.  :func:`reference_trajectory` rebuilds
-a whole closed-loop run from its draws with that table-driven step, for
+built row by row from its transition rule, the anytime plan computed whole from
+the received state (:func:`plan_inputs`), the buffered controller step as a
+literal case table on an explicit buffer matrix (:class:`BufferState`) filled
+from that plan, and the scalar length recursion (:func:`update_lambda`).  The
+last three are the references for differential tests of the simulator, which
+keeps its buffer as a plan plus an age instead.  Return-time validation runs in
+the always-transmit regime (d = 0), where the length recursion is driven purely
+by the i.i.d. channel and processor draws.  :func:`reference_trajectory`
+rebuilds a whole closed-loop run from its draws with the table-driven step, for
 bitwise comparison with ``runtime.run_trajectory``.
 
-The return-time simulation is an integer kernel that walks refill events.  It
-draws the stream in blocks, each laid out as all of its reception uniforms,
-then all of its processor uniforms, and walks a block in chunks of ``_CHUNK``
-steps: the reception draws come from the stream's generator, the processor
-draws from a copy of it advanced by the block length.  Per step, a chunk only
-draws into preallocated buffers and marks its refills, the received steps
-granted at least one evaluation.  The count rule then runs on the refills
-alone; each refill holds the length above zero until its count runs out or the
-next refill, touching intervals merge into stretches, and each stretch that
-closes gives one return gap, while every other zero is a gap of 1.  The walk
-stops at the requested return, so its working memory is a few chunk-sized
-buffers whatever the block or sample count.
+The return-time simulation is an integer kernel that walks refill events, not
+steps, in a few chunk-sized buffers whatever the sample count;
+:func:`simulate_lambda_chain` gives its draw layout and its walk.
 """
 
 from __future__ import annotations
 
 import copy
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +33,6 @@ __all__ = [
     "BufferState",
     "EmpiricalPmf",
     "ReferenceRun",
-    "TransitionEstimate",
-    "empirical_transition_matrix",
-    "lambda_path_from_counts",
     "lambda_transition_matrix",
     "plan_inputs",
     "reference_anytime_step",
@@ -81,24 +69,6 @@ class EmpiricalPmf:
 
     def mean(self) -> float:
         return float((self.support * self.counts).sum() / self.total)
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionEstimate:
-    """Frequency estimate of the buffer-length transition matrix.
-
-    ``matrix[l-1, j-1]`` estimates the one-step probability of length l to
-    length j; escapes to zero are counted in the denominator but carried by no
-    column, so row 1 sums below one while rows l >= 2 sum to one.
-    """
-
-    matrix: np.ndarray
-    visits: np.ndarray
-
-    @property
-    def half_width(self) -> np.ndarray:
-        g = self.matrix
-        return 3.0 * np.sqrt(g * (1.0 - g) / self.visits[:, None])
 
 
 @dataclass(eq=False)
@@ -142,19 +112,6 @@ def _evaluation_counts(cum: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.nd
     return out
 
 
-def _draw_counts(env: StochasticEnv, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with per-step counts: ``out.size`` reception draws, then processor draws.
-
-    Always-transmit regime: data goes out every step and arrives when its
-    reception uniform is below q; a received step is granted
-    :func:`_evaluation_counts` of its processor uniform, any other step none.
-    """
-    received_u = gen.random(out.size)
-    _evaluation_counts(np.cumsum(env.p), gen.random(out.size), out)
-    out *= received_u < env.q
-    return out
-
-
 def lambda_transition_matrix(env: StochasticEnv) -> np.ndarray:
     """Dense transition matrix of the buffer-length chain between resets.
 
@@ -173,29 +130,6 @@ def lambda_transition_matrix(env: StochasticEnv) -> np.ndarray:
         if length >= 2:
             g[row, length - 2] = 1.0 - q + (p[0] + p[length - 1]) * q
     return g
-
-
-def lambda_path_from_counts(n_seq: np.ndarray) -> np.ndarray:
-    """Buffer-length path from per-step evaluation counts, starting at zero.
-
-    Vectorized unroll of the length recursion for steps without a silent
-    trigger: a step with n >= 1 sets the length to n, afterwards it counts
-    down by one per step, floored at zero.  Works in int32 and returns an
-    int32 array, so ``n_seq`` may hold at most 2**31 - 1 steps.
-    """
-    n_seq = np.asarray(n_seq, dtype=np.int32)
-    if n_seq.size >= 2**31:
-        raise ValueError("n_seq is too long for int32 step positions")
-    pos = np.arange(n_seq.size, dtype=np.int32)
-    # Position of the latest refill.  Before the first one it reads 0, which is
-    # harmless: without a refill at step 0 the formula below is <= 0 there.
-    last = pos * (n_seq >= 1)
-    np.maximum.accumulate(last, out=last)
-    path = n_seq.take(last)
-    pos -= last  # steps since that refill
-    path -= pos
-    np.maximum(path, 0, out=path)
-    return path
 
 
 def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalPmf:
@@ -311,32 +245,6 @@ def simulate_lambda_chain(env: StochasticEnv, n_returns: int, rng) -> EmpiricalP
     return EmpiricalPmf(counts=counts[:last].copy(), total=total)
 
 
-def empirical_transition_matrix(env: StochasticEnv, n_steps: int, rng) -> TransitionEstimate:
-    """Frequency estimate of the buffer-length transition law between resets.
-
-    Splits the sample budget evenly over the source lengths 1..capacity and
-    draws one-step transitions from each directly.
-    """
-    gen = rng.generator()
-    cap = env.capacity
-    per_row = n_steps // cap
-    if per_row < 1:
-        raise ValueError("n_steps too small: needs at least one draw per row")
-    if per_row < 1000:
-        warnings.warn(
-            f"only {per_row} transition samples per row (< 1000); estimates will be coarse",
-            stacklevel=2,
-        )
-    counts = np.zeros((cap, cap + 1), dtype=np.int64)
-    for length in range(1, cap + 1):
-        n_seq = _draw_counts(env, gen, np.empty(per_row, dtype=np.int32))
-        nxt = np.where(n_seq >= 1, n_seq, length - 1)
-        counts[length - 1] = np.bincount(nxt, minlength=cap + 1)
-    visits = counts.sum(axis=1)
-    matrix = counts[:, 1:] / visits[:, None]
-    return TransitionEstimate(matrix=matrix, visits=visits)
-
-
 def plan_inputs(x: np.ndarray, n: int, plant: PlantSpec) -> list[np.ndarray]:
     """The ``n`` tentative inputs computed from the received state ``x``.
 
@@ -415,6 +323,14 @@ class ReferenceRun:
     diverged: bool
 
 
+def _sq_norm(x: np.ndarray) -> float:
+    """x·x summed left to right on Python floats, with no CPU-picked BLAS kernel to fuse it."""
+    total = 0.0
+    for v in x.tolist():
+        total += v * v
+    return total
+
+
 def reference_trajectory(
     plant: PlantSpec,
     env: StochasticEnv,
@@ -432,11 +348,12 @@ def reference_trajectory(
     ``horizon`` reception uniforms, the ``horizon`` processor uniforms turned
     into counts by :func:`_evaluation_counts`, then the disturbances.  Each
     step makes the trigger test x·x >= d², the squared form the simulator
-    uses (criterion 6(c) writes silence as √(x·x) < d); passes β and N, cut to
-    the buffer's rows, to :func:`reference_anytime_step` on a capacity-row
-    buffer (anytime) or a one-row buffer (baseline); sets x to f(x, u) + w;
-    and ends the run, flagged diverged, when the new state's squared norm is
-    not at most ``DIVERGENCE_NORM`` squared.  The recorded λ is the buffer's
+    uses (criterion 6(c) writes silence as √(x·x) < d), with x·x summed by
+    :func:`_sq_norm`; passes β and N, cut to the buffer's rows, to
+    :func:`reference_anytime_step` on a capacity-row buffer (anytime) or a
+    one-row buffer (baseline); sets x to f(x, u) + w; and ends the run,
+    flagged diverged, when the new state's squared norm is not at most
+    ``DIVERGENCE_NORM`` squared.  The recorded λ is the buffer's
     effective length for anytime and 0 for the baseline, which buffers
     nothing.  There is no plan, age, kept run or shared draw.
     """
@@ -456,7 +373,7 @@ def reference_trajectory(
     steps = []
     diverged = False
     for k in range(horizon):
-        beta = (1 if received[k] else 0) if x @ x >= plant.d * plant.d else 2
+        beta = (1 if received[k] else 0) if _sq_norm(x) >= plant.d * plant.d else 2
         n = int(granted[k]) if beta == 1 else 0
         received_x = x if beta == 1 else None
         u, buf = reference_anytime_step(received_x, beta, min(n, len(buf.blocks)), buf, plant)
@@ -464,7 +381,7 @@ def reference_trajectory(
         x = plant.dynamics(x, u)
         if w is not None:
             x = x + w[k]
-        if not x @ x <= DIVERGENCE_NORM * DIVERGENCE_NORM:
+        if not _sq_norm(x) <= DIVERGENCE_NORM * DIVERGENCE_NORM:
             diverged = True
             break
     xs, us, betas, ns, lams = zip(*steps)

@@ -156,10 +156,11 @@ class Trace:
     effective buffer length.  They have exactly ``horizon`` entries unless the
     run diverged, in which case they end at the step where the state norm blew
     past :data:`DIVERGENCE_NORM` (or went non-finite).  ``sq_norms[k]`` is
-    ``float(x[k].dot(x[k]))``, the squared norm the loop computes anyway for
-    its trigger and divergence tests, kept so that :func:`empirical_cost` need
-    not revisit the states.  ``==`` is identity, since comparing lists of
-    arrays element-wise has no single truth value.
+    the left-to-right sum of ``v * v`` over the entries v of ``x[k]``, on
+    Python floats: the squared norm the loop computes anyway for its trigger
+    and divergence tests, kept so that :func:`empirical_cost` need not revisit
+    the states.  ``==`` is identity, since comparing lists of arrays
+    element-wise has no single truth value.
 
     The columns and the arrays in them are shared: a later run on the same
     stream follows this one's states and inputs, and takes them as its own.
@@ -247,9 +248,12 @@ def run_trajectory(
     m = 0  # inputs granted at the last refill, 0 after a silent step
     age = 0  # steps since that refill
     # The squared norm of x(k + 1), computed for the divergence test, is the
-    # trigger test of step k + 1; ndarray.dot is bitwise equal to ``x @ x``
-    # and skips the matmul ufunc dispatch.
-    nrm2 = float(x.dot(x))
+    # trigger test of step k + 1.  It is the left-to-right sum of v * v over
+    # the entries, on Python floats: a BLAS dot picks its kernel by CPU at run
+    # time, and some kernels fuse the multiply and add.
+    nrm2 = 0.0
+    for v in x.tolist():
+        nrm2 += v * v
     limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 
     for k in range(horizon):
@@ -304,7 +308,9 @@ def run_trajectory(
         x_next = dynamics(x, u)
         if w is not None:
             x_next = x_next + w[k]
-        nrm2 = float(x_next.dot(x_next))
+        nrm2 = 0.0
+        for v in x_next.tolist():
+            nrm2 += v * v
         if not nrm2 <= limit2:  # also true for nan and inf
             diverged = True
             break
@@ -334,10 +340,10 @@ def _zero_input(input_dim: int) -> np.ndarray:
 def empirical_cost(trace: Trace) -> float:
     """Average squared state norm over the horizon.
 
-    The terms are ``trace.sq_norms``: ``ndarray.dot`` of each recorded state
-    with itself, bitwise equal to ``x @ x``.  Other sums of squares (einsum,
-    ``(X * X).sum(1)``) may fuse the multiply and add and differ in the last
-    ulp, so the column is the only source.
+    The terms are ``trace.sq_norms``: each recorded state's products v * v
+    summed left to right on Python floats.  A BLAS dot (``x @ x``,
+    ``ndarray.dot``) is not used: its kernel depends on the CPU, and some
+    kernels fuse the multiply and add and differ in the last ulp.
     """
     return math.fsum(trace.sq_norms) / trace.horizon
 

@@ -19,7 +19,6 @@ from etac.analysis import (
     boundary_alpha_baseline,
     boundary_curves,
     build_lambda_chain,
-    default_series_length,
     return_time_pmf_truncated,
 )
 from etac.domain import StochasticEnv, make_sat_plant, make_scalar_plant, validate_env
@@ -247,7 +246,7 @@ PMF_CALLS = st.one_of(
     st.tuples(st.just("pmf"), st.integers(min_value=1, max_value=600)),
     st.tuples(st.just("truncated")),
     st.tuples(st.just("series"), st.floats(min_value=0.95, max_value=3.0),
-              st.floats(min_value=0.0, max_value=0.95), st.sampled_from([None, 1, 500])),
+              st.floats(min_value=0.0, max_value=0.95), st.sampled_from([1, 500])),
 )
 
 
@@ -332,34 +331,24 @@ class TestOmega:
         assert series.value == pytest.approx(anytime_contraction(chain, 1.2, 0.5), abs=1e-9)
         assert series.value == pytest.approx(0.5887, abs=1e-4)
         for rho in (0.0, 0.5, 0.99):
-            series = anytime_contraction_series(chain, 0.0, rho)
+            series = anytime_contraction_series(chain, 0.0, rho, 50)
             assert series.value == anytime_contraction(chain, 0.0, rho) == 0.0
             assert series.tail_bound == 0.0
-        assert default_series_length(0.0, 0.5) == 1
         with pytest.raises(ValueError, match=r"alpha=-0\.1"):
-            anytime_contraction_series(chain, -0.1, 0.5)
-        # every form refuses a negative alpha, not only the default truncation length
+            anytime_contraction_series(chain, -0.1, 0.5, 50)
+        # both forms refuse a negative or nan alpha
         for alpha in (-1.0, -1e-300, float("nan")):
             pattern = rf"alpha={alpha}"
             with pytest.raises(ValueError, match=pattern):
                 anytime_contraction(chain, alpha, 0.5)
             with pytest.raises(ValueError, match=pattern):
                 anytime_contraction_series(chain, alpha, 0.5, 50)
-            with pytest.raises(ValueError, match=pattern):
-                default_series_length(alpha, 0.5)
 
     def test_single_term_is_lower_bound(self):
         chain = build_lambda_chain(WORKED_ENV)
         series = anytime_contraction_series(chain, 1.2, 0.5, 1)
         assert series.value == pytest.approx(1.2 * 0.4, rel=1e-12)
         assert series.value <= anytime_contraction(chain, 1.2, 0.5)
-
-    def test_default_truncation_tail_is_tiny(self):
-        chain = build_lambda_chain(WORKED_ENV)
-        j = default_series_length(1.2, 0.5)
-        series = anytime_contraction_series(chain, 1.2, 0.5)
-        assert series.tail_bound < 1e-12
-        assert j >= 1
 
     def test_monotone_in_alpha_rho_and_q(self):
         chain = build_lambda_chain(WORKED_ENV)

@@ -80,7 +80,9 @@ def montecarlo_config(out=None, trials=200, d_sweep=(0.0, 1.0, 1000.0)):
 #: Small montecarlo sweeps pinned by digest, recorded before the cells of a
 #: trial shared one pre-draw: a noisy saturated sweep from a drawn x0, the
 #: noise-free scalar plant from a fixed x0, and an unstable scalar plant
-#: (a = 3, gain = 2.5) on which the baseline diverges in some trials.
+#: (a = 3, gain = 2.5) on which the baseline diverges in some trials.  The
+#: saturated sweep was re-pinned when the squared norm stopped going through a
+#: BLAS dot, whose fused kernel had moved its two-dimensional costs by an ulp.
 PINNED_SWEEPS = {
     "noisy-saturated-drawn-x0": (
         {
@@ -90,7 +92,7 @@ PINNED_SWEEPS = {
             "horizon": 30, "trials": 16, "seed": 7,
             "noise": {"kind": "gaussian-iid", "std": 0.5},
         },
-        "96a5af5d35a5a477d2ad83c8d3c901c4345f2c64948def798ae7b4d0f7c3871a",
+        "02c49105438eb12dca19df98d98ab9e0a8a4b801b94c1b55161e00eb592c9803",
     ),
     "noise-free-scalar-fixed-x0": (
         {
@@ -112,6 +114,16 @@ PINNED_SWEEPS = {
         "cd2002c83464de4bc79e06415b66df86efdd82fd2b8f2b7b2edb51e8ac634949",
     ),
 }
+
+
+def child_env(**extra):
+    """The environment for a child Python that imports etac from where this process did.
+
+    etac may be only on sys.path (pytest's ``pythonpath`` setting), not on PYTHONPATH.
+    """
+    src = os.path.dirname(os.path.dirname(etac.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
 def sweep_digest(tmp_path, data, threads):
@@ -670,6 +682,26 @@ class TestMonteCarlo:
         data, digest = PINNED_SWEEPS[name]
         assert sweep_digest(tmp_path, data, threads) == digest
 
+    def test_saturated_digest_holds_under_another_blas_kernel(self, tmp_path):
+        # OpenBLAS picks its kernels by CPU at run time, and some fuse the
+        # multiply and add of a dot.  The Prescott kernels run on every x86-64
+        # CPU, so a child forced onto them must give the pinned bytes too.
+        name = "noisy-saturated-drawn-x0"
+        code = (
+            "import pathlib, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from test_cli import PINNED_SWEEPS, sweep_digest\n"
+            "print(sweep_digest(pathlib.Path(sys.argv[3]), PINNED_SWEEPS[sys.argv[2]][0], 1))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, os.path.dirname(__file__), name, str(tmp_path)],
+            capture_output=True,
+            text=True,
+            env=child_env(OPENBLAS_CORETYPE="Prescott"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == PINNED_SWEEPS[name][1]  # after main's own lines
+
     def test_scalar_sweep_shares_prefixes_across_radii(self, monkeypatch):
         # The sweep builds its plant once, so every radius runs one pair of map
         # objects; one radius at a time, only the two controllers share.
@@ -744,15 +776,11 @@ class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):
         out = str(tmp_path / "curves.csv")
         path = write_config(tmp_path, boundary_config(out=out))
-        # The child imports etac from where this process did, which may be only
-        # on sys.path (pytest's ``pythonpath`` setting), not on PYTHONPATH.
-        src = os.path.dirname(os.path.dirname(etac.__file__))
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "etac", "analyze", "--config", path],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": pythonpath},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "gamma=" in proc.stdout

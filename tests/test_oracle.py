@@ -12,9 +12,7 @@ from etac.cli import ExperimentConfig, PlantSelector, build_plant, run_paired_ce
 from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
 from etac.oracle import (
     BufferState,
-    _draw_counts,
-    empirical_transition_matrix,
-    lambda_path_from_counts,
+    _evaluation_counts,
     lambda_transition_matrix,
     reference_anytime_step,
     reference_trajectory,
@@ -38,40 +36,6 @@ def replay(trace, plant, rows):
         yield k, u, buf
 
 
-class TestLambdaPath:
-    def test_matches_recursion_fold(self):
-        rng = np.random.default_rng(60)
-        for _ in range(200):
-            m = int(rng.integers(1, 200))
-            received = rng.random(m) < 0.6
-            draws = rng.integers(0, 5, size=m)
-            n_seq = np.where(received, draws, 0)
-            path = lambda_path_from_counts(n_seq)
-            lam = 0
-            for i, n in enumerate(n_seq):
-                beta = 1 if received[i] else 0
-                lam = update_lambda(lam, beta, int(n))
-                assert path[i] == lam
-
-    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=80))
-    @settings(max_examples=200, deadline=None)
-    def test_fold_property(self, counts):
-        n_seq = np.array(counts)
-        path = lambda_path_from_counts(n_seq)
-        lam = 0
-        for i, n in enumerate(counts):
-            lam = update_lambda(lam, 1 if n >= 1 else 0, n)
-            assert path[i] == lam
-
-
-def searchsorted_counts(env, received_u, u):
-    """Per-step evaluation counts by ``searchsorted``, as before the integer kernel."""
-    received = received_u < env.q
-    cum = np.cumsum(env.p)
-    draws = np.minimum(np.searchsorted(cum, u, side="right"), env.capacity)
-    return np.where(received, draws, 0).astype(np.int64)
-
-
 def int64_path(n_seq):
     """The length-path unroll in int64 with 1-based positions, as before the integer kernel."""
     n_seq = np.asarray(n_seq, dtype=np.int64)
@@ -82,16 +46,35 @@ def int64_path(n_seq):
     return np.maximum(filled - (pos - last), 0)
 
 
-class FixedDraws:
-    """Stands in for a generator: ``random`` hands out the given arrays in order."""
+class TestLambdaPath:
+    def test_matches_recursion_fold(self):
+        rng = np.random.default_rng(60)
+        for _ in range(200):
+            m = int(rng.integers(1, 200))
+            received = rng.random(m) < 0.6
+            draws = rng.integers(0, 5, size=m)
+            n_seq = np.where(received, draws, 0)
+            path = int64_path(n_seq)
+            lam = 0
+            for i, n in enumerate(n_seq):
+                beta = 1 if received[i] else 0
+                lam = update_lambda(lam, beta, int(n))
+                assert path[i] == lam
 
-    def __init__(self, *arrays):
-        self.arrays = list(arrays)
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_property(self, counts):
+        n_seq = np.array(counts)
+        path = int64_path(n_seq)
+        lam = 0
+        for i, n in enumerate(counts):
+            lam = update_lambda(lam, 1 if n >= 1 else 0, n)
+            assert path[i] == lam
 
-    def random(self, m):
-        out = self.arrays.pop(0)
-        assert out.size == m
-        return out
+
+def searchsorted_counts(env, u):
+    """The evaluation count of each processor uniform by ``searchsorted``, as before the integer kernel."""
+    return np.minimum(np.searchsorted(np.cumsum(env.p), u, side="right"), env.capacity)
 
 
 def crafted_uniforms(env):
@@ -118,17 +101,16 @@ class TestIntegerKernel:
                                                "zero-ends", "capacity50", "capacity100"])
     def test_counts_equal_searchsorted_on_boundaries(self, env):
         u = crafted_uniforms(env)
-        received_u = np.resize(np.array([0.0, 0.3, 0.75, np.nextafter(1.0, 0.0)]), u.size)
         out = np.empty(u.size, dtype=np.int32)
-        got = _draw_counts(env, FixedDraws(received_u, u), out)
+        got = _evaluation_counts(np.cumsum(env.p), u, out)
         assert got is out
-        assert np.array_equal(got, searchsorted_counts(env, received_u, u))
+        assert np.array_equal(got, searchsorted_counts(env, u))
 
     def test_clamp_when_cum_ends_below_one(self):
         env = self.ENVS[1]
         assert np.cumsum(env.p)[-1] < 1.0
         u = np.full(3, np.nextafter(1.0, 0.0))
-        got = _draw_counts(env, FixedDraws(np.zeros(3), u), np.empty(3, dtype=np.int32))
+        got = _evaluation_counts(np.cumsum(env.p), u, np.empty(3, dtype=np.int32))
         assert np.array_equal(got, [env.capacity] * 3)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), env_index=st.integers(0, len(ENVS) - 1),
@@ -136,23 +118,9 @@ class TestIntegerKernel:
     @settings(max_examples=100, deadline=None)
     def test_counts_equal_searchsorted_on_a_stream(self, seed, env_index, m):
         env = self.ENVS[env_index]
-        gen = np.random.default_rng(seed)
-        got = _draw_counts(env, np.random.default_rng(seed), np.empty(m, dtype=np.int32))
-        received_u = gen.random(m)
-        assert np.array_equal(got, searchsorted_counts(env, received_u, gen.random(m)))
-
-    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=300),
-           st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2000))
-    @settings(max_examples=200, deadline=None)
-    def test_path_equals_int64_formula(self, counts, leading_zeros, refill_free_run):
-        n_seq = np.array([0] * leading_zeros + counts + [0] * refill_free_run)
-        path = lambda_path_from_counts(n_seq)
-        assert path.dtype == np.int32
-        assert np.array_equal(path, int64_path(n_seq))
-
-    def test_path_edge_sequences(self):
-        for n_seq in ([0], [3], [0, 0, 0], [0, 0, 0, 4], [5, 0, 0, 0, 0, 0, 0, 0], [0, 0, 2] + [0] * 10_000, [1] * 7):
-            assert np.array_equal(lambda_path_from_counts(np.array(n_seq)), int64_path(np.array(n_seq)))
+        u = np.random.default_rng(seed).random(m)
+        got = _evaluation_counts(np.cumsum(env.p), u, np.empty(m, dtype=np.int32))
+        assert np.array_equal(got, searchsorted_counts(env, u))
 
 
 #: (env, returns, stream seed) runs of ``simulate_lambda_chain`` and the SHA-256 of
@@ -192,22 +160,6 @@ CHUNKED_RUNS = [
     if chunk == 1000 or run in ("slow", "q0", "q1", "tiny-blocks")
 ]
 
-#: (env, stream seed) runs of ``empirical_transition_matrix`` with 20000 draws per
-#: row, and the SHA-256 of their matrix and visits, recorded before the integer kernel.
-TRANSITION_DIGESTS = [
-    (WORKED_ENV, 80, "4deae5eb3de9646398d2ec3c4851801cc06d2fd432a1374806fffe59fc02d5bf",
-     "08b7a44a9cc191d2a66282cf3203094cd82db2454e5ade86b609b76097a4ca61"),
-    (StochasticEnv(q=0.6, p=(0.1,) * 10, capacity=9), 81,
-     "8b9cc252b0bb3d2152e6fde6471186d00bd8e9b1199c527ea3bd05a08e42b5db",
-     "f7c4d0e6e45a76aab1b953e52c5a2c2218429e4cd73e89ca22107778a78ce7cd"),
-    (StochasticEnv(q=1.0, p=(0.3, 0.7), capacity=1), 82,
-     "6242f2312fd42ea2e43eacdbc0658477b788152cc19de74bbe3ea60e8de99ceb",
-     "ae9475d31b535bec000c9bfc7abc79b6a07db9eea2dd0e5066adddfb349bb53b"),
-    (StochasticEnv(q=0.0, p=(0.2, 0.3, 0.5), capacity=2), 83,
-     "ee282b9a2a908de59370144927dbde8229713e5d8873d82b72a649cb2e6c621a",
-     "08b7a44a9cc191d2a66282cf3203094cd82db2454e5ade86b609b76097a4ca61"),
-]
-
 
 def sha256(array, dtype):
     return hashlib.sha256(np.ascontiguousarray(array, dtype=dtype).tobytes()).hexdigest()
@@ -241,13 +193,6 @@ class TestPinnedOutputs:
             assert_simulation_digest(*TINY_BLOCKS_RUN)
         else:
             assert_simulation_digest(*SIMULATION_DIGESTS[SIMULATION_IDS.index(run)])
-
-    @pytest.mark.parametrize("env, seed, matrix_digest, visits_digest", TRANSITION_DIGESTS,
-                             ids=["worked", "rounded", "q1", "q0"])
-    def test_transition_estimate(self, env, seed, matrix_digest, visits_digest):
-        est = empirical_transition_matrix(env, 20_000 * env.capacity, RngStream(seed, 0))
-        assert sha256(est.matrix, "<f8") == matrix_digest
-        assert sha256(est.visits, "<i8") == visits_digest
 
 
 class TestSimulateLambdaChain:
@@ -340,9 +285,9 @@ def definition_counts(env, n_returns, rng, max_block):
 
     Each block of the kernel's schedule is drawn whole from one generator in
     the documented layout (its reception uniforms, then its processor
-    uniforms), counted by ``searchsorted``, and its length path unrolled by one
-    ``lambda_path_from_counts`` call after a step that carries the length in;
-    the gaps between zeros are cut at the n-th.
+    uniforms), counted by ``searchsorted`` on the received steps, and its
+    length path unrolled by one ``int64_path`` call after a step that carries
+    the length in; the gaps between zeros are cut at the n-th.
     """
     gen = rng.generator()
     gaps, total, steps_done, last_zero, lam = [], 0, 0, -1, 0
@@ -353,8 +298,8 @@ def definition_counts(env, n_returns, rng, max_block):
             mean_gap = steps_done / total
             block = min(int(1.25 * mean_gap * (n_returns - total)) + 4096, max_block)
         received_u = gen.random(block)
-        n_seq = searchsorted_counts(env, received_u, gen.random(block))
-        path = lambda_path_from_counts(np.concatenate(([lam], n_seq)))[1:]
+        n_seq = np.where(received_u < env.q, searchsorted_counts(env, gen.random(block)), 0)
+        path = int64_path(np.concatenate(([lam], n_seq)))[1:]
         zeros = np.flatnonzero(path == 0)
         gaps.append(np.diff(zeros, prepend=last_zero))
         total += zeros.size
@@ -400,30 +345,6 @@ class TestEventWalk:
         assert pmf.counts.dtype == np.int64
         expected = definition_counts(env, returns, RngStream(seed, 0), max_block)
         assert np.array_equal(pmf.counts, expected)
-
-
-class TestEmpiricalTransitionMatrix:
-    def test_no_reception_is_pure_countdown(self):
-        env = StochasticEnv(q=0.0, p=(0.2, 0.3, 0.5), capacity=2)
-        est = empirical_transition_matrix(env, 100_000, RngStream(70, 0))
-        assert est.matrix[1, 0] == 1.0  # from length 2 always to 1
-        assert est.matrix[0].sum() == 0.0  # from length 1 always escapes
-
-    def test_worked_example_within_three_sigma(self):
-        est = empirical_transition_matrix(WORKED_ENV, 2_000_000, RngStream(71, 0))
-        g = lambda_transition_matrix(WORKED_ENV)
-        sigma = np.sqrt(g * (1.0 - g) / est.visits[:, None])
-        assert np.all(np.abs(est.matrix - g) <= 3.0 * sigma + 1e-12)
-
-    def test_row_sums(self):
-        est = empirical_transition_matrix(WORKED_ENV, 400_000, RngStream(72, 0))
-        sums = est.matrix.sum(axis=1)
-        assert sums[1] == pytest.approx(1.0, abs=1e-12)  # no escape from length 2
-        assert sums[0] < 1.0
-
-    def test_warns_on_sparse_rows(self):
-        with pytest.warns(UserWarning, match="1000"):
-            empirical_transition_matrix(WORKED_ENV, 600, RngStream(73, 0))
 
 
 class TestReferenceAnytimeStep:
@@ -547,7 +468,7 @@ class TestReferenceTrajectory:
                     ref = reference_trajectory(plant, config.env, config.noise, controller,
                                                config.horizon, config.seed, t, x0=config.x0)
                     sent = int(np.count_nonzero(ref.beta != 2))
-                    cost = math.fsum(float(x.dot(x)) for x in ref.x) / config.horizon
+                    cost = math.fsum((ref.x * ref.x).sum(axis=1).tolist()) / config.horizon
                     assert costs[di, ci, t] == cost
                     assert utils[di, ci, t] == 100.0 * sent / config.horizon
                     assert diverged[di, ci, t] == ref.diverged
