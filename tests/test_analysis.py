@@ -350,6 +350,22 @@ class TestOmega:
         assert series.value == pytest.approx(1.2 * 0.4, rel=1e-12)
         assert series.value <= anytime_contraction(chain, 1.2, 0.5)
 
+    def test_stated_truncation_tail_is_tiny(self):
+        # the length the callers state (criterion 2 and the benchmark pass 500)
+        # leaves a tail cap far below any decision margin, and brackets omega
+        chain = build_lambda_chain(WORKED_ENV)
+        series = anytime_contraction_series(chain, 1.2, 0.5, 500)
+        assert series.tail_bound < 1e-12
+        omega = anytime_contraction(chain, 1.2, 0.5)
+        assert series.value - 1e-12 <= omega <= series.value + series.tail_bound + 1e-12
+
+    def test_length_is_required(self):
+        chain = build_lambda_chain(WORKED_ENV)
+        with pytest.raises(TypeError, match="j_max"):
+            anytime_contraction_series(chain, 1.2, 0.5)
+        with pytest.raises(ValueError, match="j_max must be >= 1"):
+            anytime_contraction_series(chain, 1.2, 0.5, 0)
+
     def test_monotone_in_alpha_rho_and_q(self):
         chain = build_lambda_chain(WORKED_ENV)
         vals = [anytime_contraction(chain, a, 0.5) for a in np.linspace(0.5, 2.5, 9)]

@@ -682,11 +682,11 @@ class TestMonteCarlo:
         data, digest = PINNED_SWEEPS[name]
         assert sweep_digest(tmp_path, data, threads) == digest
 
-    def test_saturated_digest_holds_under_another_blas_kernel(self, tmp_path):
+    @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
+    def test_pinned_digest_holds_under_another_blas_kernel(self, tmp_path, name):
         # OpenBLAS picks its kernels by CPU at run time, and some fuse the
         # multiply and add of a dot.  The Prescott kernels run on every x86-64
         # CPU, so a child forced onto them must give the pinned bytes too.
-        name = "noisy-saturated-drawn-x0"
         code = (
             "import pathlib, sys\n"
             "sys.path.insert(0, sys.argv[1])\n"

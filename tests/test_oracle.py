@@ -72,6 +72,27 @@ class TestLambdaPath:
             assert path[i] == lam
 
 
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=300),
+           st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2000))
+    @settings(max_examples=100, deadline=None)
+    def test_fold_with_long_countdowns(self, counts, leading_zeros, refill_free_run):
+        # the runs of zeros the event walk skips whole: before the first refill
+        # and long after the last one, where the length sits at zero
+        n_seq = [0] * leading_zeros + counts + [0] * refill_free_run
+        path = int64_path(n_seq)
+        lam = 0
+        for i, n in enumerate(n_seq):
+            lam = update_lambda(lam, 1 if n >= 1 else 0, n)
+            assert path[i] == lam
+
+    def test_edge_sequences(self):
+        for n_seq in ([0], [3], [0, 0, 0], [0, 0, 0, 4], [5, 0, 0, 0, 0, 0, 0, 0], [0, 0, 2] + [0] * 10_000, [1] * 7):
+            lam, fold = 0, []
+            for n in n_seq:
+                lam = update_lambda(lam, 1 if n >= 1 else 0, n)
+                fold.append(lam)
+            assert int64_path(n_seq).tolist() == fold
+
 def searchsorted_counts(env, u):
     """The evaluation count of each processor uniform by ``searchsorted``, as before the integer kernel."""
     return np.minimum(np.searchsorted(np.cumsum(env.p), u, side="right"), env.capacity)
@@ -346,6 +367,43 @@ class TestEventWalk:
         expected = definition_counts(env, returns, RngStream(seed, 0), max_block)
         assert np.array_equal(pmf.counts, expected)
 
+
+class TestTransitionFrequencies:
+    @pytest.mark.parametrize("env", [
+        WORKED_ENV,
+        StochasticEnv(q=0.6, p=(0.1,) * 10, capacity=9),
+        StochasticEnv(q=1.0, p=(0.3, 0.7), capacity=1),
+        StochasticEnv(q=0.3, p=(0.1, 0.2, 0.3, 0.4), capacity=3),
+        StochasticEnv(q=0.9, p=(0.5, 0.0, 0.5), capacity=2),
+    ], ids=["worked", "rounded", "q1", "rare-reception", "gap"])
+    def test_simulator_lengths_fit_dense_matrix(self, env):
+        # At d = 0 every step transmits, so the simulator's lambda column walks
+        # the buffer-length chain: from each length l >= 1 the next length is
+        # j >= 1 w.p. g[l-1, j-1] and 0 with the rest of the row's mass.
+        g = lambda_transition_matrix(env)
+        expected_rows = np.hstack((1.0 - g.sum(axis=1, keepdims=True), g))
+        observed = np.zeros_like(expected_rows)
+        plant = make_scalar_plant(0.5, 0.2, 0.0)
+        for trial in range(4):
+            lam = run_trajectory(plant, env, NoiseSpec(), "anytime", 20_000, RngStream(71, trial)).lam
+            lam = np.asarray(lam)
+            prev, nxt = lam[:-1], lam[1:]
+            active = prev >= 1
+            np.add.at(observed, (prev[active] - 1, nxt[active]), 1)
+        expected = expected_rows * observed.sum(axis=1, keepdims=True)
+        assert np.all(observed[expected == 0.0] == 0)
+        # one chi-square over every row, merging each row's cells expected below 25
+        chi2, df = 0.0, 0
+        for obs_row, exp_row in zip(observed, expected):
+            keep = exp_row >= 25.0
+            obs = np.append(obs_row[keep], obs_row[~keep].sum())
+            exp = np.append(exp_row[keep], exp_row[~keep].sum())
+            if exp[-1] == 0.0:
+                obs, exp = obs[:-1], exp[:-1]
+            chi2 += float(((obs - exp) ** 2 / exp).sum())
+            df += len(exp) - 1
+        assert df >= 1
+        assert chi2 < stats.chi2.ppf(0.999, df=df)
 
 class TestReferenceAnytimeStep:
     def test_differential_equality(self):

@@ -57,6 +57,19 @@ def one_step(plant, env, x0, controller="anytime", stream=0):
     )
 
 
+def assert_plays_plan(trace, plant, depth):
+    """After a refill of N at step k, step k + m plays plan_inputs(...)[m], then zero."""
+    plan, refill_k = [], 0
+    for k, (x, u, beta, n) in enumerate(zip(trace.x, trace.u, trace.beta, trace.n)):
+        if beta == 2:
+            plan = []
+        if n >= 1:
+            plan, refill_k = plan_inputs(x, min(n, depth), plant), k
+        m = k - refill_k
+        expected = plan[m] if m < len(plan) else np.zeros(plant.input_dim)
+        assert np.array_equal(u, expected)
+
+
 def diverged_trace():
     trace = run_trajectory(
         make_scalar_plant(3.0, 2.5, 0.0),
@@ -219,6 +232,14 @@ class TestUpdateLambda:
 
 
 class TestShiftBuffer:
+    def test_rows_move_down(self):
+        plant = make_sat_plant(d=1.0)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        for controller, depth in (("anytime", UNIFORM_ENV.capacity), ("baseline", 1)):
+            for trial in range(20):
+                trace = run_trajectory(plant, UNIFORM_ENV, noise, controller, 60, RngStream(15, trial))
+                assert_plays_plan(trace, plant, depth)
+
     @given(
         capacity=st.integers(min_value=1, max_value=6),
         q=st.floats(min_value=0.05, max_value=1.0),
@@ -396,6 +417,28 @@ class TestRunTrajectory:
             records[len(records)]
         with pytest.raises(IndexError):
             records[-len(records) - 1]
+
+    @pytest.mark.parametrize("capacity", range(1, 7))
+    @pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("plant_kind", ["scalar", "saturated"])
+    def test_lambda_matches_oracle_path_at_d_zero(self, plant_kind, noisy, capacity):
+        # At d = 0 every step transmits, so the anytime lambda column is the
+        # oracle's length recursion folded over received and N of the same draws.
+        plant = make_scalar_plant(2.0, 1.5, 0.0) if plant_kind == "scalar" else make_sat_plant(0.0)
+        env = StochasticEnv(q=0.8, p=(0.2,) + (0.8 / capacity,) * capacity, capacity=capacity)
+        noise = NoiseSpec("gaussian-iid", 1.0) if noisy else NOISELESS
+        for trial in range(5):
+            stream = RngStream(28, trial)
+            anytime = run_trajectory(plant, env, noise, "anytime", 200, stream)
+            baseline = run_trajectory(plant, env, noise, "baseline", 200, stream)
+            _, received, n_draws, _ = RngStream(28, trial).trial_draws(env, noise, 200, plant.state_dim)
+            path, lam = [], 0
+            for r, n in zip(received, n_draws):
+                beta = 1 if r else 0
+                lam = update_lambda(lam, beta, n * beta)
+                path.append(lam)
+            assert anytime.lam == path[: len(anytime.x)]
+            assert baseline.lam == [0] * len(baseline.x)
 
     @pytest.mark.parametrize("controller", ["baseline", "anytime"])
     @pytest.mark.parametrize("plant", [make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0)], ids=["scalar", "saturated"])
@@ -834,6 +877,73 @@ class TestClosedLoopInvariants:
         b = run_trajectory(plant, folded, noise, "anytime", 60, RngStream(seed, 0))
         assert a.diverged == b.diverged and a.beta == b.beta
         assert np.array_equal(a.x, b.x) and np.array_equal(a.u, b.u)
+
+    def test_baseline_equivalence_single_slot(self):
+        # capacity 1: the buffered policy degenerates to the memoryless one
+        plant = make_sat_plant(d=1.0)
+        env = StochasticEnv(q=0.6, p=(0.3, 0.7), capacity=1)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        for trial in range(20):
+            a = run_trajectory(plant, env, noise, "baseline", 60, RngStream(16, trial))
+            b = run_trajectory(plant, env, noise, "anytime", 60, RngStream(16, trial))
+            assert columns(a)[:-1] == columns(b)[:-1]  # all but lam: the baseline's is 0
+
+    def test_empty_schedule_means_zero_input(self):
+        plant = make_sat_plant(d=1.0)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        for trial in range(30):
+            trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 60, RngStream(17, trial))
+            for u, lam in zip(trace.u, trace.lam):
+                if lam == 0:
+                    assert np.array_equal(u, np.zeros(2))
+
+    def test_lambda_recursion_matches_trace(self):
+        plant = make_sat_plant(d=1.0)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        for trial in range(30):
+            trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 60, RngStream(18, trial))
+            lam = 0
+            for beta, n, recorded in zip(trace.beta, trace.n, trace.lam):
+                lam = update_lambda(lam, beta, n)
+                assert recorded == lam
+
+    def test_beta_consistency(self):
+        plant = make_sat_plant(d=1.0)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        for trial in range(30):
+            trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 60, RngStream(19, trial))
+            for x, beta, n, lam in zip(trace.x, trace.beta, trace.n, trace.lam):
+                v = x.tolist()
+                inside = v[0] * v[0] + v[1] * v[1] < plant.d * plant.d
+                assert (beta == 2) == inside
+                if beta in (0, 2):
+                    assert n == 0
+                if lam != 0:
+                    assert beta != 2  # between resets the sensor is active
+
+    def test_baseline_trace_follows_step_rule(self):
+        plant = make_sat_plant(d=1.0)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        for trial in range(10):
+            trace = run_trajectory(plant, UNIFORM_ENV, noise, "baseline", 60, RngStream(20, trial))
+            for x, u, beta, n in zip(trace.x, trace.u, trace.beta, trace.n):
+                expected = plant.control_law(x) if (beta == 1 and n >= 1) else np.zeros(2)
+                assert np.array_equal(u, expected)
+
+    def test_processor_pmf_conditional_on_reception(self):
+        plant = make_sat_plant(d=0.5)
+        noise = NoiseSpec("gaussian-iid", 1.0)
+        counts = np.zeros(5, dtype=int)
+        trial = 0
+        while counts.sum() < 100_000:
+            trace = run_trajectory(plant, UNIFORM_ENV, noise, "anytime", 100, RngStream(21, trial))
+            for beta, n in zip(trace.beta, trace.n):
+                if beta == 1:
+                    counts[n] += 1
+            trial += 1
+        n = counts.sum()
+        half_width = 3.0 * math.sqrt(0.2 * 0.8 / n)
+        assert np.all(np.abs(counts / n - 0.2) < half_width)
 
 
 class TestTraceCsv:
