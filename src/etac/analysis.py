@@ -50,13 +50,17 @@ which equals det(I - G) = 1 - D(r) but sums only positive terms, where
 1 - D(r) loses about 1e-16 / pi_0 relative to cancellation.  It is the Kac
 mean of the chain with p renormalised to sum to 1; pi_0 is 0 (an infinite
 mean) when r = 0, and 1 when T_0 = 0 and the length never leaves 0.
+
+Powers are taken by repeated multiplication (:func:`_powers`) and sums of products
+as sums of elementwise products, never by numpy's ``**`` or a BLAS dot: their kernels
+are picked by CPU at run time and round differently, so the output would vary by CPU.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,6 +154,13 @@ def build_lambda_chain(env: StochasticEnv) -> LambdaChain:
     return LambdaChain(theta=q * p[1:], return1=1.0 - q + p[0] * q)
 
 
+def _powers(x, n: int) -> np.ndarray:
+    """x**0 ... x**(n-1) by cumulative product on a new last axis; each x gets the row it gets alone."""
+    powers = np.multiply.outer(x, np.ones(n))
+    powers[..., 0] = 1.0
+    return np.cumprod(powers, axis=-1)
+
+
 def _return_time_pmf(chain: LambdaChain, n: int) -> np.ndarray:
     """Pr{return time = j} for j = 1..n, by the renewal recursion.
 
@@ -157,11 +168,12 @@ def _return_time_pmf(chain: LambdaChain, n: int) -> np.ndarray:
     """
     if chain._pmf.size < n:
         cap, r = chain.capacity, chain.return1
-        decay = r ** np.arange(cap)
+        decay = _powers(r, cap)
         refill = (decay * chain.tails)[::-1]  # r**m T_m for m = L-1 down to 0
         direct = (decay * chain.theta)[: n - 1]  # r**k theta_{k+1}: length 1 reached without a refill
         s = np.zeros(cap + n - 1)  # s_k sits at index L + k, after L zeros standing for k < 0
         s[cap : cap + direct.size] = direct
+        # refill is a reversed view, which numpy dots with its own loop, not BLAS
         for k in range(cap, cap + n - 1):
             s[k] += refill @ s[k - cap : k]
         object.__setattr__(chain, "_pmf", np.concatenate(([r], r * s[cap:])))
@@ -228,22 +240,15 @@ def anytime_contraction_series(
     if j_max < 1:
         raise ValueError("j_max must be >= 1")
     pmf = _return_time_pmf(chain, j_max)
-    powers = rho ** np.arange(j_max)
-    value = alpha * float(pmf @ powers)
+    value = alpha * float((pmf * _powers(rho, j_max)).sum())
     remaining = max(0.0, 1.0 - float(pmf.sum()))
     tail = alpha * rho**j_max / (1.0 - rho) * remaining
     return SeriesResult(value=value, tail_bound=tail)
 
 
 def _power_sums(chain: LambdaChain, x):
-    """N = sum_l theta_l x**(l-1) and D = sum_{m<L} T_m x**m, elementwise in x.
-
-    Each x gets its own row of powers and its own row sums, so an entry of
-    an array ``x`` gets exactly the values the same x gets alone.
-    """
-    powers = np.multiply.outer(x, np.ones(chain.capacity))
-    powers[..., 0] = 1.0
-    powers = np.cumprod(powers, axis=-1)  # x**m for m = 0..L-1
+    """N = sum_l theta_l x**(l-1) and D = sum_{m<L} T_m x**m, elementwise in x by row sums."""
+    powers = _powers(x, chain.capacity)
     return (powers * chain.theta).sum(axis=-1), (powers * chain.tails).sum(axis=-1)
 
 
@@ -260,32 +265,27 @@ def anytime_contraction(chain: LambdaChain, alpha: float, rho: float) -> float:
     return alpha * chain.return1 * float(_resolvent_factor(chain, rho))
 
 
-def anytime_mean_bound(
-    omega: float,
-    alpha: float,
-    rho: float,
-    i: int,
-    e_phi2_x0: float,
-    d: float,
-    phi2: Callable[[float], float],
-) -> float:
+def _anytime_tail(plant: PlantSpec, omega: float) -> float:
+    """Asymptotic tail phi2(d) / (1 - omega); +inf when omega >= 1."""
+    return plant.phi2(plant.d) / (1.0 - omega) if omega < 1.0 else math.inf
+
+
+def anytime_mean_bound(plant: PlantSpec, env: StochasticEnv, i: int, e_phi2_x0: float) -> float:
     """Upper bound on E[phi1(|x(k)|)] over the i-th buffer cycle; needs omega < 1."""
+    omega = anytime_contraction(build_lambda_chain(env), plant.alpha, plant.rho)
     if omega >= 1.0:
         raise ValueError(f"omega={omega} >= 1: no finite bound")
-    _require_rho(rho)
-    lead = (1.0 + alpha - rho) / (1.0 - rho)
-    return lead * omega**i * e_phi2_x0 + phi2(d) / (1.0 - omega)
+    lead = (1.0 + plant.alpha - plant.rho) / (1.0 - plant.rho)
+    return lead * omega**i * e_phi2_x0 + _anytime_tail(plant, omega)
 
 
-def boundary_alpha_baseline(rho, q: float, p0: float):
+def boundary_alpha_baseline(rho, env: StochasticEnv):
     """Largest open-loop growth keeping gamma < 1, elementwise in rho.
 
     +inf when kappa always runs (q = 1 and p0 = 0).
     """
     _require_rho(rho)
-    if not 0.0 <= q <= 1.0 or not 0.0 <= p0 <= 1.0:
-        raise ValueError("q and p0 must lie in [0, 1]")
-    c = q * (1.0 - p0)
+    c = env.q * (1.0 - env.p[0])
     with np.errstate(divide="ignore"):
         return (1.0 - c * np.asarray(rho, dtype=float)) / (1.0 - c)
 
@@ -305,7 +305,7 @@ def boundary_alpha_anytime(rho, env: StochasticEnv):
 def boundary_curves(env: StochasticEnv, rho_values: np.ndarray) -> np.ndarray:
     """Stability-boundary curves: rows (rho, alpha*_baseline, alpha*_anytime)."""
     rho = np.asarray(rho_values, dtype=float)
-    base = boundary_alpha_baseline(rho, env.q, env.p[0])
+    base = boundary_alpha_baseline(rho, env)
     return np.column_stack((rho, base, boundary_alpha_anytime(rho, env)))
 
 
@@ -322,5 +322,5 @@ def analyze(plant: PlantSpec, env: StochasticEnv) -> AnalysisResult:
         omega=omega,
         mean_return_time=1.0 / pi0 if pi0 > 0.0 else math.inf,
         baseline_tail=_baseline_tail(plant, env, gamma),
-        anytime_tail=plant.phi2(plant.d) / (1.0 - omega) if omega < 1.0 else math.inf,
+        anytime_tail=_anytime_tail(plant, omega),
     )

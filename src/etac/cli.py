@@ -256,7 +256,7 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     result = analysis.analyze(plant, config.env)
     print(f"gamma={_fmt(result.gamma)}")
     print(f"omega={_fmt(result.omega)}")
-    print(f"alpha_star_baseline={_fmt(analysis.boundary_alpha_baseline(plant.rho, config.env.q, config.env.p[0]))}")
+    print(f"alpha_star_baseline={_fmt(analysis.boundary_alpha_baseline(plant.rho, config.env))}")
     print(f"alpha_star_anytime={_fmt(analysis.boundary_alpha_anytime(plant.rho, config.env))}")
     print(f"baseline_tail={_fmt(result.baseline_tail)}")
     print(f"anytime_tail={_fmt(result.anytime_tail)}")
@@ -281,21 +281,13 @@ def cmd_delta(config: ExperimentConfig) -> int:
     samples = config.trials if config.trials is not None else 1_000_000
     empirical = oracle.simulate_lambda_chain(config.env, samples, RngStream(config.seed, 0))
     tv = oracle.tv_distance(analytic, empirical)
-    width = max(len(analytic), len(empirical.counts))
-    freq = empirical.frequencies
-    half = empirical.half_width
+    table = np.zeros((3, max(len(analytic), len(empirical.counts))))  # shorter columns end in 0s
+    for row, column in zip(table, (analytic, empirical.frequencies, empirical.half_width)):
+        row[: len(column)] = column
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["j", "analytic", "empirical", "half_width"])
-        for i in range(width):
-            writer.writerow(
-                [
-                    i + 1,
-                    float(analytic[i]) if i < len(analytic) else 0.0,
-                    float(freq[i]) if i < len(freq) else 0.0,
-                    float(half[i]) if i < len(half) else 0.0,
-                ]
-            )
+        writer.writerows([j, *row] for j, row in enumerate(table.T.tolist(), start=1))
     print(f"tv={_fmt(tv)}")
     print(f"samples={empirical.total}")
     return 0 if tv < TV_THRESHOLD else 3

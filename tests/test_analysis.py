@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -214,19 +215,6 @@ class TestReturnTimePmf:
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def fresh_pmf(chain, n):
-    """The renewal recursion run from scratch on every call, as before the chain kept its pmf."""
-    cap, r = chain.capacity, chain.return1
-    decay = r ** np.arange(cap)
-    refill = (decay * chain.tails)[::-1]
-    direct = (decay * chain.theta)[: n - 1]
-    s = np.zeros(cap + n - 1)
-    s[cap : cap + direct.size] = direct
-    for k in range(cap, cap + n - 1):
-        s[k] += refill @ s[k - cap : k]
-    return np.concatenate(([r], r * s[cap:]))
-
-
 @st.composite
 def chain_envs(draw):
     """Envs with capacity 1..40, q anywhere in [0, 1] (0 and 1 included) and zero pmf entries."""
@@ -265,13 +253,11 @@ def call_bytes(chain, call):
         return str(exc)
 
 
-def assert_calls_match_fresh_runs(env, calls):
-    """Each call on one chain returns what it returns on a new chain with the from-scratch loop."""
+def assert_calls_match_new_chains(env, calls):
+    """Each call on one chain, in turn, returns what it returns on a new chain, which keeps no pmf."""
     chain = build_lambda_chain(env)
     for call in calls:
-        with mock.patch("etac.analysis._return_time_pmf", fresh_pmf):
-            expected = call_bytes(build_lambda_chain(env), call)
-        assert call_bytes(chain, call) == expected
+        assert call_bytes(chain, call) == call_bytes(build_lambda_chain(env), call)
 
 
 class TestMemoisedPmf:
@@ -283,7 +269,7 @@ class TestMemoisedPmf:
     @settings(max_examples=150, deadline=None)
     def test_pmf_is_a_pure_function_of_the_chain(self, env, calls):
         with mock.patch("etac.analysis.PMF_MAX_TERMS", self.MAX_TERMS):
-            assert_calls_match_fresh_runs(env, calls)
+            assert_calls_match_new_chains(env, calls)
 
     @pytest.mark.parametrize(
         "calls",
@@ -296,14 +282,15 @@ class TestMemoisedPmf:
     )
     def test_call_orders(self, calls):
         for env in (WORKED_ENV, REFERENCE_ENV, StochasticEnv(q=1.0, p=(0.3, 0.0, 0.7), capacity=2)):
-            assert_calls_match_fresh_runs(env, calls)
+            assert_calls_match_new_chains(env, calls)
 
     def test_chains_from_one_env_share_no_state(self):
         a, b = build_lambda_chain(REFERENCE_ENV), build_lambda_chain(REFERENCE_ENV)
         anytime_contraction_series(a, 1.2, 0.5, 500)
         return_time_pmf_truncated(a)
         assert b._pmf.size == 0
-        assert _return_time_pmf(b, 40).tobytes() == fresh_pmf(b, 40).tobytes()
+        # a serves a prefix of its kept pmf, b runs the recursion anew
+        assert _return_time_pmf(b, 40).tobytes() == _return_time_pmf(a, 40).tobytes()
         assert not np.shares_memory(a._pmf, b._pmf)
         assert "_pmf" not in repr(a)
 
@@ -311,7 +298,8 @@ class TestMemoisedPmf:
         chain = build_lambda_chain(REFERENCE_ENV)
         _return_time_pmf(chain, 100)[:] = 0.0
         return_time_pmf_truncated(chain)[:] = 0.0
-        assert _return_time_pmf(chain, 100).tobytes() == fresh_pmf(chain, 100).tobytes()
+        new = build_lambda_chain(REFERENCE_ENV)
+        assert _return_time_pmf(chain, 100).tobytes() == _return_time_pmf(new, 100).tobytes()
 
 
 class TestOmega:
@@ -471,41 +459,47 @@ class TestClosedFormsAgainstDenseReference:
         assert worst["alpha_star"] < 1e-12, worst
 
 
+def worked_plant(d, alpha=1.2):
+    """The saturated plant's phi2(s) = 2 s with (alpha, rho) = (alpha, 0.5) and radius d."""
+    return replace(make_sat_plant(d), alpha=alpha, rho=0.5)
+
+
 class TestAnytimeMeanBound:
     def test_worked_value(self):
+        plant = worked_plant(1.0)
         expected = (1.0 + 1.2 - 0.5) / 0.5 * 1.0 + 2.0 / (1.0 - WORKED_OMEGA)
-        got = anytime_mean_bound(WORKED_OMEGA, 1.2, 0.5, 0, 1.0, 1.0, lambda s: 2.0 * s)
+        got = anytime_mean_bound(plant, WORKED_ENV, 0, 1.0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(8.2624, abs=1e-4)
+        # the transient dies out, leaving the tail that analyze reports
+        tail = analyze(plant, WORKED_ENV).anytime_tail
+        assert anytime_mean_bound(plant, WORKED_ENV, 10_000, 1.0) == tail
 
     def test_zero_radius_vanishes_in_the_limit(self):
-        val = anytime_mean_bound(0.6, 1.2, 0.5, 400, 1.0, 0.0, lambda s: 2.0 * s)
+        val = anytime_mean_bound(worked_plant(0.0), WORKED_ENV, 400, 1.0)
         assert val == pytest.approx(0.0, abs=1e-80)
 
     def test_monotone_decreasing_in_cycle_index(self):
-        vals = [
-            anytime_mean_bound(WORKED_OMEGA, 1.2, 0.5, i, 1.0, 1.0, lambda s: 2.0 * s)
-            for i in range(8)
-        ]
+        vals = [anytime_mean_bound(worked_plant(1.0), WORKED_ENV, i, 1.0) for i in range(8)]
         assert np.all(np.diff(vals) < 0)
 
     def test_rejects_supercritical(self):
-        with pytest.raises(ValueError):
-            anytime_mean_bound(1.0, 1.2, 0.5, 0, 1.0, 1.0, lambda s: s)
+        with pytest.raises(ValueError, match="omega="):
+            anytime_mean_bound(worked_plant(1.0, alpha=3.0), WORKED_ENV, 0, 1.0)
 
 
 class TestBoundaries:
     def test_baseline_worked_value(self):
-        assert boundary_alpha_baseline(0.5, 0.75, 0.2) == pytest.approx(0.7 / 0.4, rel=1e-12)
+        assert boundary_alpha_baseline(0.5, WORKED_ENV) == pytest.approx(0.7 / 0.4, rel=1e-12)
 
     def test_baseline_tightens_to_one(self):
-        assert boundary_alpha_baseline(1.0 - 1e-9, 0.75, 0.2) == pytest.approx(1.0, abs=1e-6)
+        assert boundary_alpha_baseline(1.0 - 1e-9, WORKED_ENV) == pytest.approx(1.0, abs=1e-6)
 
     def test_baseline_infinite_when_always_computing(self):
-        assert boundary_alpha_baseline(0.5, 1.0, 0.0) == math.inf
+        assert boundary_alpha_baseline(0.5, StochasticEnv(q=1.0, p=(0.0, 1.0), capacity=1)) == math.inf
 
     def test_baseline_no_channel(self):
-        assert boundary_alpha_baseline(0.5, 0.0, 0.2) == 1.0
+        assert boundary_alpha_baseline(0.5, StochasticEnv(q=0.0, p=(0.2, 0.8), capacity=1)) == 1.0
 
     def test_anytime_rho_zero(self):
         assert boundary_alpha_anytime(0.0, WORKED_ENV) == pytest.approx(1.0 / 0.4, rel=1e-12)
@@ -518,7 +512,7 @@ class TestBoundaries:
 
     def test_anytime_dominates_baseline_on_grid(self):
         for rho in np.arange(0.05, 0.96, 0.05):
-            base = boundary_alpha_baseline(float(rho), REFERENCE_ENV.q, REFERENCE_ENV.p[0])
+            base = boundary_alpha_baseline(float(rho), REFERENCE_ENV)
             anyt = boundary_alpha_anytime(float(rho), REFERENCE_ENV)
             assert anyt >= base
 

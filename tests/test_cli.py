@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -126,6 +128,36 @@ def child_env(**extra):
     return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
+#: A child process under these variables computes as on an x86-64 CPU without
+#: AVX-512: numpy skips its AVX-512 loops, and OpenBLAS runs its Prescott
+#: kernels, which run on every x86-64 CPU.  numpy refuses to disable a feature
+#: of its build baseline, such as X86_V2, so only dispatch targets are named.
+ANOTHER_CPU = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Prescott"}
+
+
+def on_another_cpu(tmp_path, name, *args):
+    """What this module's function ``name`` returns for (tmp_path, *args) under ANOTHER_CPU.
+
+    It runs in a child process; the arguments and the result pass as JSON,
+    the result on the child's last stdout line.
+    """
+    code = (
+        "import json, pathlib, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import test_cli\n"
+        "result = getattr(test_cli, sys.argv[2])(pathlib.Path(sys.argv[3]), *json.loads(sys.argv[4]))\n"
+        "print(json.dumps(result))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, os.path.dirname(__file__), name, str(tmp_path), json.dumps(args)],
+        capture_output=True,
+        text=True,
+        env=child_env(**ANOTHER_CPU),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])  # after main's own lines
+
+
 def sweep_digest(tmp_path, data, threads):
     """SHA-256 of the montecarlo CSV and of the per-trial cost, utilization and divergence arrays."""
     out = str(tmp_path / f"mc-{threads}.csv")
@@ -138,6 +170,17 @@ def sweep_digest(tmp_path, data, threads):
     return h.hexdigest()
 
 
+def delta_digests(tmp_path, env, samples, seed):
+    """Exit code and SHA-256 of the CSV and of stdout of one delta-dist run."""
+    out = tmp_path / "delta.csv"
+    data = {"plant": {"kind": "saturated"}, "env": env, "trials": samples, "seed": seed, "out": str(out)}
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["delta-dist", "--config", write_config(tmp_path, data)])
+    digests = [hashlib.sha256(b).hexdigest() for b in (out.read_bytes(), stdout.getvalue().encode())]
+    return [code, *digests]
+
+
 NAN = float("nan")
 SIMULATE = ["simulate"]
 POOL = ["montecarlo", "--threads", "2"]
@@ -148,7 +191,8 @@ POOL = ["montecarlo", "--threads", "2"]
 #: too large for a float) and the list form of ``x0``, which refuses the old
 #: ``{"kind": ...}`` object.  The next four are library checks, two of them
 #: raised in a pool worker and one a seed past 64 bits; then four command-line
-#: overrides out of range, and pmf entries whose sum overflows a float.
+#: overrides out of range, pmf entries whose sum overflows a float, an unknown
+#: plant kind, a section that is not an object, and ``simulate`` without ``d``.
 REJECTED_INPUTS = {
     "x0-string-entry": (SIMULATE, {**decay_config(), "x0": ["a"]}, "x0[0]"),
     "x0-nested-list": (SIMULATE, {**decay_config(), "x0": [[1.0, 2.0]]}, "x0[0]"),
@@ -185,6 +229,9 @@ REJECTED_INPUTS = {
     "p-sum-overflows": (
         SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [1e308, 1e308], "capacity": 1}}, "env: p[0]"
     ),
+    "plant-kind-unknown": (SIMULATE, {**decay_config(), "plant": {"kind": "linear"}}, "kind must be"),
+    "env-not-an-object": (SIMULATE, {**decay_config(), "env": [1.0, 0.0]}, "env must be an object"),
+    "simulate-without-d": (SIMULATE, {**decay_config(), "d": None}, "requires a trigger radius d"),
 }
 
 VALID_CONFIG = ExperimentConfig(
@@ -554,24 +601,27 @@ class TestDeltaDist:
     #: (env, samples, seed) runs and the exit code and SHA-256 of their CSV and
     #: stdout, recorded before the chunked return-time kernel.  The long env
     #: is the six-block run of ``test_oracle.SIMULATION_DIGESTS``.  Neither
-    #: reaches TV < 0.01 at these sample counts, so both exit 3.
+    #: reaches TV < 0.01 at these sample counts, so both exit 3.  The long
+    #: CSV was re-pinned when the pmf's powers became repeated products: its
+    #: analytic column moved in the last ulps.
     PINNED_RUNS = {
         "worked": ({"q": 0.75, "p": [0.2, 0.3, 0.5], "capacity": 2}, 20_000, 70, 3,
                    "8d38d0252c987e8befbfae1d4d687dadfcaf1b8203c40949d810b731f02e1693",
                    "0b499f5066c228beb509eba6e6ec7ab61334c23d03cc889c2ad435e8037da6e7"),
         "long": ({"q": 0.9, "p": [0.05, 0.05, 0.1, 0.1, 0.2, 0.2, 0.3], "capacity": 6}, 100_000, 71, 3,
-                 "8c12f9ce61dbc3ba86580df8016aae352597a709bd8052ceefc25dab21fd3cb1",
+                 "5bce43c2a5a8a232ca0638fe052d746a24ec330b727e615c4f45e1e74a5aaf38",
                  "6d8af9d3ed072bdb2e61befeacce8a62930b423e0f0d8ec5c69150af84bb27d7"),
     }
 
     @pytest.mark.parametrize("run", PINNED_RUNS)
-    def test_output_matches_recorded_digest(self, tmp_path, capsys, run):
-        env, samples, seed, code, csv_digest, stdout_digest = self.PINNED_RUNS[run]
-        out = tmp_path / "delta.csv"
-        data = {"plant": {"kind": "saturated"}, "env": env, "trials": samples, "seed": seed, "out": str(out)}
-        assert main(["delta-dist", "--config", write_config(tmp_path, data)]) == code
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+    def test_output_matches_recorded_digest(self, tmp_path, run):
+        env, samples, seed, *expected = self.PINNED_RUNS[run]
+        assert delta_digests(tmp_path, env, samples, seed) == expected
+
+    @pytest.mark.parametrize("run", PINNED_RUNS)
+    def test_pinned_digest_holds_on_another_cpu(self, tmp_path, run):
+        env, samples, seed, *expected = self.PINNED_RUNS[run]
+        assert on_another_cpu(tmp_path, "delta_digests", env, samples, seed) == expected
 
     def test_degenerate_env_is_config_error(self, tmp_path):
         out = str(tmp_path / "delta.csv")
@@ -685,22 +735,10 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
     def test_pinned_digest_holds_under_another_blas_kernel(self, tmp_path, name):
         # OpenBLAS picks its kernels by CPU at run time, and some fuse the
-        # multiply and add of a dot.  The Prescott kernels run on every x86-64
-        # CPU, so a child forced onto them must give the pinned bytes too.
-        code = (
-            "import pathlib, sys\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "from test_cli import PINNED_SWEEPS, sweep_digest\n"
-            "print(sweep_digest(pathlib.Path(sys.argv[3]), PINNED_SWEEPS[sys.argv[2]][0], 1))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code, os.path.dirname(__file__), name, str(tmp_path)],
-            capture_output=True,
-            text=True,
-            env=child_env(OPENBLAS_CORETYPE="Prescott"),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == PINNED_SWEEPS[name][1]  # after main's own lines
+        # multiply and add of a dot; numpy picks its SIMD loops the same way.
+        # A child that computes as on another CPU must give the pinned bytes too.
+        data, digest = PINNED_SWEEPS[name]
+        assert on_another_cpu(tmp_path, "sweep_digest", data, 1) == digest
 
     def test_scalar_sweep_shares_prefixes_across_radii(self, monkeypatch):
         # The sweep builds its plant once, so every radius runs one pair of map

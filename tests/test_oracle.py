@@ -299,6 +299,9 @@ class TestSimulateLambdaChain:
         env = StochasticEnv(q=1.0, p=(0.0, 1.0), capacity=1)
         with pytest.raises(ValueError):
             simulate_lambda_chain(env, 100, RngStream(68, 0))
+        # nor does it take a request for no returns, on any chain
+        with pytest.raises(ValueError, match="n_returns must be >= 1"):
+            simulate_lambda_chain(WORKED_ENV, 0, RngStream(68, 0))
 
 
 def definition_counts(env, n_returns, rng, max_block):
