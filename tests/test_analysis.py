@@ -486,6 +486,10 @@ class TestAnytimeMeanBound:
     def test_rejects_supercritical(self):
         with pytest.raises(ValueError, match="omega="):
             anytime_mean_bound(worked_plant(1.0, alpha=3.0), WORKED_ENV, 0, 1.0)
+        # with no channel r = 1 and theta = 0, so omega = alpha: the boundary itself
+        no_channel = StochasticEnv(q=0.0, p=(0.2, 0.8), capacity=1)
+        with pytest.raises(ValueError, match="omega=1.0 "):
+            anytime_mean_bound(worked_plant(1.0, alpha=1.0), no_channel, 0, 1.0)
 
 
 class TestBoundaries:

@@ -128,11 +128,15 @@ def child_env(**extra):
     return {**os.environ, "PYTHONPATH": pythonpath, **extra}
 
 
-#: A child process under these variables computes as on an x86-64 CPU without
-#: AVX-512: numpy skips its AVX-512 loops, and OpenBLAS runs its Prescott
-#: kernels, which run on every x86-64 CPU.  numpy refuses to disable a feature
-#: of its build baseline, such as X86_V2, so only dispatch targets are named.
-ANOTHER_CPU = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR", "OPENBLAS_CORETYPE": "Prescott"}
+#: A child process under these variables computes as on an x86-64 CPU with
+#: only numpy's X86_V2 baseline: numpy skips its AVX2/FMA and AVX-512 loops,
+#: and OpenBLAS runs its Prescott kernels, which run on every x86-64 CPU.
+#: numpy refuses to disable a feature of its build baseline, such as X86_V2,
+#: so only dispatch targets are named.
+ANOTHER_CPU = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Prescott",
+}
 
 
 def on_another_cpu(tmp_path, name, *args):
