@@ -128,13 +128,15 @@ class SeriesResult(NamedTuple):
 
 
 class AnalysisResult(NamedTuple):
-    """Closed-form stability quantities for one (plant, env) pair."""
+    """Closed-form stability quantities for one (plant, env) pair, in ``etac analyze``'s order."""
 
     gamma: float
     omega: float
-    mean_return_time: float  # 1 / pi_0 = T_0 / (r N(r)); +inf when the length never returns
+    alpha_star_baseline: float  # the two stability boundaries at the plant's rho
+    alpha_star_anytime: float
     baseline_tail: float  # asymptotic tails of the two mean bounds
     anytime_tail: float
+    mean_return_time: float  # 1 / pi_0 = T_0 / (r N(r)); +inf when the length never returns
 
 
 def _require_rho(rho) -> None:
@@ -199,15 +201,12 @@ def return_time_pmf_truncated(chain: LambdaChain) -> np.ndarray:
         n = min(2 * n, PMF_MAX_TERMS)
 
 
-def baseline_contraction(alpha: float, rho: float, q: float, p0: float) -> float:
+def baseline_contraction(env: StochasticEnv, alpha: float, rho: float) -> float:
     """Expected one-step Lyapunov factor (gamma) of the baseline loop."""
     _require_rho(rho)
     if alpha < rho:
         raise ValueError(f"alpha={alpha} must be >= rho={rho}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
-    if not 0.0 <= p0 <= 1.0:
-        raise ValueError(f"p0={p0} outside [0, 1]")
+    q, p0 = env.q, env.p[0]
     return (1.0 - q) * alpha + q * (p0 * alpha + (1.0 - p0) * rho)
 
 
@@ -221,7 +220,7 @@ def _baseline_tail(plant: PlantSpec, env: StochasticEnv, gamma: float) -> float:
 
 def baseline_mean_bound(plant: PlantSpec, env: StochasticEnv, k: int, e_phi2_x0: float) -> float:
     """Upper bound on E[phi1(|x(k)|)] for the baseline loop; needs gamma < 1."""
-    gamma = baseline_contraction(plant.alpha, plant.rho, env.q, env.p[0])
+    gamma = baseline_contraction(env, plant.alpha, plant.rho)
     if gamma >= 1.0:
         raise ValueError(f"gamma={gamma} >= 1: no finite bound")
     return gamma**k * e_phi2_x0 + _baseline_tail(plant, env, gamma)
@@ -310,9 +309,9 @@ def boundary_curves(env: StochasticEnv, rho_values: np.ndarray) -> np.ndarray:
 
 
 def analyze(plant: PlantSpec, env: StochasticEnv) -> AnalysisResult:
-    """Gamma, omega, the mean return time and the bound tails, all in closed form."""
+    """Gamma, omega, the boundaries, the bound tails and the mean return time, all in closed form."""
     chain = build_lambda_chain(env)
-    gamma = baseline_contraction(plant.alpha, plant.rho, env.q, env.p[0])
+    gamma = baseline_contraction(env, plant.alpha, plant.rho)
     omega = anytime_contraction(chain, plant.alpha, plant.rho)
     # pi_0 = r N(r) / T_0 sums positive terms, where 1 - D(r) would cancel
     r, t0 = chain.return1, float(chain.tails[0])
@@ -320,7 +319,9 @@ def analyze(plant: PlantSpec, env: StochasticEnv) -> AnalysisResult:
     return AnalysisResult(
         gamma=gamma,
         omega=omega,
-        mean_return_time=1.0 / pi0 if pi0 > 0.0 else math.inf,
+        alpha_star_baseline=float(boundary_alpha_baseline(plant.rho, env)),
+        alpha_star_anytime=float(boundary_alpha_anytime(plant.rho, env)),
         baseline_tail=_baseline_tail(plant, env, gamma),
         anytime_tail=_anytime_tail(plant, omega),
+        mean_return_time=1.0 / pi0 if pi0 > 0.0 else math.inf,
     )

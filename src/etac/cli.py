@@ -253,14 +253,8 @@ def cmd_analyze(config: ExperimentConfig) -> int:
     """Print the closed forms at the plant's (alpha, rho); write the boundary curves CSV."""
     out = _require_out(config)
     plant = build_plant(config.plant, config.d if config.d is not None else 0.0)
-    result = analysis.analyze(plant, config.env)
-    print(f"gamma={_fmt(result.gamma)}")
-    print(f"omega={_fmt(result.omega)}")
-    print(f"alpha_star_baseline={_fmt(analysis.boundary_alpha_baseline(plant.rho, config.env))}")
-    print(f"alpha_star_anytime={_fmt(analysis.boundary_alpha_anytime(plant.rho, config.env))}")
-    print(f"baseline_tail={_fmt(result.baseline_tail)}")
-    print(f"anytime_tail={_fmt(result.anytime_tail)}")
-    print(f"mean_return_time={_fmt(result.mean_return_time)}")
+    for name, value in analysis.analyze(plant, config.env)._asdict().items():
+        print(f"{name}={_fmt(value)}")
     curves = analysis.boundary_curves(config.env, RHO_GRID)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -7,9 +7,10 @@ the controller's processor grants a random number of control-law evaluations
 per step, distributed according to the pmf p = (p_0, ..., p_Lambda).  The
 actuator buffer has no type here: the simulator keeps it as the plan of
 inputs computed at the last refill plus the steps since (``runtime``), and
-only the oracle models it as a matrix.  :class:`StochasticEnv` and
-:class:`NoiseSpec` check their invariants when built, so one that exists is
-valid and the functions that take one do not check it again.
+only the oracle models it as a matrix.  :class:`PlantSpec`,
+:class:`StochasticEnv` and :class:`NoiseSpec` check their invariants when
+built, also by ``dataclasses.replace``, so one that exists is valid and the
+functions that take one do not check it again.
 
 Dynamics, control laws and Lyapunov functions are plain callables; the
 certified contraction/growth factors are floats whose inequalities are checked
@@ -71,6 +72,10 @@ class PlantSpec:
     alpha: float  # open-loop factor: V(f(x, 0)) <= alpha V(x) everywhere
     d: float  # trigger radius; the sensor is silent while |x| < d
     name: str = "plant"
+
+    def __post_init__(self) -> None:
+        if not self.d >= 0.0:
+            raise ValueError("trigger radius d must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -151,8 +156,16 @@ def _sat_control(x: np.ndarray) -> np.ndarray:
     return np.array([-x2, 0.505 * sat(x1 + x2)])
 
 
+def _norm(x: np.ndarray) -> float:
+    """|x|, its squares summed left to right on Python floats: a BLAS dot's kernel varies by CPU."""
+    total = 0.0
+    for v in x.tolist():
+        total += v * v
+    return math.sqrt(total)
+
+
 def _sat_lyapunov(x: np.ndarray) -> float:
-    return 2.0 * math.sqrt(float(x @ x))
+    return 2.0 * _norm(x)
 
 
 def _double(s: float) -> float:
@@ -173,8 +186,6 @@ def make_sat_plant(d: float = 0.0) -> PlantSpec:
     [-10, 10]; kappa(x) = (-x2, 0.505 sat(x1 + x2)) contracts V by rho = 0.99,
     and the zero input grows |x| by at most the golden ratio, padded by 1e-4.
     """
-    if not d >= 0.0:
-        raise ValueError("trigger radius d must be nonnegative")
     return PlantSpec(
         state_dim=2,
         input_dim=2,
@@ -201,10 +212,6 @@ def _linear_control(gain: float, x: np.ndarray) -> np.ndarray:
     return np.array([-gain * x1])
 
 
-def _norm_lyapunov(x: np.ndarray) -> float:
-    return math.sqrt(float(x @ x))
-
-
 def _identity(s: float) -> float:
     return s
 
@@ -221,14 +228,12 @@ def make_scalar_plant(a: float, gain: float, d: float) -> PlantSpec:
     rho = abs(a - gain)
     if not rho < 1.0:
         raise ValueError(f"|a - gain| = {rho} must be < 1 for a contracting loop")
-    if not d >= 0.0:
-        raise ValueError("trigger radius d must be nonnegative")
     return PlantSpec(
         state_dim=1,
         input_dim=1,
         dynamics=partial(_linear_dynamics, float(a)),
         control_law=partial(_linear_control, float(gain)),
-        lyapunov=_norm_lyapunov,
+        lyapunov=_norm,
         phi1=_identity,
         phi2=_identity,
         rho=rho * _CERT_PAD,

@@ -12,8 +12,8 @@ last three are the references for differential tests of the simulator, which
 keeps its buffer as a plan plus an age instead.  Return-time validation runs in
 the always-transmit regime (d = 0), where the length recursion is driven purely
 by the i.i.d. channel and processor draws.  :func:`reference_trajectory`
-rebuilds a whole closed-loop run from its draws with the table-driven step, for
-bitwise comparison with ``runtime.run_trajectory``.
+rebuilds a whole closed-loop run from its draws with the table-driven step, as
+a ``runtime.Trace`` for bitwise comparison with ``runtime.run_trajectory``'s.
 
 The return-time simulation is an integer kernel that walks refill events, not
 steps, in a few chunk-sized buffers whatever the sample count;
@@ -23,16 +23,17 @@ steps, in a few chunk-sized buffers whatever the sample count;
 from __future__ import annotations
 
 import copy
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import NoiseSpec, PlantSpec, StochasticEnv
+from .runtime import DIVERGENCE_NORM, Trace
 
 __all__ = [
     "BufferState",
     "EmpiricalPmf",
-    "ReferenceRun",
     "lambda_transition_matrix",
     "plan_inputs",
     "reference_anytime_step",
@@ -311,18 +312,6 @@ def reference_anytime_step(
     return out, BufferState(blocks, sum(written))
 
 
-@dataclass(frozen=True, eq=False)
-class ReferenceRun:
-    """A closed-loop run of :func:`reference_trajectory`, one row per recorded step."""
-
-    x: np.ndarray  # shape (steps, state_dim)
-    u: np.ndarray  # shape (steps, input_dim)
-    beta: np.ndarray
-    n: np.ndarray
-    lam: np.ndarray
-    diverged: bool
-
-
 def _sq_norm(x: np.ndarray) -> float:
     """x·x summed left to right on Python floats, with no CPU-picked BLAS kernel to fuse it."""
     total = 0.0
@@ -340,7 +329,7 @@ def reference_trajectory(
     seed: int,
     t: int,
     x0: np.ndarray | None = None,
-) -> ReferenceRun:
+) -> Trace:
     """Trial ``t`` of a closed-loop run, regenerated from its draws one step at a time.
 
     The draws come from a fresh ``np.random.default_rng([seed, t])`` in the
@@ -355,10 +344,9 @@ def reference_trajectory(
     flagged diverged, when the new state's squared norm is not at most
     ``DIVERGENCE_NORM`` squared.  The recorded λ is the buffer's
     effective length for anytime and 0 for the baseline, which buffers
-    nothing.  There is no plan, age, kept run or shared draw.
+    nothing, and ``sq_norms`` holds each recorded state's :func:`_sq_norm`.
+    There is no plan, age, kept run or shared draw.
     """
-    from .runtime import DIVERGENCE_NORM
-
     if controller not in ("baseline", "anytime"):
         raise ValueError(f"unknown controller {controller!r}")
     buffered = controller == "anytime"
@@ -373,28 +361,30 @@ def reference_trajectory(
     steps = []
     diverged = False
     for k in range(horizon):
-        beta = (1 if received[k] else 0) if _sq_norm(x) >= plant.d * plant.d else 2
+        sq_norm = _sq_norm(x)
+        beta = (1 if received[k] else 0) if sq_norm >= plant.d * plant.d else 2
         n = int(granted[k]) if beta == 1 else 0
         received_x = x if beta == 1 else None
         u, buf = reference_anytime_step(received_x, beta, min(n, len(buf.blocks)), buf, plant)
-        steps.append((x, u, beta, n, buf.lam if buffered else 0))
+        steps.append((x, u, beta, n, buf.lam if buffered else 0, sq_norm))
         x = plant.dynamics(x, u)
         if w is not None:
             x = x + w[k]
         if not _sq_norm(x) <= DIVERGENCE_NORM * DIVERGENCE_NORM:
             diverged = True
             break
-    xs, us, betas, ns, lams = zip(*steps)
-    return ReferenceRun(
-        np.array(xs), np.array(us), np.array(betas), np.array(ns), np.array(lams), diverged
-    )
+    xs, us, betas, ns, lams, sq_norms = map(list, zip(*steps))
+    return Trace(x=xs, u=us, beta=betas, n=ns, lam=lams, sq_norms=array("d", sq_norms),
+                 horizon=horizon, diverged=diverged)
 
 
 def tv_distance(analytic: np.ndarray, empirical: EmpiricalPmf) -> float:
     """Total variation between a truncated analytic pmf and an empirical one.
 
-    The analytic mass beyond the truncation (at most the truncation slack) is
-    charged in full, so the result upper-bounds the true distance.
+    The analytic mass beyond the truncation is charged in full, so the result
+    upper-bounds the true distance; when ``len(analytic) >= len(empirical.counts)``
+    it is exact up to rounding, as the empirical pmf is zero past the longest
+    observed gap, so that charge is exactly the analytic mass the sum leaves out.
     """
     width = max(len(analytic), len(empirical.counts))
     a = np.zeros(width)

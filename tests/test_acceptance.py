@@ -119,7 +119,7 @@ def test_criterion_4_baseline_bound_statistical():
     start = time.time()
     plant = make_scalar_plant(2.0, 1.5, 1.0)
     env = StochasticEnv(q=0.9, p=(0.1, 0.9), capacity=1)
-    gamma = baseline_contraction(plant.alpha, plant.rho, env.q, env.p[0])
+    gamma = baseline_contraction(env, plant.alpha, plant.rho)
     assert gamma == pytest.approx(0.785, abs=1e-9)
     tail = env.q * (1.0 - env.p[0]) * (plant.alpha - plant.rho) * 1.0 / (1.0 - gamma)
     assert tail == pytest.approx(5.651, abs=1e-3)

@@ -66,41 +66,47 @@ def random_env(rng, max_capacity=8, q_hi=0.95):
     return env
 
 
+def env_of(q, p0):
+    """The one-slot environment with success probability q and processor pmf (p0, 1 - p0)."""
+    return StochasticEnv(q=q, p=(p0, 1.0 - p0), capacity=1)
+
+
 class TestBaselineContraction:
     def test_lossless_always_computing(self):
-        assert baseline_contraction(1.5, 0.5, 1.0, 0.0) == 0.5
+        assert baseline_contraction(env_of(1.0, 0.0), 1.5, 0.5) == 0.5
 
     def test_never_transmitting(self):
-        assert baseline_contraction(1.5, 0.5, 0.0, 0.2) == 1.5
+        assert baseline_contraction(env_of(0.0, 0.2), 1.5, 0.5) == 1.5
 
     def test_worked_value(self):
-        assert baseline_contraction(1.5, 0.5, 0.75, 0.2) == pytest.approx(0.900)
+        assert baseline_contraction(env_of(0.75, 0.2), 1.5, 0.5) == pytest.approx(0.900)
 
     def test_special_case_reductions(self):
         # q = 1: (1-q) term drops; p0 = 0: processor term drops
         a, r = 1.3, 0.4
-        assert baseline_contraction(a, r, 1.0, 0.3) == pytest.approx(0.3 * a + 0.7 * r)
-        assert baseline_contraction(a, r, 0.6, 0.0) == pytest.approx(0.4 * a + 0.6 * r)
+        assert baseline_contraction(env_of(1.0, 0.3), a, r) == pytest.approx(0.3 * a + 0.7 * r)
+        assert baseline_contraction(env_of(0.6, 0.0), a, r) == pytest.approx(0.4 * a + 0.6 * r)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            baseline_contraction(1.5, 1.0, 0.5, 0.5)
+            baseline_contraction(env_of(0.5, 0.5), 1.5, 1.0)
         with pytest.raises(ValueError):
-            baseline_contraction(0.3, 0.5, 0.5, 0.5)
+            baseline_contraction(env_of(0.5, 0.5), 0.3, 0.5)
+        # an environment refuses its own q and p0 when it is built
         with pytest.raises(ValueError):
-            baseline_contraction(1.5, 0.5, 1.5, 0.5)
+            baseline_contraction(env_of(1.5, 0.5), 1.5, 0.5)
         with pytest.raises(ValueError):
-            baseline_contraction(1.5, 0.5, 0.5, -0.1)
+            baseline_contraction(env_of(0.5, -0.1), 1.5, 0.5)
 
     def test_monotone_in_alpha_rho_and_q(self):
         alphas = np.linspace(1.0, 2.5, 7)
         rhos = np.linspace(0.0, 0.9, 7)
         qs = np.linspace(0.0, 1.0, 7)
-        base = [baseline_contraction(a, 0.5, 0.6, 0.2) for a in alphas]
+        base = [baseline_contraction(env_of(0.6, 0.2), a, 0.5) for a in alphas]
         assert np.all(np.diff(base) >= 0)
-        base = [baseline_contraction(1.5, r, 0.6, 0.2) for r in rhos]
+        base = [baseline_contraction(env_of(0.6, 0.2), 1.5, r) for r in rhos]
         assert np.all(np.diff(base) >= 0)
-        base = [baseline_contraction(1.5, 0.5, q, 0.2) for q in qs]
+        base = [baseline_contraction(env_of(q, 0.2), 1.5, 0.5) for q in qs]
         assert np.all(np.diff(base) <= 0)
 
 
@@ -113,13 +119,13 @@ class TestBaselineMeanBound:
     def test_zero_radius_leaves_transient_only(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
         env = StochasticEnv(q=0.9, p=(0.1, 0.9), capacity=1)
-        gamma = baseline_contraction(plant.alpha, plant.rho, 0.9, 0.1)
+        gamma = baseline_contraction(env, plant.alpha, plant.rho)
         for k in (0, 3, 10):
             assert baseline_mean_bound(plant, env, k, 2.0) == pytest.approx(gamma**k * 2.0)
 
     def test_worked_bound(self):
         plant, env = self._setup()
-        gamma = baseline_contraction(plant.alpha, plant.rho, env.q, env.p[0])
+        gamma = baseline_contraction(env, plant.alpha, plant.rho)
         assert gamma == pytest.approx(0.785)
         tail = 0.9 * 0.9 * 1.5 * 1.0 / (1.0 - 0.785)  # = 5.651...
         assert baseline_mean_bound(plant, env, 0, 1.0) == pytest.approx(1.0 + tail, rel=1e-9)
@@ -547,6 +553,10 @@ class TestAnalyze:
             0.9 * 0.9 * (plant.alpha - plant.rho) * 1.0 / (1.0 - result.gamma)
         )
         assert result.anytime_tail == pytest.approx(1.0 / (1.0 - result.omega))
+        # the boundaries at the plant's rho, as plain floats
+        assert type(result.alpha_star_baseline) is type(result.alpha_star_anytime) is float
+        assert result.alpha_star_baseline == boundary_alpha_baseline(plant.rho, env)
+        assert result.alpha_star_anytime == boundary_alpha_anytime(plant.rho, env)
 
     def test_supercritical_tails_are_infinite(self):
         plant = make_scalar_plant(3.0, 2.2, 1.0)

@@ -790,6 +790,21 @@ class TestMonteCarlo:
         se_l = costs_l[0, 0].std(ddof=1) / np.sqrt(1600)
         assert 1.4 < se_s / se_l < 2.8
 
+    def test_default_trial_count_is_ten_thousand(self, monkeypatch):
+        calls = []
+
+        def worker(args):
+            config, t0, t1 = args
+            calls.append((t0, t1))
+            shape = (len(config.d_sweep), len(config.controllers), t1 - t0)
+            return np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
+
+        monkeypatch.setattr(etac.cli, "_mc_worker", worker)
+        config = parse_config({**montecarlo_config(), "trials": None})
+        arrays = run_paired_cells(config)
+        assert calls == [(0, 10_000)]
+        assert [a.shape for a in arrays] == [(3, 2, 10_000)] * 3
+
     def test_trials_override(self, tmp_path, capsys):
         out = str(tmp_path / "mc.csv")
         path = write_config(tmp_path, montecarlo_config(out=out, trials=500, d_sweep=(0.0,)))

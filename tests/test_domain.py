@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,6 +139,11 @@ class TestSatPlant:
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):
             make_sat_plant(-1.0)
+        # the plant checks its own radius, so a copy is refused like a new one
+        for plant in (make_sat_plant(), make_scalar_plant(1.2, 0.9, 1.0)):
+            for d in (-1.0, math.nan):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    replace(plant, d=d)
 
     def test_rejects_nan_d(self):
         # a NaN radius would keep the sensor silent: |x|**2 >= nan is False
@@ -266,7 +272,12 @@ class TestCertifiedInequalities:
             rng = np.random.default_rng(77)
             for _ in range(200):
                 x = rng.uniform(-50.0, 50.0, size=plant.state_dim)
-                r = math.sqrt(float(x @ x))
+                # |x| summed left to right as V sums it: the builtin sum's
+                # float algorithm is version-dependent, a BLAS dot CPU-dependent
+                sq = 0.0
+                for v in x.tolist():
+                    sq += v * v
+                r = math.sqrt(sq)
                 assert plant.phi1(r) <= plant.lyapunov(x) <= plant.phi2(r)
 
 

@@ -459,12 +459,14 @@ REFERENCE_PLANTS = [make_sat_plant(), make_scalar_plant(1.2, 0.9, 0.0), make_sca
 
 
 def assert_run_equals_reference(trace, ref):
-    """x, u, beta, N, lambda and the divergence flag, bit for bit."""
-    assert np.array(trace.x).tobytes() == ref.x.tobytes()
-    assert np.array(trace.u).tobytes() == ref.u.tobytes()
-    assert trace.beta == ref.beta.tolist()
-    assert trace.n == ref.n.tolist()
-    assert trace.lam == ref.lam.tolist()
+    """Two traces' columns, squared norms, horizon and divergence flag, bit for bit."""
+    assert np.array(trace.x).tobytes() == np.array(ref.x).tobytes()
+    assert np.array(trace.u).tobytes() == np.array(ref.u).tobytes()
+    assert trace.beta == ref.beta
+    assert trace.n == ref.n
+    assert trace.lam == ref.lam
+    assert trace.sq_norms.tobytes() == ref.sq_norms.tobytes()
+    assert trace.horizon == ref.horizon
     assert trace.diverged == ref.diverged
 
 
@@ -528,8 +530,9 @@ class TestReferenceTrajectory:
                 for t in range(config.trials):
                     ref = reference_trajectory(plant, config.env, config.noise, controller,
                                                config.horizon, config.seed, t, x0=config.x0)
-                    sent = int(np.count_nonzero(ref.beta != 2))
-                    cost = math.fsum((ref.x * ref.x).sum(axis=1).tolist()) / config.horizon
+                    sent = sum(beta != 2 for beta in ref.beta)
+                    x = np.array(ref.x)
+                    cost = math.fsum((x * x).sum(axis=1).tolist()) / config.horizon
                     assert costs[di, ci, t] == cost
                     assert utils[di, ci, t] == 100.0 * sent / config.horizon
                     assert diverged[di, ci, t] == ref.diverged
