@@ -39,10 +39,11 @@ import numpy as np
 
 from . import analysis, oracle
 from .domain import NoiseSpec, PlantSpec, StochasticEnv, make_sat_plant, make_scalar_plant
-from .runtime import RngStream, channel_utilization, empirical_cost, run_trajectory, write_trace_csv
+from .runtime import (
+    CONTROLLERS, RngStream, channel_utilization, empirical_cost, run_trajectory, write_trace_csv,
+)
 
 __all__ = [
-    "CONTROLLERS",
     "ConfigError",
     "ExperimentConfig",
     "PlantSelector",
@@ -59,8 +60,6 @@ __all__ = [
     "parse_config",
     "run_paired_cells",
 ]
-
-CONTROLLERS = ("baseline", "anytime")
 
 #: delta-dist fails (exit 3) when the TV distance reaches this value.
 TV_THRESHOLD = 0.01
@@ -212,11 +211,20 @@ def emit_config(config: ExperimentConfig) -> dict:
     return asdict(config, dict_factory=_json_object)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, refusing a key that appears twice in it."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ConfigError(f"repeated key(s) {sorted({k for k in keys if keys.count(k) > 1})}")
+    return data
+
+
 def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON config file."""
+    """Read and validate a JSON config file; unknown or repeated keys are errors."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

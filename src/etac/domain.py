@@ -156,12 +156,22 @@ def _sat_control(x: np.ndarray) -> np.ndarray:
     return np.array([-x2, 0.505 * sat(x1 + x2)])
 
 
-def _norm(x: np.ndarray) -> float:
-    """|x|, its squares summed left to right on Python floats: a BLAS dot's kernel varies by CPU."""
+def _sq_norm(x: np.ndarray) -> float:
+    """x·x, the squares summed left to right over ``x.tolist()`` on Python floats.
+
+    This is the one squared norm of the package: the trigger, divergence and
+    cost of the simulator and the oracle, and |x| in the Lyapunov functions.
+    A BLAS dot is not used: it picks its kernel by CPU at run time, and some
+    kernels fuse the multiply and add, which changes the last ulp.
+    """
     total = 0.0
     for v in x.tolist():
         total += v * v
-    return math.sqrt(total)
+    return total
+
+
+def _norm(x: np.ndarray) -> float:
+    return math.sqrt(_sq_norm(x))
 
 
 def _sat_lyapunov(x: np.ndarray) -> float:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import NoiseSpec, PlantSpec, StochasticEnv
-from .runtime import DIVERGENCE_NORM, Trace
+from .domain import NoiseSpec, PlantSpec, StochasticEnv, _sq_norm
+from .runtime import CONTROLLERS, DIVERGENCE_NORM, Trace
 
 __all__ = [
     "BufferState",
@@ -276,10 +276,10 @@ def reference_anytime_step(
 
     The literal operating-mode table: a silent step (beta = 2) zeroes the
     buffer, any other step shifts it one row ahead, and a step with n >= 1
-    evaluations then overwrites it with :func:`plan_inputs` of the received
-    state.  The effective length is re-derived by tagging which rows the
-    control law wrote.  ``runtime.run_trajectory`` must match it on a
-    capacity-row buffer (anytime) and on a one-row buffer (baseline).
+    evaluations instead fills it with :func:`plan_inputs` of the received
+    state.  The new effective length follows :func:`update_lambda`, and the
+    rows from ``lam`` on stay zero.  ``runtime.run_trajectory`` must match it
+    on a capacity-row buffer (anytime) and on a one-row buffer (baseline).
     """
     if n >= 1 and beta != 1:
         raise ValueError("n >= 1 requires beta == 1: inputs are computed only on reception")
@@ -288,36 +288,12 @@ def reference_anytime_step(
     capacity = buf.blocks.shape[0]
     if n > capacity:
         raise ValueError(f"n={n} exceeds buffer capacity {capacity}")
-    blocks = buf.blocks.copy()
-    written = [i < buf.lam for i in range(capacity)]
-
-    if beta == 2:
-        blocks[:] = 0.0
-        written = [False] * capacity
-        out = blocks[0].copy()
-        return out, BufferState(blocks, sum(written))
-
-    for j in range(capacity - 1):  # shift one step ahead
-        blocks[j] = buf.blocks[j + 1]
-        written[j] = j + 1 < buf.lam
-    blocks[capacity - 1] = 0.0
-    written[capacity - 1] = False
-
-    if beta == 1 and n >= 1:
-        blocks[:] = 0.0
+    blocks = np.zeros_like(buf.blocks)
+    if n >= 1:
         blocks[:n] = plan_inputs(x, n, plant)
-        written = [j < n for j in range(capacity)]
-
-    out = blocks[0].copy()
-    return out, BufferState(blocks, sum(written))
-
-
-def _sq_norm(x: np.ndarray) -> float:
-    """x·x summed left to right on Python floats, with no CPU-picked BLAS kernel to fuse it."""
-    total = 0.0
-    for v in x.tolist():
-        total += v * v
-    return total
+    elif beta != 2:
+        blocks[:-1] = buf.blocks[1:]  # shift one step ahead
+    return blocks[0].copy(), BufferState(blocks, update_lambda(buf.lam, beta, n))
 
 
 def reference_trajectory(
@@ -337,17 +313,17 @@ def reference_trajectory(
     ``horizon`` reception uniforms, the ``horizon`` processor uniforms turned
     into counts by :func:`_evaluation_counts`, then the disturbances.  Each
     step makes the trigger test x·x >= d², the squared form the simulator
-    uses (criterion 6(c) writes silence as √(x·x) < d), with x·x summed by
-    :func:`_sq_norm`; passes β and N, cut to the buffer's rows, to
+    uses (criterion 6(c) writes silence as √(x·x) < d), with x·x from
+    ``domain._sq_norm``; passes β and N, cut to the buffer's rows, to
     :func:`reference_anytime_step` on a capacity-row buffer (anytime) or a
     one-row buffer (baseline); sets x to f(x, u) + w; and ends the run,
     flagged diverged, when the new state's squared norm is not at most
     ``DIVERGENCE_NORM`` squared.  The recorded λ is the buffer's
     effective length for anytime and 0 for the baseline, which buffers
-    nothing, and ``sq_norms`` holds each recorded state's :func:`_sq_norm`.
+    nothing, and ``sq_norms`` holds each recorded state's ``_sq_norm``.
     There is no plan, age, kept run or shared draw.
     """
-    if controller not in ("baseline", "anytime"):
+    if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
     buffered = controller == "anytime"
     gen = np.random.default_rng([seed, t])

@@ -61,9 +61,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import NoiseSpec, PlantSpec, StochasticEnv
+from .domain import NoiseSpec, PlantSpec, StochasticEnv, _sq_norm
 
 __all__ = [
+    "CONTROLLERS",
     "DIVERGENCE_NORM",
     "RngStream",
     "Trace",
@@ -72,6 +73,9 @@ __all__ = [
     "run_trajectory",
     "write_trace_csv",
 ]
+
+#: The two controllers: the memoryless baseline and the buffered anytime one.
+CONTROLLERS = ("baseline", "anytime")
 
 #: State norms beyond this mark a trajectory as diverged.
 DIVERGENCE_NORM = 1e12
@@ -156,11 +160,10 @@ class Trace:
     effective buffer length.  They have exactly ``horizon`` entries unless the
     run diverged, in which case they end at the step where the state norm blew
     past :data:`DIVERGENCE_NORM` (or went non-finite).  ``sq_norms[k]`` is
-    the left-to-right sum of ``v * v`` over the entries v of ``x[k]``, on
-    Python floats: the squared norm the loop computes anyway for its trigger
-    and divergence tests, kept so that :func:`empirical_cost` need not revisit
-    the states.  ``==`` is identity, since comparing lists of arrays
-    element-wise has no single truth value.
+    ``domain._sq_norm(x[k])``, the squared norm the loop computes anyway for
+    its trigger and divergence tests, kept so that :func:`empirical_cost` need
+    not revisit the states.  ``==`` is identity, since comparing lists of
+    arrays element-wise has no single truth value.
 
     The columns and the arrays in them are shared: a later run on the same
     stream follows this one's states and inputs, and takes them as its own.
@@ -196,11 +199,11 @@ def run_trajectory(
 ) -> Trace:
     """Simulate one closed-loop run of ``horizon`` steps.
 
-    ``controller`` is "baseline" or "anytime".  ``x0`` fixes the initial state
-    and must have shape ``(plant.state_dim,)``; when None it is drawn standard
-    normal.  The draws come from ``rng.trial_draws``, so runs on one stream
-    object share them, and the trace's first state is the pre-draw's read-only
-    copy of ``x0``.  The update is x(k+1) = f(x(k), u(k)) + w(k).
+    ``controller`` is one of :data:`CONTROLLERS`.  ``x0`` fixes the initial
+    state and must have shape ``(plant.state_dim,)``; when None it is drawn
+    standard normal.  The draws come from ``rng.trial_draws``, so runs on one
+    stream object share them, and the trace's first state is the pre-draw's
+    read-only copy of ``x0``.  The update is x(k+1) = f(x(k), u(k)) + w(k).
     The plan is its length m, its age and x-hat (see the module docstring):
     the step at age < m computes kappa(x-hat) after advancing x-hat through
     the inputs played since it was last advanced, and later steps play zero.
@@ -217,7 +220,7 @@ def run_trajectory(
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if controller not in ("baseline", "anytime"):
+    if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")
 
     if x0 is not None and np.shape(x0) != (plant.state_dim,):
@@ -248,12 +251,8 @@ def run_trajectory(
     m = 0  # inputs granted at the last refill, 0 after a silent step
     age = 0  # steps since that refill
     # The squared norm of x(k + 1), computed for the divergence test, is the
-    # trigger test of step k + 1.  It is the left-to-right sum of v * v over
-    # the entries, on Python floats: a BLAS dot picks its kernel by CPU at run
-    # time, and some kernels fuse the multiply and add.
-    nrm2 = 0.0
-    for v in x.tolist():
-        nrm2 += v * v
+    # trigger test of step k + 1.  Both use domain._sq_norm.
+    nrm2 = _sq_norm(x)
     limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 
     for k in range(horizon):
@@ -308,9 +307,7 @@ def run_trajectory(
         x_next = dynamics(x, u)
         if w is not None:
             x_next = x_next + w[k]
-        nrm2 = 0.0
-        for v in x_next.tolist():
-            nrm2 += v * v
+        nrm2 = _sq_norm(x_next)
         if not nrm2 <= limit2:  # also true for nan and inf
             diverged = True
             break
@@ -340,10 +337,8 @@ def _zero_input(input_dim: int) -> np.ndarray:
 def empirical_cost(trace: Trace) -> float:
     """Average squared state norm over the horizon.
 
-    The terms are ``trace.sq_norms``: each recorded state's products v * v
-    summed left to right on Python floats.  A BLAS dot (``x @ x``,
-    ``ndarray.dot``) is not used: its kernel depends on the CPU, and some
-    kernels fuse the multiply and add and differ in the last ulp.
+    The terms are ``trace.sq_norms``, each recorded state's
+    ``domain._sq_norm``.
     """
     return math.fsum(trace.sq_norms) / trace.horizon
 

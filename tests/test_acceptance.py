@@ -20,7 +20,7 @@ from etac.analysis import (
     return_time_pmf_truncated,
 )
 from etac.cli import parse_config, run_paired_cells
-from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
+from etac.domain import NoiseSpec, StochasticEnv, _sq_norm, make_sat_plant, make_scalar_plant
 from etac.oracle import (
     BufferState,
     lambda_transition_matrix,
@@ -245,7 +245,7 @@ def test_criterion_6_differential_and_structural():
         for x, u, beta, n, recorded in zip(trace.x, trace.u, trace.beta, trace.n, trace.lam):
             lam = update_lambda(lam, beta, n)
             assert recorded == lam
-            assert (beta == 2) == (math.sqrt(float(x @ x)) < plant.d)
+            assert (beta == 2) == (math.sqrt(_sq_norm(x)) < plant.d)
             if recorded != 0:
                 assert beta != 2
             if recorded == 0:

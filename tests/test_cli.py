@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -26,8 +27,9 @@ from etac.domain import NoiseSpec, StochasticEnv, make_scalar_plant
 
 
 def write_config(tmp_path, data, name="config.json"):
+    """Write a config as JSON, or as given when ``data`` is already its text."""
     path = tmp_path / name
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -196,7 +198,9 @@ POOL = ["montecarlo", "--threads", "2"]
 #: ``{"kind": ...}`` object.  The next four are library checks, two of them
 #: raised in a pool worker and one a seed past 64 bits; then four command-line
 #: overrides out of range, pmf entries whose sum overflows a float, an unknown
-#: plant kind, a section that is not an object, and ``simulate`` without ``d``.
+#: plant kind, a section that is not an object, ``simulate`` without ``d``, and
+#: keys repeated at the top level and in a section, given as the config's text,
+#: since a dict cannot hold a key twice.
 REJECTED_INPUTS = {
     "x0-string-entry": (SIMULATE, {**decay_config(), "x0": ["a"]}, "x0[0]"),
     "x0-nested-list": (SIMULATE, {**decay_config(), "x0": [[1.0, 2.0]]}, "x0[0]"),
@@ -236,6 +240,14 @@ REJECTED_INPUTS = {
     "plant-kind-unknown": (SIMULATE, {**decay_config(), "plant": {"kind": "linear"}}, "kind must be"),
     "env-not-an-object": (SIMULATE, {**decay_config(), "env": [1.0, 0.0]}, "env must be an object"),
     "simulate-without-d": (SIMULATE, {**decay_config(), "d": None}, "requires a trigger radius d"),
+    "keys-repeated": (
+        SIMULATE, json.dumps(decay_config())[:-1] + ', "d": 2.0, "seed": 1, "seed": 7}',
+        "repeated key(s) ['d', 'seed']",
+    ),
+    "env-key-repeated": (
+        SIMULATE, json.dumps(decay_config()).replace('"q": 1.0', '"q": 1.0, "q": 0.5'),
+        "repeated key(s) ['q']",
+    ),
 }
 
 VALID_CONFIG = ExperimentConfig(
@@ -688,7 +700,7 @@ class TestSimulate:
         path = write_config(tmp_path, data)
         assert main(["simulate", "--config", path, "--out", out_a]) == 0
         assert main(["simulate", "--config", path, "--out", out_b]) == 0
-        assert open(out_a, "rb").read() == open(out_b, "rb").read()
+        assert pathlib.Path(out_a).read_bytes() == pathlib.Path(out_b).read_bytes()
 
     def test_requires_single_controller_and_one_trial(self, tmp_path):
         data = decay_config(out=str(tmp_path / "t.csv"))
@@ -726,9 +738,9 @@ class TestMonteCarlo:
         assert main(["montecarlo", "--config", path, "--out", out_a]) == 0
         assert main(["montecarlo", "--config", path, "--out", out_b]) == 0
         assert main(["montecarlo", "--config", path, "--out", out_c, "--threads", "2"]) == 0
-        bytes_a = open(out_a, "rb").read()
-        assert bytes_a == open(out_b, "rb").read()
-        assert bytes_a == open(out_c, "rb").read()
+        bytes_a = pathlib.Path(out_a).read_bytes()
+        assert bytes_a == pathlib.Path(out_b).read_bytes()
+        assert bytes_a == pathlib.Path(out_c).read_bytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", list(PINNED_SWEEPS))

@@ -10,6 +10,7 @@ from etac.domain import (
     SAT_LIMIT,
     NoiseSpec,
     StochasticEnv,
+    _sq_norm,
     make_sat_plant,
     make_scalar_plant,
     sat,
@@ -231,7 +232,7 @@ class TestCertifiedInequalities:
         zero = np.zeros(2)
         for x in states:
             v = plant.lyapunov(x)
-            if math.sqrt(float(x @ x)) >= plant.d:
+            if math.sqrt(_sq_norm(x)) >= plant.d:
                 closed = plant.lyapunov(plant.dynamics(x, plant.control_law(x)))
                 assert closed <= plant.rho * v
             grown = plant.lyapunov(plant.dynamics(x, zero))
