@@ -156,22 +156,23 @@ def _sat_control(x: np.ndarray) -> np.ndarray:
     return np.array([-x2, 0.505 * sat(x1 + x2)])
 
 
-def _sq_norm(x: np.ndarray) -> float:
-    """x·x, the squares summed left to right over ``x.tolist()`` on Python floats.
+def _sq_norm(x: list[float]) -> float:
+    """x·x of a state given as its float list ``x.tolist()``, summed left to right.
 
     This is the one squared norm of the package: the trigger, divergence and
     cost of the simulator and the oracle, and |x| in the Lyapunov functions.
-    A BLAS dot is not used: it picks its kernel by CPU at run time, and some
-    kernels fuse the multiply and add, which changes the last ulp.
+    It takes the list because the simulator extends its state column by that
+    same list.  A BLAS dot is not used: it picks its kernel by CPU at run time,
+    and some kernels fuse the multiply and add, which changes the last ulp.
     """
     total = 0.0
-    for v in x.tolist():
+    for v in x:
         total += v * v
     return total
 
 
 def _norm(x: np.ndarray) -> float:
-    return math.sqrt(_sq_norm(x))
+    return math.sqrt(_sq_norm(x.tolist()))
 
 
 def _sat_lyapunov(x: np.ndarray) -> float:

@@ -337,7 +337,7 @@ def reference_trajectory(
     steps = []
     diverged = False
     for k in range(horizon):
-        sq_norm = _sq_norm(x)
+        sq_norm = _sq_norm(x.tolist())
         beta = (1 if received[k] else 0) if sq_norm >= plant.d * plant.d else 2
         n = int(granted[k]) if beta == 1 else 0
         received_x = x if beta == 1 else None
@@ -346,12 +346,12 @@ def reference_trajectory(
         x = plant.dynamics(x, u)
         if w is not None:
             x = x + w[k]
-        if not _sq_norm(x) <= DIVERGENCE_NORM * DIVERGENCE_NORM:
+        if not _sq_norm(x.tolist()) <= DIVERGENCE_NORM * DIVERGENCE_NORM:
             diverged = True
             break
     xs, us, betas, ns, lams, sq_norms = map(list, zip(*steps))
-    return Trace(x=xs, u=us, beta=betas, n=ns, lam=lams, sq_norms=array("d", sq_norms),
-                 horizon=horizon, diverged=diverged)
+    return Trace(x=np.array(xs), u=np.array(us), beta=betas, n=ns, lam=lams,
+                 sq_norms=array("d", sq_norms), horizon=horizon, diverged=diverged)
 
 
 def tv_distance(analytic: np.ndarray, empirical: EmpiricalPmf) -> float:

@@ -24,25 +24,30 @@ baseline is depth 1.
 The stream also keeps the runs made on its current draws, and a run follows
 them while it can.  Its peers are the kept runs under the same ``dynamics`` and
 ``control_law`` objects; every run on the draws starts from their ``x0``.  At
-each step the run keeps the peers that play a plan input exactly when it does,
-plays the first one's input and takes x(k+1) and its squared norm from it; with
-none left it computes the step, and peers never come back.  Peers that played
-the same inputs through step k - 1 share x(k), and two that both play a plan
-input at k refilled at the same step from that state, since a step where one
-refills is a refill for every run not silent there and a silent step ends a
-plan.  So they play the same input of the same plan, and
-x(k+1) = f(x(k), u(k)) + w(k) depends on nothing else: a followed step is the
-step the run would compute, bit for bit.  The run's own trigger radius and
-buffer depth still make its decisions.  A run that must compute a plan input
-after taking earlier ones from a peer first catches x-hat up from the refill
-state through the inputs it played, at most once per plan.  A run that has a
-peer to its last step is that peer again, so it is not kept.
+each step the run keeps the peers that play a plan input exactly when it does
+(a peer played one at k when its ``lam[k]`` or ``n[k]`` is nonzero) and takes
+the squared norm of x(k+1) from the first one; with none left it computes the
+step, and peers never come back.  Peers that played the same inputs through
+step k - 1 share x(k), and two that both play a plan input at k refilled at
+the same step from that state, since a step where one refills is a refill for
+every run not silent there and a silent step ends a plan.  So they play the
+same input of the same plan, and x(k+1) = f(x(k), u(k)) + w(k) depends on
+nothing else: a followed step is the step the run would compute, bit for bit.
+The run's own trigger radius and buffer depth still make its decisions.  A
+followed step stores only its ints: when the run leaves its peers at step k,
+it copies the states, inputs and squared norms of steps 0 to k - 1 from the
+last peer it followed, takes x(k) from it, and, if it must compute a plan
+input at k, first catches x-hat up from the refill state through that peer's
+inputs.  A run that has a peer to its last step is that peer again, so it is
+not kept.
 
-A trace stores a run as columns, one entry per recorded step: the state
-``x`` (the state object the loop computed or took from a peer), the played
-input ``u``, and the ints ``beta``, ``n`` and ``lam``.  It also keeps the
-squared state norm of every recorded step, which the loop computes anyway for
-its trigger and divergence tests; :func:`empirical_cost` sums that column, and
+A trace stores a run as columns, one entry per recorded step: the states
+``x`` and the played inputs ``u`` as read-only float64 arrays with one row per
+step, and the ints ``beta``, ``n`` and ``lam``.  The arrays are views of flat
+``array('d')`` columns, which the loop extends by each state's float list (the
+one it takes the squared norm from) and each input's.  It also keeps the squared state norm of
+every recorded step, which the loop computes anyway for its trigger and
+divergence tests; :func:`empirical_cost` sums that column, and
 :func:`channel_utilization` counts the silent steps in ``beta``.  The
 disturbances stay in the stream's pre-draw.
 
@@ -54,7 +59,6 @@ since no numeric field holds a delimiter, a quote or a line break.
 
 from __future__ import annotations
 
-import functools
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -154,34 +158,40 @@ class RngStream:
 class Trace:
     """One closed-loop run, stored as columns.
 
-    ``x``, ``u``, ``beta``, ``n`` and ``lam`` hold one entry per recorded
-    step: the state, the played input (a plan entry or the shared zero
-    input), the transmission outcome, the evaluations granted and the
-    effective buffer length.  They have exactly ``horizon`` entries unless the
-    run diverged, in which case they end at the step where the state norm blew
+    ``x`` and ``u`` are float64 arrays of shape ``(steps, n)`` and
+    ``(steps, p)``: row k is the state and the played input (a plan entry or
+    zero) of step k.  ``beta``, ``n`` and ``lam`` are lists of ints, one per
+    step: the transmission outcome, the evaluations granted and the effective
+    buffer length.  The columns have exactly ``horizon`` entries unless the run
+    diverged, in which case they end at the step where the state norm blew
     past :data:`DIVERGENCE_NORM` (or went non-finite).  ``sq_norms[k]`` is
-    ``domain._sq_norm(x[k])``, the squared norm the loop computes anyway for
-    its trigger and divergence tests, kept so that :func:`empirical_cost` need
-    not revisit the states.  ``==`` is identity, since comparing lists of
-    arrays element-wise has no single truth value.
+    ``domain._sq_norm`` of row k of ``x``, the squared norm the loop computes
+    anyway for its trigger and divergence tests, kept so that
+    :func:`empirical_cost` need not revisit the states.  ``==`` is identity,
+    since comparing arrays element-wise has no single truth value.
 
-    The columns and the arrays in them are shared: a later run on the same
-    stream follows this one's states and inputs, and takes them as its own.
-    Neither the lists nor the arrays may be written.
+    ``x`` and ``u`` are made read-only: a later run on the same stream reads
+    this one's rows while it follows it (it copies them, so no two runs share
+    a buffer).
 
     ``records`` lists the ``(x, u, beta, n, lam)`` tuple of every recorded
-    step.  It stays only because the benchmark's tracer counts its length; the
-    benchmark contract's next version (ROADMAP item 1) deletes it.
+    step, with rows of ``x`` and ``u``.  It stays only because the benchmark's
+    tracer counts its length; the benchmark contract's next version (ROADMAP
+    item 1) deletes it.
     """
 
-    x: list[np.ndarray]
-    u: list[np.ndarray]
+    x: np.ndarray
+    u: np.ndarray
     beta: list[int]
     n: list[int]
     lam: list[int]
     sq_norms: array
     horizon: int
     diverged: bool = False
+
+    def __post_init__(self):
+        self.x.setflags(write=False)
+        self.u.setflags(write=False)
 
     @property
     def records(self) -> list[tuple[np.ndarray, np.ndarray, int, int, int]]:
@@ -202,16 +212,14 @@ def run_trajectory(
     ``controller`` is one of :data:`CONTROLLERS`.  ``x0`` fixes the initial
     state and must have shape ``(plant.state_dim,)``; when None it is drawn
     standard normal.  The draws come from ``rng.trial_draws``, so runs on one
-    stream object share them, and the trace's first state is the pre-draw's
-    read-only copy of ``x0``.  The update is x(k+1) = f(x(k), u(k)) + w(k).
+    stream object share them, and the trace's first row of ``x`` is the
+    pre-draw's ``x0``.  The update is x(k+1) = f(x(k), u(k)) + w(k).
     The plan is its length m, its age and x-hat (see the module docstring):
     the step at age < m computes kappa(x-hat) after advancing x-hat through
     the inputs played since it was last advanced, and later steps play zero.
     While a run kept on ``rng`` plays a plan input exactly when this one does,
     this run takes that run's inputs and next states instead of computing
-    them, so the returned trace may share state and input arrays with earlier
-    and later runs on the stream, and the played zero input is one read-only
-    array.
+    them; it copies them into its own columns, so no two traces share memory.
     A state whose norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite)
     ends the run early with the trace flagged diverged rather than raising.
     The recorded ``lam`` is the effective buffer length ``m - age`` floored at
@@ -234,25 +242,26 @@ def run_trajectory(
     depth = env.capacity if buffered else 1
     dd = plant.d * plant.d
     dynamics, control = plant.dynamics, plant.control_law
-    zero_u = _zero_input(plant.input_dim)
+    zero_l = [0.0] * plant.input_dim
+    zero_u = np.array(zero_l)
     kept = rng._draws[2]  # the runs made on these draws
     # Kept runs under these maps; see the module docstring.
     peers = [t for f, kappa, t in kept if f is dynamics and kappa is control]
-    xs: list[np.ndarray] = []
-    us: list[np.ndarray] = []
+    xs, us, sq_norms = array("d"), array("d"), array("d")
     betas: list[int] = []
     ns: list[int] = []
     lams: list[int] = []
-    append_x, append_u = xs.append, us.append
+    append_x, append_u, append_sq_norm = xs.fromlist, us.fromlist, sq_norms.append
     append_beta, append_n, append_lam = betas.append, ns.append, lams.append
-    sq_norms = array("d")
-    append_sq_norm = sq_norms.append
     diverged = False
     m = 0  # inputs granted at the last refill, 0 after a silent step
     age = 0  # steps since that refill
+    hat_k = 0  # the step whose input is kappa(x-hat)
     # The squared norm of x(k + 1), computed for the divergence test, is the
-    # trigger test of step k + 1.  Both use domain._sq_norm.
-    nrm2 = _sq_norm(x)
+    # trigger test of step k + 1.  Both use domain._sq_norm on the float list
+    # that the x column is extended by.
+    xl = x.tolist()
+    nrm2 = _sq_norm(xl)
     limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 
     for k in range(horizon):
@@ -269,69 +278,74 @@ def run_trajectory(
         if n_k:
             m = n_k if n_k < depth else depth
             age = 0
-            xhat, hat_k = x, k  # x-hat, and the step whose input is kappa(x-hat)
+            xhat, hat_k = x, k  # while following, x is stale: see the leaving below
         else:
             age += 1
         left = m - age
+        append_beta(beta)
+        append_n(n_k)
+        append_lam(left if left > 0 and buffered else 0)
         if peers:
             # The peers that play a plan input exactly when this run does.
-            plays_zero = left <= 0
-            peers = [p for p in peers if (p.u[k] is zero_u) == plays_zero]
+            lead = peers[0]
+            if left > 0:
+                peers = [p for p in peers if p.lam[k] or p.n[k]]
+            else:
+                peers = [p for p in peers if not (p.lam[k] or p.n[k])]
+            # The first peer has x(k + 1) already; if it has no step k + 1, no
+            # peer has: this is the last step, or they all diverged here, as
+            # this run is about to.
+            if peers and len(peers[0].sq_norms) > k + 1:
+                nrm2 = peers[0].sq_norms[k + 1]
+                continue
+            # The run leaves its peers: its steps before k, and x(k), are the
+            # lead's.  x-hat is caught up through the lead's inputs, as a run
+            # computes a plan input only once it has left.
+            xs.frombytes(lead.x[:k].tobytes())
+            us.frombytes(lead.u[:k].tobytes())
+            sq_norms.extend(lead.sq_norms[:k])
+            x = lead.x[k]
+            xl = x.tolist()
+            if left > 0 and not peers:
+                xhat = lead.x[hat_k]
+                for j in range(hat_k, k):
+                    xhat = dynamics(xhat, lead.u[j])
+                hat_k = k
+        append_x(xl)
+        append_sq_norm(nrm2)
         if left > 0:
             # Input ``age`` of the plan: the first peer's, else kappa at x-hat,
-            # caught up through the inputs played since x-hat was last advanced.
+            # advanced through the input played at the step before.
             if peers:
                 u = peers[0].u[k]
             else:
-                for j in range(hat_k, k):
-                    xhat = dynamics(xhat, us[j])
-                hat_k = k
+                if hat_k < k:
+                    xhat = dynamics(xhat, u)
+                    hat_k = k
                 u = control(xhat)
-            lam = left if buffered else 0
+            append_u(u.tolist())
         else:
             u = zero_u
-            lam = 0
-        append_x(x)
-        append_u(u)
-        append_beta(beta)
-        append_n(n_k)
-        append_lam(lam)
-        append_sq_norm(nrm2)
-        # The first peer has x(k + 1) already; if it has no step k + 1, no
-        # peer has: this is the last step, or they all diverged here, as this
-        # run is about to.
-        if peers and len(peers[0].x) > k + 1:
-            x = peers[0].x[k + 1]
-            nrm2 = peers[0].sq_norms[k + 1]
-            continue
+            append_u(zero_l)
         x_next = dynamics(x, u)
         if w is not None:
             x_next = x_next + w[k]
-        nrm2 = _sq_norm(x_next)
+        xl = x_next.tolist()
+        nrm2 = _sq_norm(xl)
         if not nrm2 <= limit2:  # also true for nan and inf
             diverged = True
             break
         x = x_next
 
     trace = Trace(
-        x=xs, u=us, beta=betas, n=ns, lam=lams,
-        sq_norms=sq_norms, horizon=horizon, diverged=diverged,
+        x=np.frombuffer(xs).reshape(-1, plant.state_dim),
+        u=np.frombuffer(us).reshape(-1, plant.input_dim),
+        beta=betas, n=ns, lam=lams, sq_norms=sq_norms, horizon=horizon, diverged=diverged,
     )
     # A run that still has a peer after its last step is that peer again.
     if not peers:
         kept.append((dynamics, control, trace))
     return trace
-
-
-@functools.cache
-def _zero_input(input_dim: int) -> np.ndarray:
-    """The one read-only zero input of this dimension that every run plays.
-
-    Runs tell a shared input by identity, so the zero must be one object.
-    """
-    zero = np.zeros(input_dim)
-    zero.setflags(write=False)
-    return zero
 
 
 def empirical_cost(trace: Trace) -> float:
@@ -349,7 +363,7 @@ def channel_utilization(trace: Trace) -> float:
 
 
 #: Rows per block in :func:`write_trace_csv`: large enough to amortise the
-#: per-block numpy calls, small enough that the stacked block and its joined
+#: per-block numpy calls, small enough that the block's floats and its joined
 #: text stay a small fraction of the trace's own memory.
 _CSV_BLOCK = 1024
 
@@ -362,12 +376,12 @@ def write_trace_csv(trace: Trace, path) -> None:
     ``str`` of each int, fields joined by "," and rows ended by "\\r\\n".  No
     field is quoted, as none can hold a delimiter, a quote or a line break.
     Rows are formatted a block of :data:`_CSV_BLOCK` steps at a time: the
-    block's slices of the ``x`` and ``u`` columns are stacked into columns of
-    Python floats, the three int fields of a row are one string that carries
-    the row's end, and the block is written as one joined string.
+    block's rows of ``x`` and ``u`` are turned into columns of Python floats,
+    the three int fields of a row are one string that carries the row's end,
+    and the block is written as one joined string.
     """
     xs, us = trace.x, trace.u
-    n, p = len(xs[0]), len(us[0])
+    n, p = xs.shape[1], us.shape[1]
     header = ",".join(
         ["k"]
         + [f"x{i + 1}" for i in range(n)]
@@ -378,8 +392,8 @@ def write_trace_csv(trace: Trace, path) -> None:
         fh.write(header + "\r\n")
         for start in range(0, len(xs), _CSV_BLOCK):
             stop = start + _CSV_BLOCK
-            x_cols = np.array(xs[start:stop], dtype=float).T.tolist()
-            u_cols = np.array(us[start:stop], dtype=float).T.tolist()
+            x_cols = xs[start:stop].T.tolist()
+            u_cols = us[start:stop].T.tolist()
             ints = zip(trace.beta[start:stop], trace.n[start:stop], trace.lam[start:stop])
             rows = zip(
                 map(str, range(start, stop)),

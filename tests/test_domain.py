@@ -232,7 +232,7 @@ class TestCertifiedInequalities:
         zero = np.zeros(2)
         for x in states:
             v = plant.lyapunov(x)
-            if math.sqrt(_sq_norm(x)) >= plant.d:
+            if math.sqrt(_sq_norm(x.tolist())) >= plant.d:
                 closed = plant.lyapunov(plant.dynamics(x, plant.control_law(x)))
                 assert closed <= plant.rho * v
             grown = plant.lyapunov(plant.dynamics(x, zero))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etac.domain import NoiseSpec, StochasticEnv, make_sat_plant, make_scalar_plant
+from etac.domain import NoiseSpec, StochasticEnv, _sq_norm, make_sat_plant, make_scalar_plant
 from etac.oracle import (
     BufferState,
     plan_inputs,
@@ -21,7 +21,7 @@ from etac.oracle import (
 )
 from etac.runtime import (
     _CSV_BLOCK,
-    _zero_input,
+    DIVERGENCE_NORM,
     RngStream,
     Trace,
     channel_utilization,
@@ -39,7 +39,7 @@ STABLE_SCALAR = make_scalar_plant(0.5, 0.2, 0.0)
 def columns(run):
     """A run's divergence flag and columns, the arrays as bytes; the last entry is lam."""
     return (
-        run.diverged, np.array(run.x).tobytes(), np.array(run.u).tobytes(), run.beta, run.n, run.lam,
+        run.diverged, run.x.tobytes(), run.u.tobytes(), run.beta, run.n, run.lam,
     )
 
 
@@ -385,12 +385,13 @@ class TestRunTrajectory:
         assert traces_digest(runs) == (
             "160b1a6cae3925cbc554c25a0290cb816fd3c66574d374fcc29ab00b0edfb5fb"
         )
-        # ``records`` has one tuple per recorded step, made of the column objects
+        # ``records`` has one tuple per recorded step: the rows of x and u, bit
+        # for bit, and the step's ints
         for trace, _ in runs:
-            cols = (trace.x, trace.u, trace.beta, trace.n, trace.lam)
             assert len(trace.records) == len(trace.x)
-            for k, record in enumerate(trace.records):
-                assert all(field is col[k] for field, col in zip(record, cols, strict=True))
+            for k, (x, u, *ints) in enumerate(trace.records):
+                assert x.tobytes() == trace.x[k].tobytes() and u.tobytes() == trace.u[k].tobytes()
+                assert ints == [trace.beta[k], trace.n[k], trace.lam[k]]
 
     @pytest.mark.parametrize(
         "make",
@@ -411,7 +412,7 @@ class TestRunTrajectory:
             assert (beta, n, lam) == (trace.beta[k], trace.n[k], trace.lam[k])
             assert x.tobytes() == trace.x[k].tobytes() and u.tobytes() == trace.u[k].tobytes()
         last = records[-1]
-        assert last[0] is trace.x[-1] and last[1] is trace.u[-1]
+        assert last[0].tobytes() == trace.x[-1].tobytes() and last[1].tobytes() == trace.u[-1].tobytes()
         with pytest.raises(IndexError):
             records[len(records)]
         with pytest.raises(IndexError):
@@ -442,9 +443,11 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("controller", ["baseline", "anytime"])
     @pytest.mark.parametrize("plant", [make_scalar_plant(2.0, 1.5, 0.5), make_sat_plant(1.0)], ids=["scalar", "saturated"])
     def test_trace_memory_per_step(self, plant, controller):
-        # The columns hold the step's own state and input objects and three
-        # small ints; no per-step record or disturbance view.  The pre-draw is
-        # made before counting starts, as the trace only refers to it.
+        # A step costs its floats in the x, u and squared-norm columns and
+        # three list slots of small ints (2 + 2 + 1 floats and 3 pointers, 64
+        # bytes, for the saturated plant), plus the columns' growth slack; no
+        # object per step.  The pre-draw is made before counting starts, as
+        # the trace only refers to it.
         horizon = 20_000
         noise = NoiseSpec("gaussian-iid", 1.0)
         stream = RngStream(29, 0)
@@ -452,11 +455,11 @@ class TestRunTrajectory:
         tracemalloc.start()
         try:
             trace = run_trajectory(plant, UNIFORM_ENV, noise, controller, horizon, stream)
-            held, _ = tracemalloc.get_traced_memory()
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(trace.x) == horizon
-        assert held / horizon < 300
+        assert peak / horizon <= 100
 
 
 #: A few values of each input a run's draws depend on; the noted entries
@@ -574,7 +577,7 @@ class TestSharedDraws:
         draws = stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2)
         assert draws is stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2)
         x0, received, n_draws, w = draws
-        assert a.x[0] is x0 and b.x[0] is x0
+        assert a.x[0].tobytes() == x0.tobytes() and b.x[0].tobytes() == x0.tobytes()
         assert isinstance(received, tuple) and isinstance(n_draws, tuple)
         for drawn in (x0, w):
             with pytest.raises(ValueError, match="read-only"):
@@ -656,18 +659,23 @@ class TestKeptRuns:
     def test_follows_a_peer_that_diverged(self):
         # diverged_trace()'s config from a drawn x0, which it still diverges from
         plant = make_scalar_plant(3.0, 2.5, 0.0)
+        dynamics, control_law, calls = counting_maps(plant)
+        counted = dataclasses.replace(plant, dynamics=dynamics, control_law=control_law)
         env = StochasticEnv(q=0.5, p=(0.3, 0.2, 0.2, 0.3), capacity=3)
         stream = RngStream(23, 0)
-        runs = [
-            run_trajectory(plant, env, NOISELESS, controller, 200, stream)
-            for controller in ("baseline", "anytime", "baseline")
-        ]
+        runs, made = [], []
+        for controller in ("baseline", "anytime", "baseline"):
+            before = dict(calls)
+            runs.append(run_trajectory(counted, env, NOISELESS, controller, 200, stream))
+            made.append((calls["dynamics"] - before["dynamics"], calls["control_law"] - before["control_law"]))
         assert runs[0].diverged and runs[2].diverged
         for controller, run in zip(("baseline", "anytime", "baseline"), runs):
             fresh = run_trajectory(plant, env, NOISELESS, controller, 200, RngStream(23, 0))
             assert_runs_bitwise_equal(run, fresh)
-        # the repeat took every state from the first run, up to its divergence
-        assert all(a is b for a, b in zip(runs[2].x, runs[0].x))
+        # the repeat took every state and input from the first run, up to its
+        # divergence: it computed only the step that diverges
+        assert runs[2].x.tobytes() == runs[0].x.tobytes()
+        assert made[2] == (1, 0) and made[0][0] == len(runs[0].x)
         assert kept_runs(stream) == runs[:2]
 
     def test_runs_under_other_maps_share_nothing(self):
@@ -675,7 +683,7 @@ class TestKeptRuns:
         first = shared_draw_run(stream, plant=0)
         other = shared_draw_run(stream, plant=2)
         assert_runs_bitwise_equal(other, shared_draw_run(RngStream(49, 0), plant=2))
-        assert not any(a is b for a, b in zip(first.x[1:], other.x[1:]))
+        assert not any(np.array_equal(a, b) for a, b in zip(first.x[1:], other.x[1:]))
         assert kept_runs(stream) == [first, other]
         # the saturated dynamics under another control law
         sat = SHARED_DRAW_PLANTS[0][1]
@@ -687,22 +695,24 @@ class TestKeptRuns:
             run_trajectory(halved, *args, stream), run_trajectory(halved, *args, RngStream(49, 1))
         )
 
-    def test_zero_input_is_one_read_only_array(self):
+    def test_played_zero_is_a_read_only_zero_row(self):
         # radius 40: the saturated plant never leaves the ball, so every input is zero
         silent = shared_draw_run(RngStream(46, 0), controller="baseline", d=3)
-        zero = silent.u[0]
-        assert all(u is zero for u in silent.u) and not zero.any()
+        assert not silent.u.any() and silent.u.shape == (30, 2)
         with pytest.raises(ValueError, match="read-only"):
-            zero[0] = 1.0
+            silent.u[0, 0] = 1.0
+        # a busy run plays zero exactly where it plays no plan input
         busy = shared_draw_run(RngStream(47, 1), d=0, fixed_x0=True)
-        assert any(u is zero for u in busy.u)
+        planned = [bool(lam or n) for lam, n in zip(busy.lam, busy.n)]
+        assert not all(planned)
+        assert [bool(u.any()) for u in busy.u] == planned
 
     def test_repeated_run_is_not_kept_and_new_draws_drop_the_runs(self):
         stream = RngStream(48, 2)
         first = shared_draw_run(stream)
         again = shared_draw_run(stream)
         assert_runs_bitwise_equal(again, first)
-        assert again.x[7] is first.x[7]
+        assert again.x[7].tobytes() == first.x[7].tobytes()
         assert kept_runs(stream) == [first]
         ref = weakref.ref(first)
         del first, again
@@ -712,18 +722,73 @@ class TestKeptRuns:
         gc.collect()
         assert ref() is None
         # a given x0 is part of the pre-draw, as a drawn one is: the repeat
-        # starts from the first run's read-only copy and follows it throughout,
-        # and the caller's array is left as it was
+        # starts from the first run's copy and follows it throughout, and the
+        # caller's array is left as it was
         given = RngStream(48, 3)
         x0 = np.array([1.5, -0.5])
         first = shared_draw_run(given, x0=x0)
         again = shared_draw_run(given, x0=x0)
         assert_runs_bitwise_equal(again, first)
-        assert all(a is b for a, b in zip(again.x, first.x))
+        assert again.x.tobytes() == first.x.tobytes()
         assert kept_runs(given) == [first]
-        assert first.x[0] is not x0 and x0.flags.writeable and x0.tolist() == [1.5, -0.5]
+        assert not np.shares_memory(first.x, x0) and x0.flags.writeable and x0.tolist() == [1.5, -0.5]
         with pytest.raises(ValueError, match="read-only"):
             first.x[0][0] = 1.0
+
+
+class TestColumns:
+    """A trace's states and inputs are read-only float64 columns of its own."""
+
+    @staticmethod
+    def _runs():
+        """Noisy and noiseless runs of both plants, the diverged one included."""
+        noisy = NoiseSpec("gaussian-iid", 1.0)
+        return [
+            run_trajectory(make_sat_plant(1.0), UNIFORM_ENV, noisy, "anytime", 40, RngStream(50, 0)),
+            run_trajectory(STABLE_SCALAR, UNIFORM_ENV, NOISELESS, "baseline", 40, RngStream(50, 1)),
+            diverged_trace(),
+        ]
+
+    def test_columns_are_read_only_float64_rows(self):
+        for trace in self._runs():
+            steps = len(trace.beta)
+            assert len(trace.n) == len(trace.lam) == len(trace.sq_norms) == steps
+            width = trace.x.shape[1]  # both plants have as many inputs as states
+            for col in (trace.x, trace.u):
+                assert col.dtype == np.float64 and col.shape == (steps, width)
+                assert col.flags.c_contiguous and not col.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    col[0, 0] = 1.0
+                with pytest.raises(ValueError, match="read-only"):
+                    col[-1] += 1.0
+
+    def test_diverged_columns_end_at_the_divergence_step(self):
+        trace = diverged_trace()
+        plant = make_scalar_plant(3.0, 2.5, 0.0)
+        steps = len(trace.x)
+        assert steps < trace.horizon and len(trace.u) == len(trace.beta) == steps
+        limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
+        assert all(v <= limit2 for v in trace.sq_norms)
+        # noiseless: the state after the last recorded step is the one that diverged
+        assert not _sq_norm(plant.dynamics(trace.x[-1], trace.u[-1]).tolist()) <= limit2
+
+    def test_runs_share_no_buffer(self):
+        # the cells of a sweep on one stream, a repeat that follows a kept run
+        # throughout and the run it follows, against each other and the pre-draw
+        stream = RngStream(51, 0)
+        runs = [
+            shared_draw_run(stream, d=d, controller=controller)
+            for d in (0, 1, 2) for controller in ("baseline", "anytime")
+        ]
+        runs.append(shared_draw_run(stream, d=1))
+        assert_runs_bitwise_equal(runs[-1], runs[3])
+        x0, _, _, w = stream.trial_draws(UNIFORM_ENV, SHARED_DRAW_NOISES[3], 30, 2)
+        for i, a in enumerate(runs):
+            assert not np.shares_memory(a.x, x0) and not np.shares_memory(a.x, w)
+            for b in runs[i + 1:]:
+                for col_a in (a.x, a.u):
+                    assert not any(np.shares_memory(col_a, col_b) for col_b in (b.x, b.u))
+                assert a.sq_norms is not b.sq_norms
 
 
 class TestLazyPlan:
@@ -747,8 +812,8 @@ class TestLazyPlan:
         counted = dataclasses.replace(plant, dynamics=dynamics, control_law=control_law)
         noise = NOISELESS if noise_std is None else NoiseSpec("gaussian-iid", noise_std)
         trace = run_trajectory(counted, env, noise, controller, horizon, RngStream(seed, 0))
-        zero = _zero_input(plant.input_dim)
-        played = [u is not zero for u in trace.u]
+        # a step plays a plan input when it refills or has a buffered input left
+        played = [bool(lam or n) for lam, n in zip(trace.lam, trace.n)]
         continued = [p and not n for p, n in zip(played, trace.n)]
         # one kappa per played plan input; one plant step per recorded step,
         # plus one forward-simulation step per played plan input but the first
@@ -773,17 +838,16 @@ class TestLazyPlan:
         peer = run_trajectory(cell(2.0), *args, stream)
         before = dict(calls)
         run = run_trajectory(cell(0.5), *args, stream)
-        k = next(k for k, (a, b) in enumerate(zip(run.u, peer.u)) if a is not b)
+        k = next(k for k, (a, b) in enumerate(zip(run.u, peer.u)) if a.tobytes() != b.tobytes())
         refill = max(j for j in range(k) if run.n[j])
         assert (refill, k) == (6, 9) and peer.beta[k] == 2 and not run.n[k]
-        assert all(not run.n[j] and run.u[j] is peer.u[j] for j in range(refill + 1, k))
+        assert all(not run.n[j] and run.u[j].tobytes() == peer.u[j].tobytes() for j in range(refill + 1, k))
         # Every step before k was the peer's.  From k on the run computes each
         # plant step and each plan input, one forward-simulation step per
         # later continuation, and at k the k - refill steps of the catch-up.
-        zero = _zero_input(plant.input_dim)
         own = range(k, len(run.x))
-        continued = sum(not run.n[j] and run.u[j] is not zero for j in own[1:])
-        assert calls["control_law"] - before["control_law"] == sum(run.u[j] is not zero for j in own)
+        continued = sum(run.lam[j] > 0 and not run.n[j] for j in own[1:])
+        assert calls["control_law"] - before["control_law"] == sum(run.lam[j] > 0 for j in own)
         assert calls["dynamics"] - before["dynamics"] == len(own) + (k - refill) + continued
 
         fresh = run_trajectory(cell(0.5), *args, RngStream(43, 0))
@@ -795,10 +859,10 @@ class TestLazyPlan:
 class TestTraceMetrics:
     @staticmethod
     def _trace_from_xs(xs, horizon, beta=None):
-        x = [np.array([v]) for v in xs]
+        x = np.array(xs).reshape(-1, 1)
         betas = list(beta) if beta else [2] * len(xs)
         return Trace(
-            x=x, u=[np.zeros(1) for _ in xs], beta=betas, n=[0] * len(xs), lam=[0] * len(xs),
+            x=x, u=np.zeros((len(xs), 1)), beta=betas, n=[0] * len(xs), lam=[0] * len(xs),
             sq_norms=array("d", (float((v * v).sum()) for v in x)), horizon=horizon,
         )
 
@@ -994,7 +1058,7 @@ class TestTraceCsv:
         ints = rng.integers(0, 17, size=(length, 2)).tolist()
         betas = rng.integers(0, 3, size=length).tolist()
         trace = Trace(
-            x=list(xs), u=list(us), beta=betas, n=[n for n, _ in ints], lam=[lam for _, lam in ints],
+            x=xs, u=us, beta=betas, n=[n for n, _ in ints], lam=[lam for _, lam in ints],
             sq_norms=array("d"), horizon=length,
         )
         out = tmp_path_factory.mktemp("csv")
