@@ -17,9 +17,13 @@ decoder's rule, ranges the types' rules, each written so NaN fails it.
 Exit codes: 0 success, 1 a ``montecarlo`` cell in which every trial diverged
 (no CSV is written), 2 config error, 3 accuracy-threshold failure in
 ``delta-dist``.  Exit 2 covers what the decoder and the types refuse, a
-``--threads`` below 1, an output path whose directory does not exist (refused
-before any work), and the library's input checks (a ``ValueError``), in this
-process or in a ``montecarlo`` worker.
+``--threads`` below 1, an output path that is a directory or whose directory
+does not exist (refused before any work), and the library's input checks (a
+``ValueError``), in this process or in a ``montecarlo`` worker.  Each
+subcommand takes only the overrides it reads: ``analyze`` ``--out``;
+``delta-dist`` and ``simulate`` also ``--seed`` and ``--trials``;
+``montecarlo`` also ``--threads``.  Any other is an argparse usage error
+(exit 2).
 """
 
 from __future__ import annotations
@@ -240,9 +244,12 @@ def build_plant(selector: PlantSelector, d: float) -> PlantSpec:
 
 
 def _require_out(config: ExperimentConfig) -> str:
-    """The output path, refused before any work when its directory does not exist."""
+    """The output path, refused before any work when it is a directory or its
+    directory does not exist."""
     if config.out is None:
         raise ConfigError("an output path is required (config 'out' or --out)")
+    if os.path.isdir(config.out):
+        raise ConfigError(f"output path {config.out!r} is a directory")
     directory = os.path.dirname(config.out) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory!r} does not exist")
@@ -436,27 +443,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="etac",
         description="Event-triggered anytime control: simulation and stability analysis.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON experiment config")
-    common.add_argument("--out", help="output CSV path (overrides config)")
-    common.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")
-    common.add_argument("--trials", type=int, help="trial/sample count override")
-    common.add_argument("--threads", type=int, default=1, help="worker processes")
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--config", required=True, help="JSON experiment config")
+    written.add_argument("--out", help="output CSV path (overrides config)")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[written])
+    sampled.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")
+    sampled.add_argument("--trials", type=int, help="trial/sample count override")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[common], help="contraction factors and boundary curves")
-    sub.add_parser("delta-dist", parents=[common], help="analytic vs simulated return-time pmf")
-    sub.add_parser("simulate", parents=[common], help="single trajectory to CSV")
-    sub.add_parser("montecarlo", parents=[common], help="paired cost/utilization sweep")
+    sub.add_parser("analyze", parents=[written], help="contraction factors and boundary curves")
+    sub.add_parser("delta-dist", parents=[sampled], help="analytic vs simulated return-time pmf")
+    sub.add_parser("simulate", parents=[sampled], help="single trajectory to CSV")
+    montecarlo = sub.add_parser("montecarlo", parents=[sampled], help="paired cost/utilization sweep")
+    montecarlo.add_argument("--threads", type=int, default=1, help="worker processes")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config)
-        overrides = {"seed": args.seed, "trials": args.trials, "out": args.out}
+        overrides = {k: vars(args).get(k) for k in ("seed", "trials", "out")}
         config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
         if args.command == "analyze":
             return cmd_analyze(config)
@@ -464,6 +470,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_delta(config)
         if args.command == "simulate":
             return cmd_simulate(config)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         return cmd_montecarlo(config, threads=args.threads)
     except ValueError as exc:  # ConfigError and every library input check
         print(f"config error: {exc}", file=sys.stderr)

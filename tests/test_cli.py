@@ -250,6 +250,30 @@ REJECTED_INPUTS = {
     ),
 }
 
+#: One small valid config per subcommand, for the checks made before any work.
+ONE_PER_COMMAND = {
+    "analyze": (["analyze"], boundary_config()),
+    "delta-dist": (["delta-dist"], {**boundary_config(), "trials": 1000}),
+    "simulate": (SIMULATE, decay_config()),
+    # one worker, so that the sweep would run the patched _mc_worker in this process
+    "montecarlo": (["montecarlo"], montecarlo_config(trials=4)),
+}
+
+
+def forbid_work(monkeypatch):
+    """Make each way into a command's work raise, so that a test sees none ran."""
+
+    def work_started(*args, **kwargs):
+        raise RuntimeError("work started before the output path was checked")
+
+    import etac.analysis
+    import etac.cli
+
+    for module, name in [(etac.cli, "build_plant"), (etac.cli, "run_trajectory"),
+                         (etac.cli, "_mc_worker"), (etac.analysis, "build_lambda_chain")]:
+        monkeypatch.setattr(module, name, work_started)
+
+
 VALID_CONFIG = ExperimentConfig(
     plant=PlantSelector("saturated"), env=StochasticEnv(q=0.5, p=(0.5, 0.5), capacity=1)
 )
@@ -449,28 +473,11 @@ class TestExitCodes:
         assert main(["analyze", "--config", path]) == 2
         assert "output path" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command, data",
-        [
-            (["analyze"], boundary_config()),
-            (["delta-dist"], {**boundary_config(), "trials": 1000}),
-            (SIMULATE, decay_config()),
-            (POOL, montecarlo_config(trials=4)),
-        ],
-        ids=["analyze", "delta-dist", "simulate", "montecarlo"],
-    )
+    @pytest.mark.parametrize("command, data", ONE_PER_COMMAND.values(), ids=ONE_PER_COMMAND.keys())
     def test_missing_out_directory_is_config_error_before_work(
         self, tmp_path, capfd, monkeypatch, command, data
     ):
-        def work_started(*args, **kwargs):
-            raise RuntimeError("work started before the output path was checked")
-
-        import etac.analysis
-        import etac.cli
-
-        for module, name in [(etac.cli, "build_plant"), (etac.cli, "run_trajectory"),
-                             (etac.cli, "run_paired_cells"), (etac.analysis, "build_lambda_chain")]:
-            monkeypatch.setattr(module, name, work_started)
+        forbid_work(monkeypatch)
         out = tmp_path / "missing" / "out.csv"
         assert main([*command, "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
         captured = capfd.readouterr()
@@ -478,6 +485,20 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command, data", ONE_PER_COMMAND.values(), ids=ONE_PER_COMMAND.keys())
+    def test_out_that_is_a_directory_is_config_error_before_work(
+        self, tmp_path, capfd, monkeypatch, command, data
+    ):
+        forbid_work(monkeypatch)
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        assert main([*command, "--config", write_config(tmp_path, data), "--out", str(out)]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.startswith(f"config error: output path {str(out)!r} is a directory")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert out.is_dir() and not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "command, data, fragment", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys()

@@ -1,53 +1,74 @@
-"""The README's configs parse, and the experiment scripts run.
+"""The committed experiment configs reproduce the paper's two headline outputs.
 
-Every fenced ``json`` block of README.md is a config that ``parse_config``
-accepts.  Both scripts under ``scripts/`` run in a child process on a small
-input and write the expected number of CSV lines.
+``examples/boundaries.json`` (``etac analyze``) writes the alpha*(rho)
+boundary curves and ``examples/tradeoff.json`` (``etac montecarlo``) the
+paired cost-vs-utilization sweep; each CSV is pinned by its SHA-256.  The
+README's example config is the trade-off config itself, and each subcommand
+refuses the overrides it does not read.
 """
 
+import hashlib
 import json
 import os
 import re
-import subprocess
-import sys
 
 import pytest
 
-import etac
-from etac.cli import parse_config
+from etac.cli import load_config, main, parse_config
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+EXAMPLES = os.path.join(ROOT, "examples")
 JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.DOTALL | re.MULTILINE)
+
+#: ``etac analyze --config examples/boundaries.json``: 181 rows on the fixed rho grid.
+BOUNDARIES_SHA256 = "6e6456028f21756ebc9b0fa7033b3c4cac481a1be04ad430ddad208d82057146"
+#: ``etac montecarlo --config examples/tradeoff.json --trials 40``, at any --threads.
+TRADEOFF_40_SHA256 = "f92fdc3cee42be382536708e8c7fb2c3b114a800b166b84d26eec75231e8f308"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_readme_configs_parse():
     with open(os.path.join(ROOT, "README.md")) as fh:
         blocks = JSON_BLOCK.findall(fh.read())
-    assert blocks
-    for block in blocks:
-        parse_config(json.loads(block))
+    configs = [parse_config(json.loads(block)) for block in blocks]
+    assert configs == [load_config(os.path.join(EXAMPLES, "tradeoff.json"))]
+
+
+def test_boundaries_example_output(tmp_path):
+    out = tmp_path / "boundaries.csv"
+    config = os.path.join(EXAMPLES, "boundaries.json")
+    assert main(["analyze", "--config", config, "--out", str(out)]) == 0
+    assert sha256(out) == BOUNDARIES_SHA256
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tradeoff_example_output(tmp_path, threads):
+    out = tmp_path / "tradeoff.csv"
+    config = os.path.join(EXAMPLES, "tradeoff.json")
+    argv = ["montecarlo", "--config", config, "--out", str(out), "--trials", "40"]
+    assert main([*argv, "--threads", str(threads)]) == 0
+    assert sha256(out) == TRADEOFF_40_SHA256
+
+
+#: The overrides that a subcommand does not read, each with a valid value.
+UNREAD_OVERRIDES = [
+    ("analyze", ["--seed", "1"]),
+    ("analyze", ["--trials", "1"]),
+    ("analyze", ["--threads", "2"]),
+    ("delta-dist", ["--threads", "2"]),
+    ("simulate", ["--threads", "2"]),
+]
 
 
 @pytest.mark.parametrize(
-    "script, args, lines",
-    [
-        # a header and one row per (d, controller) cell
-        ("cost_vs_utilization.py", ["--trials", "4", "--threads", "1", "--d", "0", "1"], 5),
-        # a header and one row per point of the 181-point rho grid
-        ("stability_boundaries.py", [], 182),
-    ],
+    "command, override", UNREAD_OVERRIDES, ids=[f"{c}{o[0]}" for c, o in UNREAD_OVERRIDES]
 )
-def test_script_runs(tmp_path, script, args, lines):
-    out = tmp_path / "out.csv"
-    # The child imports etac from where this process did, which may be only
-    # on sys.path (pytest's ``pythonpath`` setting), not on PYTHONPATH.
-    src = os.path.dirname(os.path.dirname(etac.__file__))
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", script), *args, "--out", str(out)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert len(out.read_text().splitlines()) == lines
+def test_override_a_command_does_not_read_is_a_usage_error(capsys, command, override):
+    config = os.path.join(EXAMPLES, "boundaries.json")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config, *override])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(override)}" in capsys.readouterr().err
