@@ -22,8 +22,8 @@ does not exist (refused before any work), and the library's input checks (a
 ``ValueError``), in this process or in a ``montecarlo`` worker.  Each
 subcommand takes only the overrides it reads: ``analyze`` ``--out``;
 ``delta-dist`` and ``simulate`` also ``--seed`` and ``--trials``;
-``montecarlo`` also ``--threads``.  Any other is an argparse usage error
-(exit 2).
+``montecarlo`` also ``--threads``.  Any other is a usage error of the
+subcommand (exit 2), whose usage line lists the overrides it takes.
 """
 
 from __future__ import annotations
@@ -455,11 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate", parents=[sampled], help="single trajectory to CSV")
     montecarlo = sub.add_parser("montecarlo", parents=[sampled], help="paired cost/utilization sweep")
     montecarlo.add_argument("--threads", type=int, default=1, help="worker processes")
+    for command_parser in sub.choices.values():
+        command_parser.set_defaults(command_parser=command_parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:  # reported by the subcommand, whose usage lists the overrides it takes
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         config = load_config(args.config)
         overrides = {k: vars(args).get(k) for k in ("seed", "trials", "out")}

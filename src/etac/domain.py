@@ -14,14 +14,16 @@ functions that take one do not check it again.
 
 Dynamics, control laws and Lyapunov functions are plain callables; the
 certified contraction/growth factors are floats whose inequalities are checked
-on dense grids by the test suite.  The plant maps take and return float64
-vectors but unpack them with ``tolist()`` and do their arithmetic (and
-:func:`sat`) on Python floats: these are the same IEEE double operations as
-on numpy scalars, so the results are bitwise equal, and they skip numpy's
-per-scalar indexing and dispatch, which cost more than the arithmetic in the
-simulator's per-step calls.  The physical sampling interval and the
-intra-period processing deadline are background only: nothing computed here
-depends on them.
+on dense grids by the test suite.  Each built-in plant map is written once, on
+lists of Python floats, and wrapped in a :class:`_FloatMap`: its ``floats``
+attribute is that float-list form, which the simulator calls at every step,
+and calling the object is the adapter for float64 vectors, so
+``PlantSpec.dynamics`` and ``control_law`` take and return arrays.  Float
+arithmetic (and :func:`sat`) does the same IEEE double operations as numpy
+would on the vectors, so both forms are bitwise equal to the array
+expressions, and the float form builds no ndarray.  The physical sampling
+interval and the intra-period processing deadline are background only:
+nothing computed here depends on them.
 """
 
 from __future__ import annotations
@@ -145,15 +147,46 @@ def sat(mu: float) -> float:
     return mu
 
 
-def _sat_dynamics(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    x1, x2 = x.tolist()
-    u1, u2 = u.tolist()
-    return np.array([x2 + u1, -sat(x1 + x2) + u2])
+class _FloatMap:
+    """A plant map with one float form: ``floats`` maps lists of Python floats.
+
+    Calling the object is the form's adapter for float64 vectors: it runs
+    ``floats`` on each vector's ``tolist()`` and returns the result as a
+    float64 array, bitwise equal to what the float form returns.  The
+    simulator calls ``floats`` itself; ``PlantSpec`` callers see arrays.
+    """
+
+    __slots__ = ("floats",)
+
+    def __init__(self, floats: Callable[..., list[float]]) -> None:
+        self.floats = floats
+
+    def __call__(self, *vectors: np.ndarray) -> np.ndarray:
+        return np.array(self.floats(*[v.tolist() for v in vectors]))
 
 
-def _sat_control(x: np.ndarray) -> np.ndarray:
-    x1, x2 = x.tolist()
-    return np.array([-x2, 0.505 * sat(x1 + x2)])
+def _float_form(fn: Callable) -> Callable[..., list[float]]:
+    """A plant map on lists of floats: its own float form, or its array call adapted."""
+    if type(fn) is _FloatMap:
+        return fn.floats
+    return lambda *vectors: fn(*map(np.array, vectors)).tolist()
+
+
+def _sat_f(x: list[float], u: list[float]) -> list[float]:
+    x1, x2 = x
+    u1, u2 = u
+    return [x2 + u1, -sat(x1 + x2) + u2]
+
+
+def _sat_kappa(x: list[float]) -> list[float]:
+    x1, x2 = x
+    return [-x2, 0.505 * sat(x1 + x2)]
+
+
+#: One pair of map objects for every saturated plant, so that runs on one
+#: stream at different radii follow each other (see ``runtime``).
+_SAT_DYNAMICS = _FloatMap(_sat_f)
+_SAT_CONTROL = _FloatMap(_sat_kappa)
 
 
 def _sq_norm(x: list[float]) -> float:
@@ -200,8 +233,8 @@ def make_sat_plant(d: float = 0.0) -> PlantSpec:
     return PlantSpec(
         state_dim=2,
         input_dim=2,
-        dynamics=_sat_dynamics,
-        control_law=_sat_control,
+        dynamics=_SAT_DYNAMICS,
+        control_law=_SAT_CONTROL,
         lyapunov=_sat_lyapunov,
         phi1=_double,
         phi2=_double,
@@ -212,15 +245,15 @@ def make_sat_plant(d: float = 0.0) -> PlantSpec:
     )
 
 
-def _linear_dynamics(a: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    (x1,) = x.tolist()
-    (u1,) = u.tolist()
-    return np.array([a * x1 + u1])
+def _linear_f(a: float, x: list[float], u: list[float]) -> list[float]:
+    (x1,) = x
+    (u1,) = u
+    return [a * x1 + u1]
 
 
-def _linear_control(gain: float, x: np.ndarray) -> np.ndarray:
-    (x1,) = x.tolist()
-    return np.array([-gain * x1])
+def _linear_kappa(gain: float, x: list[float]) -> list[float]:
+    (x1,) = x
+    return [-gain * x1]
 
 
 def _identity(s: float) -> float:
@@ -242,8 +275,8 @@ def make_scalar_plant(a: float, gain: float, d: float) -> PlantSpec:
     return PlantSpec(
         state_dim=1,
         input_dim=1,
-        dynamics=partial(_linear_dynamics, float(a)),
-        control_law=partial(_linear_control, float(gain)),
+        dynamics=_FloatMap(partial(_linear_f, float(a))),
+        control_law=_FloatMap(partial(_linear_kappa, float(gain))),
         lyapunov=_norm,
         phi1=_identity,
         phi2=_identity,

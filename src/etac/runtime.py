@@ -41,6 +41,16 @@ input at k, first catches x-hat up from the refill state through that peer's
 inputs.  A run that has a peer to its last step is that peer again, so it is
 not kept.
 
+The loop keeps a run's state, x-hat and input as lists of Python floats,
+from the pre-draw's x0 to the columns.  It calls each plant map's float form
+(``domain._float_form``): ``floats`` of a ``domain._FloatMap``, while a map
+without one is called on float64 arrays made from the lists and its result
+read back with ``tolist()``.  It adds w(k) from a flat ``memoryview`` of the
+read-only disturbance pre-draw, and reads a peer's rows with ``tolist()``.
+So a step the run computes under the built-in maps builds no ndarray and goes
+through no numpy ufunc: its arithmetic is Python's, the same IEEE double
+operations in the same order as the maps' array form.
+
 A trace stores a run as columns, one entry per recorded step: the states
 ``x`` and the played inputs ``u`` as read-only float64 arrays with one row per
 step, and the ints ``beta``, ``n`` and ``lam``.  The arrays are views of flat
@@ -62,10 +72,11 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from operator import add
 
 import numpy as np
 
-from .domain import NoiseSpec, PlantSpec, StochasticEnv, _sq_norm
+from .domain import NoiseSpec, PlantSpec, StochasticEnv, _float_form, _sq_norm
 
 __all__ = [
     "CONTROLLERS",
@@ -236,17 +247,19 @@ def run_trajectory(
             f"x0 has shape {np.shape(x0)}, expected ({plant.state_dim},) for plant {plant.name!r}"
         )
 
-    x, received, n_draws, w = rng.trial_draws(env, noise, horizon, plant.state_dim, x0)
+    x0, received, n_draws, w = rng.trial_draws(env, noise, horizon, plant.state_dim, x0)
 
     buffered = controller == "anytime"
     depth = env.capacity if buffered else 1
     dd = plant.d * plant.d
     dynamics, control = plant.dynamics, plant.control_law
-    zero_l = [0.0] * plant.input_dim
-    zero_u = np.array(zero_l)
+    f, kappa = _float_form(dynamics), _float_form(control)
+    zero_u = [0.0] * plant.input_dim
+    nx = plant.state_dim
+    w_flat = None if w is None else memoryview(w).cast("B").cast("d")
     kept = rng._draws[2]  # the runs made on these draws
     # Kept runs under these maps; see the module docstring.
-    peers = [t for f, kappa, t in kept if f is dynamics and kappa is control]
+    peers = [t for dyn, ctl, t in kept if dyn is dynamics and ctl is control]
     xs, us, sq_norms = array("d"), array("d"), array("d")
     betas: list[int] = []
     ns: list[int] = []
@@ -260,7 +273,7 @@ def run_trajectory(
     # The squared norm of x(k + 1), computed for the divergence test, is the
     # trigger test of step k + 1.  Both use domain._sq_norm on the float list
     # that the x column is extended by.
-    xl = x.tolist()
+    xl = x0.tolist()
     nrm2 = _sq_norm(xl)
     limit2 = DIVERGENCE_NORM * DIVERGENCE_NORM
 
@@ -278,7 +291,7 @@ def run_trajectory(
         if n_k:
             m = n_k if n_k < depth else depth
             age = 0
-            xhat, hat_k = x, k  # while following, x is stale: see the leaving below
+            xhat, hat_k = xl, k  # while following, xl is stale: see the leaving below
         else:
             age += 1
         left = m - age
@@ -304,12 +317,11 @@ def run_trajectory(
             xs.frombytes(lead.x[:k].tobytes())
             us.frombytes(lead.u[:k].tobytes())
             sq_norms.extend(lead.sq_norms[:k])
-            x = lead.x[k]
-            xl = x.tolist()
+            xl = lead.x[k].tolist()
             if left > 0 and not peers:
-                xhat = lead.x[hat_k]
-                for j in range(hat_k, k):
-                    xhat = dynamics(xhat, lead.u[j])
+                xhat = lead.x[hat_k].tolist()
+                for u_j in lead.u[hat_k:k].tolist():
+                    xhat = f(xhat, u_j)
                 hat_k = k
         append_x(xl)
         append_sq_norm(nrm2)
@@ -317,25 +329,22 @@ def run_trajectory(
             # Input ``age`` of the plan: the first peer's, else kappa at x-hat,
             # advanced through the input played at the step before.
             if peers:
-                u = peers[0].u[k]
+                u = peers[0].u[k].tolist()
             else:
                 if hat_k < k:
-                    xhat = dynamics(xhat, u)
+                    xhat = f(xhat, u)
                     hat_k = k
-                u = control(xhat)
-            append_u(u.tolist())
+                u = kappa(xhat)
         else:
             u = zero_u
-            append_u(zero_l)
-        x_next = dynamics(x, u)
-        if w is not None:
-            x_next = x_next + w[k]
-        xl = x_next.tolist()
+        append_u(u)
+        xl = f(xl, u)
+        if w_flat is not None:
+            xl = list(map(add, xl, w_flat[k * nx:(k + 1) * nx]))
         nrm2 = _sq_norm(xl)
         if not nrm2 <= limit2:  # also true for nan and inf
             diverged = True
             break
-        x = x_next
 
     trace = Trace(
         x=np.frombuffer(xs).reshape(-1, plant.state_dim),

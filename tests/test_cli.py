@@ -473,6 +473,16 @@ class TestExitCodes:
         assert main(["analyze", "--config", path]) == 2
         assert "output path" in capsys.readouterr().err
 
+    def test_unread_override_is_reported_by_its_subcommand(self, tmp_path, capsys):
+        path = write_config(tmp_path, boundary_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--config", path, "--seed", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # the usage line lists the overrides analyze does take
+        assert err.startswith("usage: etac analyze [-h] --config CONFIG [--out OUT]\n")
+        assert err.endswith("etac analyze: error: unrecognized arguments: --seed 1\n")
+
     @pytest.mark.parametrize("command, data", ONE_PER_COMMAND.values(), ids=ONE_PER_COMMAND.keys())
     def test_missing_out_directory_is_config_error_before_work(
         self, tmp_path, capfd, monkeypatch, command, data

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +47,16 @@ def reference_linear_control(gain, x):
 def assert_bitwise(out, ref):
     assert out.dtype == np.float64 and out.shape == ref.shape
     assert out.tobytes() == ref.tobytes()
+
+
+#: Every float, with signed zeros, infinities and NaN drawn often.
+SPECIAL = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats())
+
+
+def float_bits(values):
+    """The IEEE bits of a list of Python floats (NaN's sign included)."""
+    assert all(type(v) is float for v in values)
+    return struct.pack(f"{len(values)}d", *values)
 
 
 class TestValidateEnv:
@@ -180,6 +191,35 @@ class TestPlantMapsMatchReference:
         x, u = np.array([x1]), np.array([u1])
         assert_bitwise(plant.dynamics(x, u), reference_linear_dynamics(float(a), x, u))
         assert_bitwise(plant.control_law(x), reference_linear_control(float(gain), x))
+
+    @given(x1=SPECIAL, x2=SPECIAL, u1=SPECIAL, u2=SPECIAL)
+    @example(x1=math.nan, x2=-0.0, u1=math.inf, u2=-math.inf)
+    @example(x1=math.inf, x2=-math.inf, u1=-0.0, u2=math.nan)
+    @settings(max_examples=300)
+    def test_saturated_float_form_is_the_array_call(self, x1, x2, u1, u2):
+        plant = make_sat_plant()
+        x, u = np.array([x1, x2]), np.array([u1, u2])
+        assert float_bits(plant.dynamics.floats(x.tolist(), u.tolist())) == float_bits(
+            plant.dynamics(x, u).tolist()
+        )
+        assert float_bits(plant.control_law.floats(x.tolist())) == float_bits(
+            plant.control_law(x).tolist()
+        )
+
+    @given(a=st.floats(min_value=-3.0, max_value=3.0), offset=st.floats(-0.999, 0.999),
+           x1=SPECIAL, u1=SPECIAL)
+    @example(a=-0.0, offset=0.5, x1=math.nan, u1=-0.0)
+    @example(a=2.0, offset=0.0, x1=-math.inf, u1=math.inf)
+    @settings(max_examples=300)
+    def test_scalar_float_form_is_the_array_call(self, a, offset, x1, u1):
+        plant = make_scalar_plant(a, a - offset, 0.0)
+        x, u = np.array([x1]), np.array([u1])
+        assert float_bits(plant.dynamics.floats(x.tolist(), u.tolist())) == float_bits(
+            plant.dynamics(x, u).tolist()
+        )
+        assert float_bits(plant.control_law.floats(x.tolist())) == float_bits(
+            plant.control_law(x).tolist()
+        )
 
 
 class TestScalarPlant:

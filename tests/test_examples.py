@@ -71,4 +71,5 @@ def test_override_a_command_does_not_read_is_a_usage_error(capsys, command, over
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", config, *override])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {' '.join(override)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"etac {command}: error: unrecognized arguments: {' '.join(override)}" in err

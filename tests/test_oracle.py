@@ -470,6 +470,12 @@ def assert_run_equals_reference(trace, ref):
     assert trace.diverged == ref.diverged
 
 
+def array_maps(plant):
+    """The plant with its maps behind plain array lambdas, which have no float form."""
+    dynamics, control_law = plant.dynamics, plant.control_law
+    return replace(plant, dynamics=lambda x, u: dynamics(x, u), control_law=lambda x: control_law(x))
+
+
 class TestReferenceTrajectory:
     @given(
         plant_index=st.integers(0, len(REFERENCE_PLANTS) - 1),
@@ -487,7 +493,9 @@ class TestReferenceTrajectory:
         self, plant_index, capacity, data, noise_std, radii, reverse, horizon, seed, t
     ):
         # every radius and both controllers on one stream, in the montecarlo
-        # cell order or reversed, so that runs follow the kept runs
+        # cell order or reversed, so that runs follow the kept runs; once with
+        # the built-in maps, whose float forms the loop calls, and once with
+        # array lambdas around them, which it calls through their arrays
         plant = REFERENCE_PLANTS[plant_index]
         weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=capacity + 1,
                                      max_size=capacity + 1).filter(any))
@@ -498,14 +506,17 @@ class TestReferenceTrajectory:
         if data.draw(st.integers(0, 4)) == 0:
             x0 = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=plant.state_dim,
                                              max_size=plant.state_dim)))
-        cells = [(replace(plant, d=d), c) for d in sorted(radii) for c in ("baseline", "anytime")]
+        lambdas = array_maps(plant)  # one pair of map objects for every radius
+        cells = [(d, c) for d in sorted(radii) for c in ("baseline", "anytime")]
         if reverse:
             cells.reverse()
-        stream = RngStream(seed, t)
-        for cell_plant, controller in cells:
-            trace = run_trajectory(cell_plant, env, noise, controller, horizon, stream, x0=x0)
-            ref = reference_trajectory(cell_plant, env, noise, controller, horizon, seed, t, x0=x0)
-            assert_run_equals_reference(trace, ref)
+        built_in_stream, lambda_stream = RngStream(seed, t), RngStream(seed, t)
+        for d, controller in cells:
+            ref = reference_trajectory(replace(plant, d=d), env, noise, controller, horizon, seed, t, x0=x0)
+            for cell_plant, stream in ((plant, built_in_stream), (lambdas, lambda_stream)):
+                trace = run_trajectory(replace(cell_plant, d=d), env, noise, controller, horizon,
+                                       stream, x0=x0)
+                assert_run_equals_reference(trace, ref)
 
     @pytest.mark.parametrize("config, any_diverged", [
         (ExperimentConfig(

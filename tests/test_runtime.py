@@ -1010,6 +1010,94 @@ class TestClosedLoopInvariants:
         assert np.all(np.abs(counts / n - 0.2) < half_width)
 
 
+@st.composite
+def drawn_envs(draw):
+    """An environment of capacity 1 to 6 with every q and a pmf of positive entries."""
+    capacity = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=capacity + 1, max_size=capacity + 1))
+    return StochasticEnv(q=draw(st.floats(0.0, 1.0)), p=tuple(w / sum(weights) for w in weights),
+                         capacity=capacity)
+
+
+#: Plant factories by radius: saturated, open-loop stable scalar and unstable scalar.
+PATHWISE_PLANTS = (make_sat_plant, lambda d: make_scalar_plant(1.2, 0.9, d),
+                   lambda d: make_scalar_plant(3.0, 2.5, d))
+
+
+def first(flags):
+    """The index of the first true flag, or the number of flags when none is."""
+    return flags.index(True) if True in flags else len(flags)
+
+
+class TestPathwiseInvariants:
+    """What the common random numbers force between the cells of one trial, bit for bit.
+
+    Each pair of runs is made on two fresh streams for one (seed, stream_id), so
+    neither run follows the other: the equalities hold because the runs share
+    their draws, not because one copies the other.
+    """
+
+    @given(env=drawn_envs(), plant=st.sampled_from(PATHWISE_PLANTS),
+           d=st.sampled_from([0.0, 0.3, 1.0, 3.0]) | st.floats(0.0, 3.0), noisy=st.booleans(),
+           horizon=st.integers(1, 80), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_controllers_agree_until_anytime_plays_a_stored_input(
+        self, env, plant, d, noisy, horizon, seed
+    ):
+        # (a) until then both play kappa at the same refills from the same state
+        noise = NoiseSpec("gaussian-iid", 1.0) if noisy else NOISELESS
+        base = run_trajectory(plant(d), env, noise, "baseline", horizon, RngStream(seed, 0))
+        anyt = run_trajectory(plant(d), env, noise, "anytime", horizon, RngStream(seed, 0))
+        k = first([lam > 0 and n == 0 for lam, n in zip(anyt.lam, anyt.n)])
+        assert base.x[:k + 1].tobytes() == anyt.x[:k + 1].tobytes()
+        assert base.beta[:k + 1] == anyt.beta[:k + 1] and base.n[:k + 1] == anyt.n[:k + 1]
+        assert base.u[:k].tobytes() == anyt.u[:k].tobytes()
+        if k == len(anyt.lam):  # no stored input played: one run
+            assert columns(base)[:-1] == columns(anyt)[:-1]
+
+    @given(env=drawn_envs(), plant=st.sampled_from(PATHWISE_PLANTS),
+           radii=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2, unique=True).map(sorted),
+           controller=st.sampled_from(["baseline", "anytime"]), noisy=st.booleans(),
+           horizon=st.integers(1, 80), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_radii_agree_until_the_trigger_differs(
+        self, env, plant, radii, controller, noisy, horizon, seed
+    ):
+        # (b) d1 < d2 decide alike until d1 <= |x| < d2
+        noise = NoiseSpec("gaussian-iid", 1.0) if noisy else NOISELESS
+        near, far = (
+            run_trajectory(plant(d), env, noise, controller, horizon, RngStream(seed, 0))
+            for d in radii
+        )
+        k = first([b1 != b2 for b1, b2 in zip(near.beta, far.beta)])
+        assert near.x[:k + 1].tobytes() == far.x[:k + 1].tobytes()
+        assert near.u[:k].tobytes() == far.u[:k].tobytes()
+        assert (near.beta[:k], near.n[:k], near.lam[:k]) == (far.beta[:k], far.n[:k], far.lam[:k])
+        if k == min(len(near.beta), len(far.beta)):  # the trigger never differed: one run
+            assert columns(near) == columns(far)
+
+    @given(env=drawn_envs(), a_abs=st.floats(0.05, 3.0), ratio=st.floats(0.0, 0.999),
+           signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
+           horizon=st.integers(1, 80), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_anytime_is_pathwise_no_worse_on_a_noise_free_scalar_plant(
+        self, env, a_abs, ratio, signs, horizon, seed
+    ):
+        # (c) at d = 0 both refill at the same steps with the same N, so anytime
+        # plays an input wherever the baseline does, and each input scales |x| by
+        # rho < alpha.  rho <= 0.999 alpha: at rho = alpha the magnitudes are
+        # equal in exact arithmetic but rounded from different states.
+        a = signs[0] * a_abs
+        gain = a - signs[1] * ratio * min(a_abs, 0.999)
+        plant = make_scalar_plant(a, gain, 0.0)
+        assert plant.alpha > plant.rho
+        base = run_trajectory(plant, env, NOISELESS, "baseline", horizon, RngStream(seed, 0))
+        anyt = run_trajectory(plant, env, NOISELESS, "anytime", horizon, RngStream(seed, 0))
+        assert len(anyt.beta) >= len(base.beta) and (base.diverged or not anyt.diverged)
+        for (x_any,), (x_base,) in zip(anyt.x.tolist(), base.x.tolist()):
+            assert abs(x_any) <= abs(x_base)
+
+
 class TestTraceCsv:
     def test_columns_and_rows(self, tmp_path):
         plant = make_sat_plant(d=1.0)
