@@ -13,9 +13,11 @@ built, also by ``dataclasses.replace``, so one that exists is valid and the
 functions that take one do not check it again.
 
 Dynamics, control laws and Lyapunov functions are plain callables; the
-certified contraction/growth factors are floats whose inequalities are checked
-on dense grids by the test suite.  Each built-in plant map is written once, on
-lists of Python floats, and wrapped in a :class:`_FloatMap`: its ``floats``
+certified contraction/growth factors are floats, padded to hold for the float
+maps (the scalar rho also for the cancellation in a x - gain x, see
+:func:`make_scalar_plant`), whose inequalities are checked on dense grids by
+the test suite.  Each built-in plant map is written once, on lists of Python
+floats, and wrapped in a :class:`_FloatMap`: its ``floats``
 attribute is that float-list form, which the simulator calls at every step,
 and calling the object is the adapter for float64 vectors, so
 ``PlantSpec.dynamics`` and ``control_law`` take and return arrays.  Float
@@ -263,8 +265,16 @@ def _identity(s: float) -> float:
 def make_scalar_plant(a: float, gain: float, d: float) -> PlantSpec:
     """Scalar plant f(x, u) = a x + u with kappa(x) = -gain x and V(x) = |x|.
 
-    The certified factors are |a - gain| and |a|, each padded by a few ulps to
-    absorb product roundoff so the grid checks hold without tolerance.
+    The certified factors are |a - gain| and |a|, padded so that the float
+    maps meet them with no tolerance, away from underflow.  With u = 2**-53,
+    fl(a x) is within u |a x| of a x, so alpha = |a| _CERT_PAD.  But
+    fl(fl(a x) + fl(-gain x)) is within u (|a| + |gain|) |x| + u |f| of
+    (a - gain) x, an error that swamps |a - gain| |x| when gain is a few ulps
+    from a.  So rho = max(|a - gain| _CERT_PAD, |a - gain| + 16 u m) with
+    m = max(|a|, |gain|): that error needs 2 u m, and the roundings of rho
+    and of rho V(x) at most 10 u m more, as |a - gain| <= 2 m.  The relative
+    pad keeps rho = alpha at gain = 0, and rho <= alpha wherever
+    |a - gain| <= |a|, gain = 2 a included.
     The analysis assumes alpha >= rho and refuses a plant without it; this
     does not, so the simulator runs e.g. a = 0.2, gain = -0.7 (alpha = 0.2 <
     rho = 0.9) outside the model, where buffered inputs can cost more.
@@ -280,7 +290,7 @@ def make_scalar_plant(a: float, gain: float, d: float) -> PlantSpec:
         lyapunov=_norm,
         phi1=_identity,
         phi2=_identity,
-        rho=rho * _CERT_PAD,
+        rho=max(rho * _CERT_PAD, rho + 2.0**-49 * max(abs(a), abs(gain))),
         alpha=abs(a) * _CERT_PAD,
         d=d,
         name="scalar",

@@ -9,9 +9,9 @@ the received state (:func:`plan_inputs`), the buffered controller step as a
 literal case table on an explicit buffer matrix (:class:`BufferState`) filled
 from that plan, and the scalar length recursion (:func:`update_lambda`).  The
 last three are the references for differential tests of the simulator, which
-keeps its buffer as a plan plus an age instead.  Return-time validation runs in
-the always-transmit regime (d = 0), where the length recursion is driven purely
-by the i.i.d. channel and processor draws.  :func:`reference_trajectory`
+keeps the length, the last refill and x-hat instead.  Return-time validation
+runs in the always-transmit regime (d = 0), where only the i.i.d. channel and
+processor draws drive the length recursion.  :func:`reference_trajectory`
 rebuilds a whole closed-loop run from its draws with the table-driven step, as
 a ``runtime.Trace`` for bitwise comparison with ``runtime.run_trajectory``'s.
 
@@ -321,7 +321,7 @@ def reference_trajectory(
     ``DIVERGENCE_NORM`` squared.  The recorded λ is the buffer's
     effective length for anytime and 0 for the baseline, which buffers
     nothing, and ``sq_norms`` holds each recorded state's ``_sq_norm``.
-    There is no plan, age, kept run or shared draw.
+    There is no lazy plan, kept run or shared draw.
     """
     if controller not in CONTROLLERS:
         raise ValueError(f"unknown controller {controller!r}")

@@ -10,16 +10,16 @@ the drawn one in the pre-draw.  The pre-draw is made once per
 draws, so the (d, controller) cells of a Monte Carlo trial, which share one
 stream object, draw once between them.
 
-Both controllers are one rule.  A step that receives the state x and is
-granted N >= 1 control-law evaluations refills the plan: its length becomes
-m = min(N, depth) and its age 0.  The step at age j < m plays input j of the
-plan from x, computed when it is played: the refill plays kappa(x) and sets
-the forward-simulated state x-hat = x, and each later step sets
-x-hat = f(x-hat, u_prev) and plays kappa(x-hat), the same IEEE operations in
-the same order as :func:`etac.oracle.plan_inputs`, the plan's reference, which
-computes it whole.  Once age reaches m the step plays zero, and a silent step
-ends the plan.  The anytime controller has depth = capacity; the memoryless
-baseline is depth 1.
+Both controllers are one rule on the effective buffer length lambda
+(:func:`etac.oracle.update_lambda`).  A step that receives the state x and is
+granted N >= 1 control-law evaluations refills: lambda = min(N, depth).  A
+silent step sets lambda = 0, and any other step lowers a positive lambda by 1.
+A step plays a plan input iff lambda > 0, computed when it is played: the
+refill sets the forward-simulated state x-hat = x, each later step sets
+x-hat = f(x-hat, u_prev), and the step plays kappa(x-hat), the same IEEE
+operations in the same order as :func:`etac.oracle.plan_inputs`, the plan's
+reference, which computes it whole.  Other steps play zero.  The anytime
+controller has depth = capacity; the memoryless baseline is depth 1.
 
 The stream also keeps the runs made on its current draws, and a run follows
 them while it can.  Its peers are the kept runs under the same ``dynamics`` and
@@ -36,10 +36,10 @@ nothing else: a followed step is the step the run would compute, bit for bit.
 The run's own trigger radius and buffer depth still make its decisions.  A
 followed step stores only its ints: when the run leaves its peers at step k,
 it copies the states, inputs and squared norms of steps 0 to k - 1 from the
-last peer it followed, takes x(k) from it, and, if it must compute a plan
-input at k, first catches x-hat up from the refill state through that peer's
-inputs.  A run that has a peer to its last step is that peer again, so it is
-not kept.
+last peer it followed and takes x(k) from it.  If it must compute a plan
+input at k after the refill, it first catches x-hat up from the refill state
+through that peer's inputs.  A run that has a peer to its last step is that
+peer again, so it is not kept.
 
 The loop keeps a run's state, x-hat and input as lists of Python floats,
 from the pre-draw's x0 to the columns.  It calls each plant map's float form
@@ -225,17 +225,16 @@ def run_trajectory(
     standard normal.  The draws come from ``rng.trial_draws``, so runs on one
     stream object share them, and the trace's first row of ``x`` is the
     pre-draw's ``x0``.  The update is x(k+1) = f(x(k), u(k)) + w(k).
-    The plan is its length m, its age and x-hat (see the module docstring):
-    the step at age < m computes kappa(x-hat) after advancing x-hat through
-    the inputs played since it was last advanced, and later steps play zero.
+    The plan is lambda, the step of the last refill and x-hat (see the module
+    docstring): a step with lambda > 0 plays kappa(x-hat), and one with
+    lambda = 0 plays zero.
     While a run kept on ``rng`` plays a plan input exactly when this one does,
     this run takes that run's inputs and next states instead of computing
     them; it copies them into its own columns, so no two traces share memory.
     A state whose norm exceeds :data:`DIVERGENCE_NORM` (or goes non-finite)
     ends the run early with the trace flagged diverged rather than raising.
-    The recorded ``lam`` is the effective buffer length ``m - age`` floored at
-    0 for the anytime controller, and 0 for the baseline, which buffers
-    nothing.
+    The recorded ``lam`` is lambda for the anytime controller, and 0 for the
+    baseline, which buffers nothing.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -267,9 +266,8 @@ def run_trajectory(
     append_x, append_u, append_sq_norm = xs.fromlist, us.fromlist, sq_norms.append
     append_beta, append_n, append_lam = betas.append, ns.append, lams.append
     diverged = False
-    m = 0  # inputs granted at the last refill, 0 after a silent step
-    age = 0  # steps since that refill
-    hat_k = 0  # the step whose input is kappa(x-hat)
+    lam = 0  # the effective buffer length
+    refill_k = 0  # the step of the last refill
     # The squared norm of x(k + 1), computed for the divergence test, is the
     # trigger test of step k + 1.  Both use domain._sq_norm on the float list
     # that the x column is extended by.
@@ -287,21 +285,19 @@ def run_trajectory(
                 beta = 0
         else:
             beta = 2
-            m = 0
+            lam = 0
         if n_k:
-            m = n_k if n_k < depth else depth
-            age = 0
-            xhat, hat_k = xl, k  # while following, xl is stale: see the leaving below
-        else:
-            age += 1
-        left = m - age
+            lam = n_k if n_k < depth else depth
+            refill_k = k
+        elif lam:
+            lam -= 1
         append_beta(beta)
         append_n(n_k)
-        append_lam(left if left > 0 and buffered else 0)
+        append_lam(lam if buffered else 0)
         if peers:
             # The peers that play a plan input exactly when this run does.
             lead = peers[0]
-            if left > 0:
+            if lam:
                 peers = [p for p in peers if p.lam[k] or p.n[k]]
             else:
                 peers = [p for p in peers if not (p.lam[k] or p.n[k])]
@@ -312,28 +308,27 @@ def run_trajectory(
                 nrm2 = peers[0].sq_norms[k + 1]
                 continue
             # The run leaves its peers: its steps before k, and x(k), are the
-            # lead's.  x-hat is caught up through the lead's inputs, as a run
-            # computes a plan input only once it has left.
+            # lead's.  To compute a plan input after the refill, x-hat is
+            # caught up through the lead's inputs up to step k - 2, and u is
+            # that of step k - 1, as the plan step below expects.
             xs.frombytes(lead.x[:k].tobytes())
             us.frombytes(lead.u[:k].tobytes())
             sq_norms.extend(lead.sq_norms[:k])
             xl = lead.x[k].tolist()
-            if left > 0 and not peers:
-                xhat = lead.x[hat_k].tolist()
-                for u_j in lead.u[hat_k:k].tolist():
+            if lam and not (n_k or peers):
+                xhat = lead.x[refill_k].tolist()
+                for u_j in lead.u[refill_k:k - 1].tolist():
                     xhat = f(xhat, u_j)
-                hat_k = k
+                u = lead.u[k - 1].tolist()
         append_x(xl)
         append_sq_norm(nrm2)
-        if left > 0:
-            # Input ``age`` of the plan: the first peer's, else kappa at x-hat,
-            # advanced through the input played at the step before.
+        if lam:
+            # The first peer's input, else kappa at x-hat: x(k) at the refill,
+            # and at each later step x-hat advanced through the last input.
             if peers:
                 u = peers[0].u[k].tolist()
             else:
-                if hat_k < k:
-                    xhat = f(xhat, u)
-                    hat_k = k
+                xhat = xl if n_k else f(xhat, u)
                 u = kappa(xhat)
         else:
             u = zero_u

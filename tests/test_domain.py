@@ -228,6 +228,16 @@ class TestScalarPlant:
         assert plant.rho == pytest.approx(0.5)
         assert plant.alpha == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("a", [0.4, -0.3671875, 0.9])
+    def test_pad_keeps_rho_at_most_alpha(self, a):
+        # The analysis refuses alpha < rho.  The cancellation pad refuses no
+        # plant with |a - gain| <= |a|, and gain = 0 plays the zero input.
+        zero = make_scalar_plant(a, 0.0, 0.0)
+        assert zero.rho == zero.alpha
+        for gain in (a / 2, a, math.nextafter(a, 0.0), 1.5 * a, 2 * a):
+            plant = make_scalar_plant(a, gain, 0.0)
+            assert plant.rho <= plant.alpha
+
     def test_closed_loop_arithmetic(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
         x = np.array([4.0])
@@ -300,6 +310,22 @@ class TestCertifiedInequalities:
                 assert closed <= plant.rho * v
             grown = plant.lyapunov(plant.dynamics(x, zero))
             assert grown <= plant.alpha * v
+
+    @given(a=st.floats(-3.0, 3.0), ulps=st.integers(-4, 4), seed=st.integers(0, 2**32 - 1))
+    # gain one ulp below a: a relative pad on |a - gain| = 5.55e-17 left half
+    # of the states with |f(x, kappa(x))| up to 2.0 rho |x|
+    @example(a=0.3671875, ulps=-1, seed=424242)
+    @settings(max_examples=30, deadline=None)
+    def test_scalar_plant_bounds_with_gain_ulps_from_a(self, a, ulps, seed):
+        # rho must cover the absolute rounding of a x + (-gain x), which no
+        # relative pad on |a - gain| does once gain is a few ulps from a.
+        gain = a
+        for _ in range(abs(ulps)):
+            gain = math.nextafter(gain, math.copysign(math.inf, ulps))
+        plant = make_scalar_plant(a, gain, 0.0)
+        for x in np.random.default_rng(seed).uniform(-50.0, 50.0, size=(2000, 1)):
+            closed = plant.lyapunov(plant.dynamics(x, plant.control_law(x)))
+            assert closed <= plant.rho * plant.lyapunov(x)
 
     def test_phi_envelopes_class_kinf(self):
         for plant in (make_sat_plant(), make_scalar_plant(2.0, 1.5, 0.0)):

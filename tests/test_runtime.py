@@ -1076,7 +1076,8 @@ class TestPathwiseInvariants:
         if k == min(len(near.beta), len(far.beta)):  # the trigger never differed: one run
             assert columns(near) == columns(far)
 
-    @given(env=drawn_envs(), a_abs=st.floats(0.05, 3.0), ratio=st.floats(0.0, 0.999),
+    @given(env=drawn_envs(), a_abs=st.floats(0.05, 3.0),
+           ratio=st.just(0.0) | st.floats(2.0**-38, 0.999),
            signs=st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0])),
            horizon=st.integers(1, 80), seed=st.integers(0, 2**64 - 1))
     @settings(max_examples=150, deadline=None)
@@ -1086,7 +1087,14 @@ class TestPathwiseInvariants:
         # (c) at d = 0 both refill at the same steps with the same N, so anytime
         # plays an input wherever the baseline does, and each input scales |x| by
         # rho < alpha.  rho <= 0.999 alpha: at rho = alpha the magnitudes are
-        # equal in exact arithmetic but rounded from different states.
+        # equal in exact arithmetic but rounded from different states.  And
+        # rho = 0 or rho >= 2**-40 alpha (ratio >= 2**-38, as
+        # min(a_abs, 0.999) >= a_abs / 4): for 0 < rho below about
+        # 2**-50 alpha, fl(a x - gain x) is mostly the rounding of a x and
+        # gain x, which is not monotone in |x|, so a smaller state can map to
+        # a larger one (at ratio = 2**-52 the baseline cancelled to 0.0 where
+        # anytime kept -5.6e-104).  TestCertifiedInequalities covers that
+        # regime.
         a = signs[0] * a_abs
         gain = a - signs[1] * ratio * min(a_abs, 0.999)
         plant = make_scalar_plant(a, gain, 0.0)
