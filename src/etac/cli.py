@@ -17,13 +17,12 @@ decoder's rule, ranges the types' rules, each written so NaN fails it.
 Exit codes: 0 success, 1 a ``montecarlo`` cell in which every trial diverged
 (no CSV is written), 2 config error, 3 accuracy-threshold failure in
 ``delta-dist``.  Exit 2 covers what the decoder and the types refuse, a
-``--threads`` below 1, an output path that is a directory or whose directory
-does not exist (refused before any work), and the library's input checks (a
-``ValueError``), in this process or in a ``montecarlo`` worker.  Each
-subcommand takes only the overrides it reads: ``analyze`` ``--out``;
-``delta-dist`` and ``simulate`` also ``--seed`` and ``--trials``;
-``montecarlo`` also ``--threads``.  Any other is a usage error of the
-subcommand (exit 2), whose usage line lists the overrides it takes.
+``--threads`` below 1, an output path that cannot be written (refused before
+any work), and the library's input checks (a ``ValueError``), in this process
+or in a ``montecarlo`` worker.  Each subcommand takes only the overrides it
+reads: ``analyze`` ``--out``; ``simulate`` also ``--seed``; ``delta-dist``
+also ``--trials``; ``montecarlo`` also ``--threads``.  Any other is a usage
+error of the subcommand (exit 2), whose usage line lists the overrides it takes.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from types import NoneType
@@ -244,15 +244,22 @@ def build_plant(selector: PlantSelector, d: float) -> PlantSpec:
 
 
 def _require_out(config: ExperimentConfig) -> str:
-    """The output path, refused before any work when it is a directory or its
-    directory does not exist."""
-    if config.out is None:
+    """The output path, refused before any work unless a file can be written
+    there; a temporary file probes the directory, as ``os.access`` passes root."""
+    if not config.out:
         raise ConfigError("an output path is required (config 'out' or --out)")
     if os.path.isdir(config.out):
         raise ConfigError(f"output path {config.out!r} is a directory")
+    if os.path.exists(config.out) and not os.access(config.out, os.W_OK):
+        raise ConfigError(f"output path {config.out!r} is not writable")
     directory = os.path.dirname(config.out) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory!r} does not exist")
+    try:
+        with tempfile.NamedTemporaryFile(dir=directory):
+            pass
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output directory {directory!r}: {exc.strerror}") from exc
     return config.out
 
 
@@ -446,13 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
     written = argparse.ArgumentParser(add_help=False)
     written.add_argument("--config", required=True, help="JSON experiment config")
     written.add_argument("--out", help="output CSV path (overrides config)")
-    sampled = argparse.ArgumentParser(add_help=False, parents=[written])
-    sampled.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[written])
+    seeded.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")
+    sampled = argparse.ArgumentParser(add_help=False, parents=[seeded])
     sampled.add_argument("--trials", type=int, help="trial/sample count override")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analyze", parents=[written], help="contraction factors and boundary curves")
     sub.add_parser("delta-dist", parents=[sampled], help="analytic vs simulated return-time pmf")
-    sub.add_parser("simulate", parents=[sampled], help="single trajectory to CSV")
+    sub.add_parser("simulate", parents=[seeded], help="single trajectory to CSV")
     montecarlo = sub.add_parser("montecarlo", parents=[sampled], help="paired cost/utilization sweep")
     montecarlo.add_argument("--threads", type=int, default=1, help="worker processes")
     for command_parser in sub.choices.values():

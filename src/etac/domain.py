@@ -4,13 +4,10 @@ The controlled object is a discrete-time plant x(k+1) = f(x(k), u(k)).  Its
 sensor transmits only while the state sits outside the open ball |x| < d; the
 link erases each transmitted packet independently with probability 1 - q, and
 the controller's processor grants a random number of control-law evaluations
-per step, distributed according to the pmf p = (p_0, ..., p_Lambda).  The
-actuator buffer has no type here: the simulator keeps it as the plan of
-inputs computed at the last refill plus the steps since (``runtime``), and
-only the oracle models it as a matrix.  :class:`PlantSpec`,
-:class:`StochasticEnv` and :class:`NoiseSpec` check their invariants when
-built, also by ``dataclasses.replace``, so one that exists is valid and the
-functions that take one do not check it again.
+per step, distributed according to the pmf p = (p_0, ..., p_Lambda).
+:class:`PlantSpec`, :class:`StochasticEnv` and :class:`NoiseSpec` check their
+invariants when built, also by ``dataclasses.replace``, so one that exists is
+valid and the functions that take one do not check it again.
 
 Dynamics, control laws and Lyapunov functions are plain callables; the
 certified contraction/growth factors are floats, padded to hold for the float
@@ -185,12 +182,6 @@ def _sat_kappa(x: list[float]) -> list[float]:
     return [-x2, 0.505 * sat(x1 + x2)]
 
 
-#: One pair of map objects for every saturated plant, so that runs on one
-#: stream at different radii follow each other (see ``runtime``).
-_SAT_DYNAMICS = _FloatMap(_sat_f)
-_SAT_CONTROL = _FloatMap(_sat_kappa)
-
-
 def _sq_norm(x: list[float]) -> float:
     """x·x of a state given as its float list ``x.tolist()``, summed left to right.
 
@@ -235,8 +226,8 @@ def make_sat_plant(d: float = 0.0) -> PlantSpec:
     return PlantSpec(
         state_dim=2,
         input_dim=2,
-        dynamics=_SAT_DYNAMICS,
-        control_law=_SAT_CONTROL,
+        dynamics=_FloatMap(_sat_f),
+        control_law=_FloatMap(_sat_kappa),
         lyapunov=_sat_lyapunov,
         phi1=_double,
         phi2=_double,

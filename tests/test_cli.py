@@ -23,7 +23,7 @@ from etac.cli import (
     parse_config,
     run_paired_cells,
 )
-from etac.domain import NoiseSpec, StochasticEnv, make_scalar_plant
+from etac.domain import NoiseSpec, StochasticEnv
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -232,7 +232,7 @@ REJECTED_INPUTS = {
     "seed-beyond-u64": (SIMULATE, {**decay_config(), "seed": 2**70}, "seed"),
     "seed-override-negative": ([*SIMULATE, "--seed", "-1"], decay_config(), "seed"),
     "seed-override-beyond-u64": ([*SIMULATE, "--seed", str(2**64)], decay_config(), "seed"),
-    "trials-override-zero": ([*SIMULATE, "--trials", "0"], decay_config(), "trials"),
+    "trials-override-zero": (["delta-dist", "--trials", "0"], decay_config(), "trials"),
     "threads-zero": (["montecarlo", "--threads", "0"], montecarlo_config(trials=4), "--threads"),
     "p-sum-overflows": (
         SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [1e308, 1e308], "capacity": 1}}, "env: p[0]"
@@ -511,6 +511,29 @@ class TestExitCodes:
         assert out.is_dir() and not any(out.iterdir())
 
     @pytest.mark.parametrize(
+        "out, message",
+        [
+            ("", "an output path is required"),
+            # os.access reports /proc writable to root; creating a file there fails
+            pytest.param(
+                "/proc/etac-out.csv", "cannot write to output directory '/proc'",
+                marks=pytest.mark.skipif(not os.path.isdir("/proc"), reason="no /proc"),
+            ),
+        ],
+        ids=["empty", "in-proc"],
+    )
+    @pytest.mark.parametrize("command, data", ONE_PER_COMMAND.values(), ids=ONE_PER_COMMAND.keys())
+    def test_unwritable_out_is_config_error_before_work(
+        self, tmp_path, capfd, monkeypatch, command, data, out, message
+    ):
+        forbid_work(monkeypatch)
+        assert main([*command, "--config", write_config(tmp_path, data), "--out", out]) == 2
+        captured = capfd.readouterr()
+        assert captured.err.startswith(f"config error: {message}")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "command, data, fragment", REJECTED_INPUTS.values(), ids=REJECTED_INPUTS.keys()
     )
     def test_rejected_input_leaves_through_config_error(self, tmp_path, capfd, command, data, fragment):
@@ -742,6 +765,42 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, data, "c2.json")]) == 2
 
 
+def assert_sweep_shares_prefixes(monkeypatch, data, maker):
+    """The sweep builds its plant once, so every radius runs one pair of map
+    objects; one radius at a time, only the two controllers share.
+
+    ``maker`` names the ``etac.cli`` plant constructor that ``data`` selects;
+    the dynamics it builds are counted, and the sweep must call them less
+    often than the radii run alone, with the same output.
+    """
+    radii = (0.0, 0.5, 1.0, 2.0, 4.0, 6.0)
+    data = {**data, "trials": 20, "d_sweep": list(radii)}
+    expected = run_paired_cells(parse_config(data))
+    build = getattr(etac.cli, maker)
+    calls = []
+
+    def counted_plant(*args):
+        plant = build(*args)
+
+        def dynamics(x, u):
+            calls.append(plant.d)
+            return plant.dynamics(x, u)
+
+        return replace(plant, dynamics=dynamics)
+
+    monkeypatch.setattr(etac.cli, maker, counted_plant)
+    swept = run_paired_cells(parse_config(data))
+    swept_calls = len(calls)
+    calls.clear()
+    for i, d in enumerate(radii):
+        alone = run_paired_cells(parse_config({**data, "d_sweep": [d]}))
+        for whole, part in zip(expected, alone):
+            assert whole[i : i + 1].tobytes() == part.tobytes()
+    for got, want in zip(swept, expected):
+        assert got.tobytes() == want.tobytes()
+    assert swept_calls < len(calls)
+
+
 class TestMonteCarlo:
     def test_sweep_csv(self, tmp_path):
         out = str(tmp_path / "mc.csv")
@@ -788,33 +847,13 @@ class TestMonteCarlo:
         assert on_another_cpu(tmp_path, "sweep_digest", data, 1) == digest
 
     def test_scalar_sweep_shares_prefixes_across_radii(self, monkeypatch):
-        # The sweep builds its plant once, so every radius runs one pair of map
-        # objects; one radius at a time, only the two controllers share.
-        radii = (0.0, 0.5, 1.0, 2.0, 4.0, 6.0)
-        data = {**montecarlo_config(trials=20, d_sweep=radii), "plant": {"kind": "scalar", "a": 1.2, "gain": 0.9}}
-        expected = run_paired_cells(parse_config(data))
-        calls = []
+        data = {**montecarlo_config(), "plant": {"kind": "scalar", "a": 1.2, "gain": 0.9}}
+        assert_sweep_shares_prefixes(monkeypatch, data, "make_scalar_plant")
 
-        def counted_scalar_plant(a, gain, d):
-            plant = make_scalar_plant(a, gain, d)
-
-            def dynamics(x, u):
-                calls.append(d)
-                return plant.dynamics(x, u)
-
-            return replace(plant, dynamics=dynamics)
-
-        monkeypatch.setattr(etac.cli, "make_scalar_plant", counted_scalar_plant)
-        swept = run_paired_cells(parse_config(data))
-        swept_calls = len(calls)
-        calls.clear()
-        for i, d in enumerate(radii):
-            alone = run_paired_cells(parse_config({**data, "d_sweep": [d]}))
-            for whole, part in zip(expected, alone):
-                assert whole[i : i + 1].tobytes() == part.tobytes()
-        for got, want in zip(swept, expected):
-            assert got.tobytes() == want.tobytes()
-        assert swept_calls < len(calls)
+    def test_saturated_sweep_shares_prefixes_across_radii(self, monkeypatch):
+        # each call of make_sat_plant builds maps of its own: the sweep alone
+        # makes its radii share them
+        assert_sweep_shares_prefixes(monkeypatch, montecarlo_config(), "make_sat_plant")
 
     def test_requires_sweep_and_both_controllers(self, tmp_path):
         data = montecarlo_config(out=str(tmp_path / "m.csv"))

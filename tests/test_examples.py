@@ -59,6 +59,7 @@ UNREAD_OVERRIDES = [
     ("analyze", ["--trials", "1"]),
     ("analyze", ["--threads", "2"]),
     ("delta-dist", ["--threads", "2"]),
+    ("simulate", ["--trials", "1"]),
     ("simulate", ["--threads", "2"]),
 ]
 

@@ -478,13 +478,13 @@ SHARED_DRAW_NOISES = (
     NoiseSpec("gaussian-iid", 2.0),
 )
 SHARED_DRAW_RADII = (0.0, 1.0, 2.5, 40.0)
-#: Built once per radius, as ``_mc_worker`` builds them: the saturated plants
-#: share their maps across radii, and each scalar plant has maps of its own.
-#: The two scalar plants draw alike, so a run that took the states of a run
-#: under other maps would differ.
+#: Built as ``_mc_worker`` builds them: one plant per kind, copied to each
+#: radius, so every plant of a kind shares its maps across radii.  The two
+#: scalar plants draw alike, so a run that took the states of a run under the
+#: other's maps would differ.
+SHARED_DRAW_KINDS = (make_scalar_plant(2.0, 1.5, 0.0), make_sat_plant(), make_scalar_plant(1.5, 1.0, 0.0))
 SHARED_DRAW_PLANTS = tuple(
-    (make_scalar_plant(2.0, 1.5, d), make_sat_plant(d), make_scalar_plant(1.5, 1.0, d))
-    for d in SHARED_DRAW_RADII
+    tuple(dataclasses.replace(kind, d=d) for kind in SHARED_DRAW_KINDS) for d in SHARED_DRAW_RADII
 )
 
 
@@ -624,8 +624,9 @@ class TestKeptRuns:
     ):
         # the montecarlo cell order (every radius, both controllers, one stream
         # per trial), and the reverse, where the anytime cell comes first; the
-        # saturated maps are one pair of objects across radii, and each cell
-        # passes a new array of a given x0
+        # cells share one pair of counting maps, as a sweep's cells share the
+        # maps of its one built plant, and each cell passes a new array of a
+        # given x0
         dynamics, control_law, calls = counting_maps(make_sat_plant())
         env = StochasticEnv(q=0.4, p=UNIFORM_ENV.p, capacity=4)
         noise = NoiseSpec("gaussian-iid", 1.0)
