@@ -19,10 +19,12 @@ Exit codes: 0 success, 1 a ``montecarlo`` cell in which every trial diverged
 ``delta-dist``.  Exit 2 covers what the decoder and the types refuse, a
 ``--threads`` below 1, an output path that cannot be written (refused before
 any work), and the library's input checks (a ``ValueError``), in this process
-or in a ``montecarlo`` worker.  Each subcommand takes only the overrides it
-reads: ``analyze`` ``--out``; ``simulate`` also ``--seed``; ``delta-dist``
-also ``--trials``; ``montecarlo`` also ``--threads``.  Any other is a usage
-error of the subcommand (exit 2), whose usage line lists the overrides it takes.
+or in a ``montecarlo`` worker.  A worker that dies without a result (killed,
+say) raises a RuntimeError: a traceback and exit 1.  Each subcommand takes
+only the overrides it reads: ``analyze`` ``--out``; ``simulate`` also
+``--seed``; ``delta-dist`` also ``--trials``; ``montecarlo`` also
+``--threads``.  Any other is a usage error of the subcommand (exit 2), whose
+usage line lists the overrides it takes.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ import csv
 import json
 import math
 import os
+import pickle
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from types import NoneType
-from typing import get_args, get_origin, get_type_hints
+from typing import NoReturn, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -369,6 +371,73 @@ def _mc_worker(
     return costs, utils, diverged
 
 
+def _run_forked(chunk: tuple[ExperimentConfig, int, int], write_fd: int) -> NoReturn:
+    """A forked worker: pickle ``(ok, value)`` of ``_mc_worker(chunk)`` into the
+    pipe and leave by ``os._exit``, so it never unwinds into the caller's stack
+    nor flushes the parent's buffers.
+
+    ``value`` is the result or the raised exception; an exception that does not
+    survive a pickle round trip is sent as a RuntimeError carrying its repr.
+    """
+    code = 1
+    try:
+        try:
+            reply = (True, _mc_worker(chunk))
+        except BaseException as exc:
+            reply = (False, exc)
+            try:
+                pickle.loads(pickle.dumps(reply))
+            except Exception:
+                reply = (False, RuntimeError(f"montecarlo worker raised {exc!r}"))
+        with open(write_fd, "wb") as fh:
+            pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_map(chunks: list[tuple[ExperimentConfig, int, int]]) -> list:
+    """``_mc_worker`` of each chunk, each run by a forked child with a pipe of its own.
+
+    Every pipe is read to EOF and every child reaped, also when a later fork
+    fails; only then is the first failure in chunk order raised: a worker's
+    exception as it was raised, a child that ended without a result as a
+    RuntimeError naming its wait status.
+    """
+    children = []
+    try:
+        for chunk in chunks:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_forked(chunk, write_fd)
+            os.close(write_fd)  # so the read end sees EOF when the child exits
+            children.append((chunk, pid, read_fd))
+    finally:
+        ends = []
+        for chunk, pid, read_fd in children:
+            with open(read_fd, "rb") as fh:
+                data = fh.read()
+            ends.append((chunk, os.waitpid(pid, 0)[1], data))
+    parts = []
+    for (_, t0, t1), status, data in ends:
+        if status != 0:
+            raise RuntimeError(
+                f"montecarlo worker for trials [{t0}, {t1}) ended without a result "
+                f"(wait status {status})"
+            )
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        parts.append(value)
+    return parts
+
+
 def run_paired_cells(
     config: ExperimentConfig, threads: int = 1
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -378,7 +447,10 @@ def run_paired_cells(
     sweep points) share identical channel/processor/disturbance draws, made
     once per trial on one stream object and reused by every cell; the trial
     axis is assembled in a fixed order, making the result independent of the
-    worker count.
+    worker count.  More than one worker splits the trials into contiguous
+    chunks, each run by a forked child that sends its arrays back through a
+    pipe of its own (:func:`_fork_map`).  Every child is reaped before this
+    returns or raises, and a failure raised is the first in chunk order.
     """
     if config.d_sweep is None:
         raise ConfigError("montecarlo requires d_sweep")
@@ -389,9 +461,7 @@ def run_paired_cells(
     if workers == 1:
         return _mc_worker((config, 0, trials))
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    chunks = [(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_mc_worker, chunks))
+    parts = _fork_map([(config, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])])
     costs = np.concatenate([p[0] for p in parts], axis=2)
     utils = np.concatenate([p[1] for p in parts], axis=2)
     diverged = np.concatenate([p[2] for p in parts], axis=2)

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import pathlib
+import re
+import signal
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -832,7 +834,8 @@ class TestMonteCarlo:
         assert bytes_a == pathlib.Path(out_b).read_bytes()
         assert bytes_a == pathlib.Path(out_c).read_bytes()
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    # 16 trials on 3 workers are uneven chunks of 5, 5 and 6
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
     def test_output_matches_recorded_digest(self, tmp_path, name, threads):
         data, digest = PINNED_SWEEPS[name]
@@ -911,7 +914,106 @@ class TestMonteCarlo:
         assert "diverged" in capsys.readouterr().err
 
 
+class UnpicklableError(Exception):
+    """Pickles only without its attribute: a lambda cannot be pickled."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+def trial_index_worker(args):
+    """A stand-in for ``_mc_worker``: every cell of trial t holds t."""
+    config, t0, t1 = args
+    shape = (len(config.d_sweep), len(config.controllers), t1 - t0)
+    trials = np.broadcast_to(np.arange(t0, t1, dtype=float), shape)
+    return trials.copy(), trials + 0.5, np.zeros(shape, dtype=bool)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """``--threads 2`` forks a child per chunk; on every path each is reaped
+    and the first failure in chunk order is raised.  The 4 trials split into
+    chunks [0, 2) and [2, 4)."""
+
+    CONFIG = parse_config({**montecarlo_config(trials=4, d_sweep=(0.0, 1.0)), "horizon": 10})
+
+    @staticmethod
+    def patch_worker(monkeypatch, chunk0, chunk1):
+        def worker(args):
+            return (chunk0 if args[1] == 0 else chunk1)(args)
+
+        monkeypatch.setattr(etac.cli, "_mc_worker", worker)
+
+    def test_chunks_return_in_trial_order(self, monkeypatch):
+        self.patch_worker(monkeypatch, trial_index_worker, trial_index_worker)
+        costs, utils, diverged = run_paired_cells(self.CONFIG, threads=2)
+        assert_no_child_left()
+        assert costs.tobytes() == np.broadcast_to(np.arange(4.0), (2, 2, 4)).tobytes()
+        assert (utils == costs + 0.5).all() and not diverged.any()
+
+    def test_worker_value_error_is_raised_as_it_was(self, monkeypatch):
+        def refuse(args):
+            raise ValueError("chunk 0 refused")
+
+        self.patch_worker(monkeypatch, refuse, etac.cli._mc_worker)
+        with pytest.raises(ValueError, match="chunk 0 refused"):
+            run_paired_cells(self.CONFIG, threads=2)
+        assert_no_child_left()
+
+    def test_killed_worker_is_a_runtime_error_naming_its_status(self, monkeypatch):
+        def die(args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        self.patch_worker(monkeypatch, trial_index_worker, die)
+        with pytest.raises(RuntimeError, match=rf"trials \[2, 4\).*wait status {signal.SIGKILL}\)"):
+            run_paired_cells(self.CONFIG, threads=2)
+        assert_no_child_left()
+
+    def test_unpicklable_exception_is_sent_as_its_repr(self, monkeypatch):
+        def raise_unpicklable(args):
+            raise UnpicklableError("no round trip")
+
+        self.patch_worker(monkeypatch, raise_unpicklable, trial_index_worker)
+        with pytest.raises(RuntimeError, match=re.escape("UnpicklableError('no round trip')")):
+            run_paired_cells(self.CONFIG, threads=2)
+        assert_no_child_left()
+
+    def test_failed_fork_reaps_the_children_already_forked(self, monkeypatch):
+        fork = os.fork
+        forked = []
+
+        def fork_once():
+            if forked:
+                raise BlockingIOError("fork refused")
+            forked.append(True)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        self.patch_worker(monkeypatch, trial_index_worker, trial_index_worker)
+        with pytest.raises(BlockingIOError, match="fork refused"):
+            run_paired_cells(self.CONFIG, threads=2)
+        assert_no_child_left()
+
+
 class TestModuleEntry:
+    def test_import_loads_no_process_pool_modules(self):
+        code = (
+            "import sys\n"
+            "import etac.cli\n"
+            "pool = ('concurrent.futures', 'multiprocessing', 'logging', 'subprocess')\n"
+            "print([name for name in pool if name in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_python_dash_m(self, tmp_path):
         out = str(tmp_path / "curves.csv")
         path = write_config(tmp_path, boundary_config(out=out))

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` wraps etac's functions from outside the package.  It
 reads ``Trace.records``, takes the stream from argument 5 of
 ``run_trajectory``, wraps the maps of the plants the factories return, and
-wraps ``cli._mc_worker``, the pool's unit of work.  The check runs in a child
-process, since installing the tracer monkeypatches etac for good.
+wraps ``cli._mc_worker``, the unit of work each forked montecarlo worker runs.
+The check runs in a child process, since installing the tracer monkeypatches
+etac for good.
 """
 
 import json
@@ -52,5 +53,5 @@ def test_traced_sweep_counts_every_step_of_both_workers(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    # 4 trials x 2 radii x 2 controllers x 10 steps, run by two pool workers
+    # 4 trials x 2 radii x 2 controllers x 10 steps, run by two forked workers
     assert json.loads(proc.stdout) == {"merged": 2, "steps": 160}
