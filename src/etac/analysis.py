@@ -152,8 +152,7 @@ def _require_alpha(alpha: float) -> None:
 def build_lambda_chain(env: StochasticEnv) -> LambdaChain:
     """Jump distribution and countdown probability of the buffer-length chain."""
     q = env.q
-    p = np.asarray(env.p, dtype=float)
-    return LambdaChain(theta=q * p[1:], return1=1.0 - q + p[0] * q)
+    return LambdaChain(theta=q * np.asarray(env.p[1:], dtype=float), return1=1.0 - q + env.p[0] * q)
 
 
 def _powers(x, n: int) -> np.ndarray:

@@ -553,10 +553,15 @@ class TestAnalyze:
             0.9 * 0.9 * (plant.alpha - plant.rho) * 1.0 / (1.0 - result.gamma)
         )
         assert result.anytime_tail == pytest.approx(1.0 / (1.0 - result.omega))
-        # the boundaries at the plant's rho, as plain floats
-        assert type(result.alpha_star_baseline) is type(result.alpha_star_anytime) is float
+        # the boundaries at the plant's rho
         assert result.alpha_star_baseline == boundary_alpha_baseline(plant.rho, env)
         assert result.alpha_star_anytime == boundary_alpha_anytime(plant.rho, env)
+
+    @pytest.mark.parametrize("env", [REFERENCE_ENV, StochasticEnv(q=1.0, p=(0.0, 1.0), capacity=1)],
+                             ids=["reference", "never-returning"])
+    def test_every_field_is_a_float(self, env):
+        result = analyze(make_sat_plant(1.0), env)
+        assert [type(v) for v in result] == [float] * len(result)
 
     def test_supercritical_tails_are_infinite(self):
         plant = make_scalar_plant(3.0, 2.2, 1.0)

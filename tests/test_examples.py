@@ -2,7 +2,8 @@
 
 ``examples/boundaries.json`` (``etac analyze``) writes the alpha*(rho)
 boundary curves and ``examples/tradeoff.json`` (``etac montecarlo``) the
-paired cost-vs-utilization sweep; each CSV is pinned by its SHA-256.  The
+paired cost-vs-utilization sweep; each CSV is pinned by its SHA-256 in
+``examples/SHA256SUMS``, which CI also checks with ``sha256sum -c``.  The
 README's example config is the trade-off config itself, and each subcommand
 refuses the overrides it does not read.
 """
@@ -20,10 +21,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(ROOT, "examples")
 JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
-#: ``etac analyze --config examples/boundaries.json``: 181 rows on the fixed rho grid.
-BOUNDARIES_SHA256 = "6e6456028f21756ebc9b0fa7033b3c4cac481a1be04ad430ddad208d82057146"
-#: ``etac montecarlo --config examples/tradeoff.json --trials 40``, at any --threads.
-TRADEOFF_40_SHA256 = "f92fdc3cee42be382536708e8c7fb2c3b114a800b166b84d26eec75231e8f308"
+#: SHA-256 of each output by file name, in ``sha256sum`` format: ``boundaries.csv``
+#: from ``etac analyze --config examples/boundaries.json`` (181 rows on the fixed
+#: rho grid) and ``tradeoff.csv`` from ``etac montecarlo --config
+#: examples/tradeoff.json --trials 40``, at any --threads.
+with open(os.path.join(EXAMPLES, "SHA256SUMS")) as fh:
+    PINS = {name: digest for digest, name in map(str.split, fh)}
 
 
 def sha256(path) -> str:
@@ -41,7 +44,7 @@ def test_boundaries_example_output(tmp_path):
     out = tmp_path / "boundaries.csv"
     config = os.path.join(EXAMPLES, "boundaries.json")
     assert main(["analyze", "--config", config, "--out", str(out)]) == 0
-    assert sha256(out) == BOUNDARIES_SHA256
+    assert sha256(out) == PINS["boundaries.csv"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -50,7 +53,7 @@ def test_tradeoff_example_output(tmp_path, threads):
     config = os.path.join(EXAMPLES, "tradeoff.json")
     argv = ["montecarlo", "--config", config, "--out", str(out), "--trials", "40"]
     assert main([*argv, "--threads", str(threads)]) == 0
-    assert sha256(out) == TRADEOFF_40_SHA256
+    assert sha256(out) == PINS["tradeoff.csv"]
 
 
 #: The overrides that a subcommand does not read, each with a valid value.

@@ -14,6 +14,7 @@ from etac.oracle import (
     BufferState,
     _evaluation_counts,
     lambda_transition_matrix,
+    plan_inputs,
     reference_anytime_step,
     reference_trajectory,
     simulate_lambda_chain,
@@ -21,19 +22,9 @@ from etac.oracle import (
     update_lambda,
 )
 from etac.runtime import RngStream, run_trajectory
+from test_runtime import assert_runs_bitwise_equal
 
 WORKED_ENV = StochasticEnv(q=0.75, p=(0.2, 0.3, 0.5), capacity=2)
-
-
-def replay(trace, plant, rows):
-    """Feed a trace's step inputs to the reference step on a ``rows``-row buffer.
-
-    Yields each step's index with the reference's input and buffer after it.
-    """
-    buf = BufferState.zeros(rows, plant.input_dim)
-    for k, (x, beta, n) in enumerate(zip(trace.x, trace.beta, trace.n)):
-        u, buf = reference_anytime_step(x if beta == 1 else None, beta, min(n, rows), buf, plant)
-        yield k, u, buf
 
 
 def int64_path(n_seq):
@@ -409,23 +400,22 @@ class TestTransitionFrequencies:
         assert chi2 < stats.chi2.ppf(0.999, df=df)
 
 class TestReferenceAnytimeStep:
-    def test_differential_equality(self):
-        plant = make_sat_plant(1.0)
-        noise = NoiseSpec("gaussian-iid", 1.0)
-        env = StochasticEnv(q=0.6, p=(0.2,) * 5, capacity=4)
-        steps, betas, ns = 0, set(), set()
-        for trial in range(170):
-            trace = run_trajectory(plant, env, noise, "anytime", 60, RngStream(74, trial))
-            for k, u, buf in replay(trace, plant, env.capacity):
-                assert np.array_equal(trace.u[k], u)
-                assert trace.lam[k] == buf.lam
-                # rows past the effective length are always padding zeros
-                assert np.all(buf.blocks[buf.lam :] == 0.0)
-                steps += 1
-            betas.update(trace.beta)
-            ns.update(trace.n)
-        assert steps >= 10_000
-        assert betas == {0, 1, 2} and ns == set(range(env.capacity + 1))
+    def test_fill_shift_silent_sequence(self):
+        # fill two inputs from x = 4, then play the plan, then go silent
+        plant = make_scalar_plant(2.0, 1.5, 0.0)
+        plan = plan_inputs(np.array([4.0]), 2, plant)
+        assert [float(u[0]) for u in plan] == [-6.0, -3.0]  # kappa(f(4, -6)) = kappa(2)
+        with pytest.raises(ValueError):
+            plan_inputs(np.array([4.0]), 0, plant)
+        buf = BufferState.zeros(2, 1)
+        u, buf = reference_anytime_step(np.array([4.0]), 1, 2, buf, plant)
+        assert u[0] == -6.0 and buf.lam == 2
+        assert np.array_equal(buf.blocks, np.array([[-6.0], [-3.0]]))
+        u, buf = reference_anytime_step(None, 0, 0, buf, plant)
+        assert u[0] == -3.0 and buf.lam == 1
+        u, buf = reference_anytime_step(None, 2, 0, buf, plant)
+        assert u[0] == 0.0 and buf.lam == 0
+        assert np.array_equal(buf.blocks, np.zeros((2, 1)))
 
     def test_silent_step_empties(self):
         plant = make_sat_plant(1.0)
@@ -435,39 +425,32 @@ class TestReferenceAnytimeStep:
         assert np.array_equal(out.blocks, np.zeros((3, 2)))
         assert out.lam == 0
 
-    def test_single_slot_matches_baseline(self):
-        plant = make_scalar_plant(2.0, 1.5, 0.5)
-        env = StochasticEnv(q=0.6, p=(0.3, 0.3, 0.4), capacity=2)
-        steps = 0
-        for trial in range(40):
-            trace = run_trajectory(plant, env, NoiseSpec(), "baseline", 50, RngStream(75, trial))
-            for k, u, _ in replay(trace, plant, 1):
-                assert np.array_equal(trace.u[k], u)
-                steps += 1
-        assert steps >= 1000
+    @given(capacity=st.integers(1, 6),
+           steps=st.lists(st.tuples(st.sampled_from([0, 1, 2]), st.integers(0, 6),
+                                    st.lists(st.floats(-20.0, 20.0), min_size=2, max_size=2)),
+                          max_size=60))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_from_lam_on_are_padding_zeros(self, capacity, steps):
+        plant = make_sat_plant()
+        buf = BufferState.zeros(capacity, plant.input_dim)
+        for beta, n, x in steps:
+            n = min(n, capacity) if beta == 1 else 0
+            _, buf = reference_anytime_step(np.array(x) if beta == 1 else None, beta, n, buf, plant)
+            assert np.all(buf.blocks[buf.lam :] == 0.0)
 
     def test_contract_violations(self):
         plant = make_scalar_plant(2.0, 1.5, 0.0)
-        with pytest.raises(ValueError):
-            reference_anytime_step(np.array([1.0]), 0, 1, BufferState.zeros(2, 1), plant)
-        with pytest.raises(ValueError):
-            reference_anytime_step(None, 1, 0, BufferState.zeros(2, 1), plant)
+        x = np.array([1.0])
+        # evaluations without reception, reception without the state, a state
+        # without reception, and more evaluations than the buffer's two rows
+        for args, message in (((x, 0, 1), "requires beta == 1"), ((None, 1, 0), "exactly when"),
+                              ((x, 0, 0), "exactly when"), ((x, 1, 3), "exceeds buffer capacity")):
+            with pytest.raises(ValueError, match=message):
+                reference_anytime_step(*args, BufferState.zeros(2, 1), plant)
 
 
 #: The saturated plant, a stable scalar plant and a scalar plant that diverges.
 REFERENCE_PLANTS = [make_sat_plant(), make_scalar_plant(1.2, 0.9, 0.0), make_scalar_plant(3.0, 2.5, 0.0)]
-
-
-def assert_run_equals_reference(trace, ref):
-    """Two traces' columns, squared norms, horizon and divergence flag, bit for bit."""
-    assert np.array(trace.x).tobytes() == np.array(ref.x).tobytes()
-    assert np.array(trace.u).tobytes() == np.array(ref.u).tobytes()
-    assert trace.beta == ref.beta
-    assert trace.n == ref.n
-    assert trace.lam == ref.lam
-    assert trace.sq_norms.tobytes() == ref.sq_norms.tobytes()
-    assert trace.horizon == ref.horizon
-    assert trace.diverged == ref.diverged
 
 
 def array_maps(plant):
@@ -516,7 +499,7 @@ class TestReferenceTrajectory:
             for cell_plant, stream in ((plant, built_in_stream), (lambdas, lambda_stream)):
                 trace = run_trajectory(replace(cell_plant, d=d), env, noise, controller, horizon,
                                        stream, x0=x0)
-                assert_run_equals_reference(trace, ref)
+                assert_runs_bitwise_equal(trace, ref)
 
     @pytest.mark.parametrize("config, any_diverged", [
         (ExperimentConfig(
