@@ -292,11 +292,11 @@ def boundary_alpha_anytime(rho, env: StochasticEnv):
     """Largest open-loop growth keeping omega < 1, elementwise in rho.
 
     omega is linear in alpha, so this is 1 / (r (1 + rho N / (1 - rho D)));
-    +inf when the buffer length never returns to zero (r = 0).
+    +inf, the IEEE quotient, when the length never returns to zero (r = 0) or r is subnormal.
     """
     chain = build_lambda_chain(env)
     _require_rho(rho)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         return 1.0 / (chain.return1 * _resolvent_factor(chain, np.asarray(rho, dtype=float)))
 
 

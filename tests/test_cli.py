@@ -190,26 +190,45 @@ def delta_digests(tmp_path, env, samples, seed):
 
 
 NAN = float("nan")
+ANALYZE = ["analyze"]
+DELTA_DIST = ["delta-dist"]
 SIMULATE = ["simulate"]
-POOL = ["montecarlo", "--threads", "2"]
+MONTECARLO = ["montecarlo"]
+FORKED = [*MONTECARLO, "--threads", "2"]
 
 #: Inputs that must leave through main's single exit: code 2, a config error
-#: whose message holds the given fragment, no traceback.  The first eleven break
-#: the decoder's rules: the number rule (json reads ``NaN``, and an int literal
-#: too large for a float) and the list form of ``x0``, which refuses the old
-#: ``{"kind": ...}`` object.  The next four are library checks, two of them
-#: raised in a pool worker and one a seed past 64 bits; then four command-line
-#: overrides out of range, pmf entries whose sum overflows a float, an unknown
-#: plant kind, a section that is not an object, ``simulate`` without ``d``, and
-#: keys repeated at the top level and in a section, given as the config's text,
-#: since a dict cannot hold a key twice.
+#: whose message holds the given fragment, no traceback.  A config given as a
+#: string is written as it is: the way to repeat a key, which a dict cannot hold.
 REJECTED_INPUTS = {
+    # the loader and the decoder's own rules: JSON syntax, repeated and unknown
+    # keys, a section that is not an object, the number rule (json reads
+    # ``NaN``, and an int literal too large for a float) and the list form of
+    # ``x0``, which refuses the old ``{"kind": ...}`` object
+    "json-syntax-error": (ANALYZE, '{"plant": \n !}', ":2:"),
+    "keys-repeated": (
+        SIMULATE, json.dumps(decay_config())[:-1] + ', "d": 2.0, "seed": 1, "seed": 7}',
+        "repeated key(s) ['d', 'seed']",
+    ),
+    "env-key-repeated": (
+        SIMULATE, json.dumps(decay_config()).replace('"q": 1.0', '"q": 1.0, "q": 0.5'),
+        "repeated key(s) ['q']",
+    ),
+    "root-key-unknown": (
+        ANALYZE, {**boundary_config(), "horizons": 50}, "unknown key(s) ['horizons'] in config"
+    ),
+    # the boundary grid is fixed (cli.RHO_GRID), not a config section
+    "rho-grid-unknown": (
+        ANALYZE, {**boundary_config(), "rho_grid": {"points": 181}}, "unknown key(s) ['rho_grid'] in config"
+    ),
+    "env-key-unknown": (
+        ANALYZE, {**boundary_config(), "env": {**boundary_config()["env"], "erasures": 0.5}},
+        "unknown key(s) ['erasures'] in env",
+    ),
+    "env-not-an-object": (SIMULATE, {**decay_config(), "env": [1.0, 0.0]}, "env must be an object"),
     "x0-string-entry": (SIMULATE, {**decay_config(), "x0": ["a"]}, "x0[0]"),
     "x0-nested-list": (SIMULATE, {**decay_config(), "x0": [[1.0, 2.0]]}, "x0[0]"),
     "x0-object-gaussian": (SIMULATE, {**decay_config(), "x0": {"kind": "gaussian"}}, "x0"),
-    "x0-object-fixed": (
-        SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": [4.0]}}, "x0"
-    ),
+    "x0-object-fixed": (SIMULATE, {**decay_config(), "x0": {"kind": "fixed", "value": [4.0]}}, "x0"),
     "p-booleans": (
         SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [True, False], "capacity": 1}}, "env.p[0]"
     ),
@@ -225,40 +244,72 @@ REJECTED_INPUTS = {
         SIMULATE, {**decay_config(), "plant": {"kind": "scalar", "a": 2.0, "gain": NAN}}, "plant.gain"
     ),
     "d-int-beyond-float": (SIMULATE, {**decay_config(), "d": 10**400}, "d must"),
-    "x0-wrong-length": (SIMULATE, {**decay_config(), "x0": [1.0, 2.0]}, "x0 has shape"),
-    "unstable-plant-in-worker": (
-        POOL, {**montecarlo_config(trials=4), "plant": {"kind": "scalar", "a": 2.0, "gain": 0.5}},
-        "contracting",
+    # a constructor's check, which the decoder prefixes with its section
+    "env-q-above-one": (
+        ANALYZE, {**boundary_config(), "env": {**boundary_config()["env"], "q": 1.4}}, "env: q=1.4"
     ),
-    "x0-wrong-length-in-worker": (POOL, {**montecarlo_config(trials=4), "x0": [1.0]}, "x0 has shape"),
-    "seed-beyond-u64": (SIMULATE, {**decay_config(), "seed": 2**70}, "seed"),
-    "seed-override-negative": ([*SIMULATE, "--seed", "-1"], decay_config(), "seed"),
-    "seed-override-beyond-u64": ([*SIMULATE, "--seed", str(2**64)], decay_config(), "seed"),
-    "trials-override-zero": (["delta-dist", "--trials", "0"], decay_config(), "trials"),
-    "threads-zero": (["montecarlo", "--threads", "0"], montecarlo_config(trials=4), "--threads"),
     "p-sum-overflows": (
         SIMULATE, {**decay_config(), "env": {"q": 1.0, "p": [1e308, 1e308], "capacity": 1}}, "env: p[0]"
     ),
     "plant-kind-unknown": (SIMULATE, {**decay_config(), "plant": {"kind": "linear"}}, "kind must be"),
-    "env-not-an-object": (SIMULATE, {**decay_config(), "env": [1.0, 0.0]}, "env must be an object"),
-    "simulate-without-d": (SIMULATE, {**decay_config(), "d": None}, "requires a trigger radius d"),
-    "keys-repeated": (
-        SIMULATE, json.dumps(decay_config())[:-1] + ', "d": 2.0, "seed": 1, "seed": 7}',
-        "repeated key(s) ['d', 'seed']",
+    "scalar-without-a": (
+        SIMULATE, {**decay_config(), "plant": {"kind": "scalar", "gain": 1.5}},
+        "plant: the scalar plant requires plant.a",
     ),
-    "env-key-repeated": (
-        SIMULATE, json.dumps(decay_config()).replace('"q": 1.0', '"q": 1.0, "q": 0.5'),
-        "repeated key(s) ['q']",
+    "controller-unknown": (
+        ANALYZE, {**boundary_config(), "controllers": ["baseline", "mpc"]},
+        "config: unknown controller 'mpc'",
+    ),
+    "d-sweep-decreasing": (
+        MONTECARLO, montecarlo_config(trials=4, d_sweep=(0.0, 2.0, 1.0)),
+        "config: d_sweep values must be strictly increasing",
+    ),
+    "d-sweep-negative": (
+        MONTECARLO, montecarlo_config(trials=4, d_sweep=(-1.0, 2.0)),
+        "config: d_sweep must be nonempty and its values nonnegative",
+    ),
+    "trials-zero": (ANALYZE, {**boundary_config(), "trials": 0}, "config: trials must be >= 1"),
+    "horizon-zero": (ANALYZE, {**boundary_config(), "horizon": 0}, "config: horizon must be >= 1"),
+    "seed-beyond-u64": (SIMULATE, {**decay_config(), "seed": 2**70}, "seed"),
+    # command-line overrides out of range
+    "seed-override-negative": ([*SIMULATE, "--seed", "-1"], decay_config(), "seed"),
+    "seed-override-beyond-u64": ([*SIMULATE, "--seed", str(2**64)], decay_config(), "seed"),
+    "trials-override-zero": ([*DELTA_DIST, "--trials", "0"], decay_config(), "trials"),
+    "threads-zero": ([*MONTECARLO, "--threads", "0"], montecarlo_config(trials=4), "--threads"),
+    # what a subcommand requires of its config
+    "simulate-without-d": (SIMULATE, {**decay_config(), "d": None}, "requires a trigger radius d"),
+    "sim-two-controllers": (
+        SIMULATE, {**decay_config(), "controllers": ["baseline", "anytime"]}, "exactly one controller"
+    ),
+    "sim-three-trials": (SIMULATE, {**decay_config(), "trials": 3}, "simulate requires trials = 1"),
+    "mc-without-d-sweep": (
+        MONTECARLO, {**montecarlo_config(trials=4), "d_sweep": None}, "montecarlo requires d_sweep"
+    ),
+    "mc-one-controller": (
+        MONTECARLO, {**montecarlo_config(trials=4), "controllers": ["anytime"]}, "requires both controllers"
+    ),
+    # library checks, in process and raised in a forked worker
+    "x0-wrong-length": (SIMULATE, {**decay_config(), "x0": [1.0, 2.0]}, "x0 has shape"),
+    "unstable-plant-in-worker": (
+        FORKED, {**montecarlo_config(trials=4), "plant": {"kind": "scalar", "a": 2.0, "gain": 0.5}},
+        "contracting",
+    ),
+    "x0-wrong-length-in-worker": (FORKED, {**montecarlo_config(trials=4), "x0": [1.0]}, "x0 has shape"),
+    "delta-never-returns": (
+        DELTA_DIST, {**boundary_config(), "env": NO_RETURN_ENV, "trials": 100}, "never returns to zero"
+    ),
+    "delta-slow-return": (
+        DELTA_DIST, {**boundary_config(), "env": SLOW_RETURN_ENV, "trials": 100}, "pmf mass still below"
     ),
 }
 
 #: One small valid config per subcommand, for the checks made before any work.
 ONE_PER_COMMAND = {
-    "analyze": (["analyze"], boundary_config()),
-    "delta-dist": (["delta-dist"], {**boundary_config(), "trials": 1000}),
+    "analyze": (ANALYZE, boundary_config()),
+    "delta-dist": (DELTA_DIST, {**boundary_config(), "trials": 1000}),
     "simulate": (SIMULATE, decay_config()),
     # one worker, so that the sweep would run the patched _mc_worker in this process
-    "montecarlo": (["montecarlo"], montecarlo_config(trials=4)),
+    "montecarlo": (MONTECARLO, montecarlo_config(trials=4)),
 }
 
 
@@ -366,48 +417,6 @@ class TestConfigParsing:
             "kind": "saturated", "a": None, "gain": None,
         }
 
-    def test_unknown_root_key(self):
-        data = boundary_config()
-        data["horizons"] = 50
-        with pytest.raises(ConfigError, match="horizons"):
-            parse_config(data)
-
-    def test_rho_grid_is_an_unknown_key(self):
-        # the boundary grid is fixed (cli.RHO_GRID), not a config section
-        data = {**boundary_config(), "rho_grid": {"points": 181}}
-        with pytest.raises(ConfigError, match="rho_grid"):
-            parse_config(data)
-
-    def test_unknown_nested_key(self):
-        data = boundary_config()
-        data["env"]["erasures"] = 0.5
-        with pytest.raises(ConfigError, match="erasures"):
-            parse_config(data)
-
-    def test_env_validation_surfaces(self):
-        data = boundary_config()
-        data["env"]["q"] = 1.4
-        with pytest.raises(ConfigError, match="q=1.4"):
-            parse_config(data)
-
-    def test_d_sweep_must_increase(self):
-        data = montecarlo_config()
-        data["d_sweep"] = [0.0, 2.0, 1.0]
-        with pytest.raises(ConfigError, match="increasing"):
-            parse_config(data)
-
-    def test_d_sweep_nonnegative(self):
-        data = montecarlo_config()
-        data["d_sweep"] = [-1.0, 2.0]
-        with pytest.raises(ConfigError, match="nonnegative"):
-            parse_config(data)
-
-    def test_scalar_plant_needs_parameters(self):
-        data = decay_config()
-        del data["plant"]["a"]
-        with pytest.raises(ConfigError, match="plant.a"):
-            parse_config(data)
-
     def test_trials_and_horizon_bounds(self):
         data = boundary_config()
         data["trials"] = 0
@@ -445,12 +454,6 @@ class TestConfigParsing:
         ):
             with pytest.raises(ConfigError):
                 parse_config(data)
-
-    def test_unknown_controller(self):
-        data = boundary_config()
-        data["controllers"] = ["baseline", "mpc"]
-        with pytest.raises(ConfigError, match="mpc"):
-            parse_config(data)
 
 
 class TestExitCodes:
@@ -574,11 +577,15 @@ class TestAnalyze:
             assert float(r["alpha_star_anytime"]) == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
-        "env, mean", [(SLOW_RETURN_ENV, "24962.5"), (NO_RETURN_ENV, "inf")], ids=["slow", "never"]
+        "env, mean",
+        [(SLOW_RETURN_ENV, "24962.5"), (NO_RETURN_ENV, "inf"),
+         ({"q": 1.0, "p": [1e-320, 1.0], "capacity": 1}, "inf")],
+        ids=["slow", "never", "subnormal-return"],
     )
     def test_hard_env_reports_mean_return_time(self, tmp_path, capsys, env, mean):
         # every line is closed form, so neither a slow-mixing nor a
-        # never-returning length is refused
+        # never-returning length is refused; where r = 1 - q + p0 q is
+        # subnormal, 1 / r overflows to inf with no warning
         data = {"plant": {"kind": "saturated"}, "env": env, "out": str(tmp_path / "curves.csv")}
         assert main(["analyze", "--config", write_config(tmp_path, data)]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == f"mean_return_time={mean}"
@@ -695,26 +702,6 @@ class TestDeltaDist:
         env, samples, seed, *expected = self.PINNED_RUNS[run]
         assert on_another_cpu(tmp_path, "delta_digests", env, samples, seed) == expected
 
-    def test_degenerate_env_is_config_error(self, tmp_path):
-        out = str(tmp_path / "delta.csv")
-        data = {
-            "plant": {"kind": "saturated"},
-            "env": {"q": 1.0, "p": [0.0, 1.0], "capacity": 1},
-            "trials": 100,
-            "out": out,
-        }
-        assert main(["delta-dist", "--config", write_config(tmp_path, data)]) == 2
-
-    def test_slow_return_env_is_config_error(self, tmp_path, capsys):
-        data = {
-            "plant": {"kind": "saturated"},
-            "env": SLOW_RETURN_ENV,
-            "trials": 100,
-            "out": str(tmp_path / "delta.csv"),
-        }
-        assert main(["delta-dist", "--config", write_config(tmp_path, data)]) == 2
-        assert "config error:" in capsys.readouterr().err
-
 
 class TestSimulate:
     def test_deterministic_decay_trace(self, tmp_path, capsys):
@@ -757,14 +744,6 @@ class TestSimulate:
         assert main(["simulate", "--config", path, "--out", out_a]) == 0
         assert main(["simulate", "--config", path, "--out", out_b]) == 0
         assert pathlib.Path(out_a).read_bytes() == pathlib.Path(out_b).read_bytes()
-
-    def test_requires_single_controller_and_one_trial(self, tmp_path):
-        data = decay_config(out=str(tmp_path / "t.csv"))
-        data["controllers"] = ["baseline", "anytime"]
-        assert main(["simulate", "--config", write_config(tmp_path, data)]) == 2
-        data = decay_config(out=str(tmp_path / "t.csv"))
-        data["trials"] = 3
-        assert main(["simulate", "--config", write_config(tmp_path, data, "c2.json")]) == 2
 
 
 def assert_sweep_shares_prefixes(monkeypatch, data, maker):
@@ -821,19 +800,6 @@ class TestMonteCarlo:
             == by_cell[("1000", "anytime")]["mean_cost"]
         )
 
-    def test_deterministic_and_thread_invariant(self, tmp_path):
-        out_a = str(tmp_path / "a.csv")
-        out_b = str(tmp_path / "b.csv")
-        out_c = str(tmp_path / "c.csv")
-        base = montecarlo_config(trials=60, d_sweep=(0.0, 2.0))
-        path = write_config(tmp_path, base)
-        assert main(["montecarlo", "--config", path, "--out", out_a]) == 0
-        assert main(["montecarlo", "--config", path, "--out", out_b]) == 0
-        assert main(["montecarlo", "--config", path, "--out", out_c, "--threads", "2"]) == 0
-        bytes_a = pathlib.Path(out_a).read_bytes()
-        assert bytes_a == pathlib.Path(out_b).read_bytes()
-        assert bytes_a == pathlib.Path(out_c).read_bytes()
-
     # 16 trials on 3 workers are uneven chunks of 5, 5 and 6
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("name", list(PINNED_SWEEPS))
@@ -857,14 +823,6 @@ class TestMonteCarlo:
         # each call of make_sat_plant builds maps of its own: the sweep alone
         # makes its radii share them
         assert_sweep_shares_prefixes(monkeypatch, montecarlo_config(), "make_sat_plant")
-
-    def test_requires_sweep_and_both_controllers(self, tmp_path):
-        data = montecarlo_config(out=str(tmp_path / "m.csv"))
-        del data["d_sweep"]
-        assert main(["montecarlo", "--config", write_config(tmp_path, data)]) == 2
-        data = montecarlo_config(out=str(tmp_path / "m.csv"))
-        data["controllers"] = ["anytime"]
-        assert main(["montecarlo", "--config", write_config(tmp_path, data, "c2.json")]) == 2
 
     def test_standard_error_shrinks_with_trials(self):
         small = parse_config(montecarlo_config(trials=400, d_sweep=(1.0,)))
